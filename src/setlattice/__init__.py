@@ -6,7 +6,6 @@ derivatives, Stampacchia/Minty variational-inequality checkers, and the
 vector-optimization specialization, all in exact rational arithmetic.
 """
 
-from .backend import IMPL_NAME as GEOMETRY_BACKEND
 from .extres import MINUS_INF, PLUS_INF, ExtReal, inf_add, residual
 from .kernel import (
     DirectionSet,
@@ -39,6 +38,5 @@ __all__ = [
     "NormalOutsideDualCone",
     "NegativeScalar",
     "WorkspaceMismatch",
-    "GEOMETRY_BACKEND",
     "__version__",
 ]

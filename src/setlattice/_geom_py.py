@@ -1,8 +1,8 @@
 """Exact 2D polyhedral geometry on integer homogeneous coordinates.
 
-This is the hot kernel behind every lattice operation.  A compiled twin
-lives in ``_geom_cy.pyx``; both expose the same two entry points and must
-stay behaviourally identical (enforced by the backend parity tests).
+This is the hot kernel behind every 2D lattice operation.  Its entry points
+are ``vrep_from_hrep``, ``hrep_from_vrep`` and ``vrep_inside_hrep``; all of
+them work on Python integers, so results stay exact at any magnitude.
 
 Conventions:
   facet  -- (a, b, cn, cd): the halfspace a*x + b*y <= cn/cd with (a, b)
@@ -16,8 +16,6 @@ plane is the empty facet list.
 
 from fractions import Fraction
 from math import gcd
-
-IMPL_NAME = "python"
 
 _FULL_RAYS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 

@@ -25,6 +25,7 @@ from .kernel import (
 )
 from .setfun import (
     ConcavePWL,
+    ConvexPWL,
     EpiVectorFunction,
     OracleFunction,
     ParamPolyFunction,
@@ -86,8 +87,21 @@ def _first_piece(off: ConcavePWL):
     return alpha, beta, t1
 
 
-def _all_crossings(off: ConcavePWL, window: Fraction):
-    """All crossing parameters of a 1-var min-of-affine inside (0, window)."""
+def _first_piece_max(comp: ConvexPWL):
+    """Initial value, active slope and first crossing t of a 1-var max-of-affine."""
+    alpha = max(c for _, c in comp.pieces)
+    beta = max(s[0] for s, c in comp.pieces if c == alpha)
+    t1 = None
+    for (s,), c in comp.pieces:
+        if c < alpha and s > beta:
+            root = (alpha - c) / (s - beta)
+            if t1 is None or root < t1:
+                t1 = root
+    return alpha, beta, t1
+
+
+def _all_crossings(off, window: Fraction):
+    """All crossing parameters of a 1-var min- or max-of-affine inside (0, window)."""
     out = []
     pieces = off.pieces
     for i in range(len(pieces)):
@@ -309,12 +323,10 @@ def _epivector_derivative(f: EpiVectorFunction, xx, uu, vx) -> DerivativeResult:
     slopes = []
     roots = []
     for comp in g.components:
-        val0 = max(c for _, c in comp.pieces)
-        slope = max(s[0] for s, c in comp.pieces if c == val0)
+        _, slope, t1 = _first_piece_max(comp)
         slopes.append(slope)
-        for (s,), c in comp.pieces:
-            if c < val0 and s > slope:
-                roots.append((val0 - c) / (s - slope))
+        if t1 is not None:
+            roots.append(t1)
     if exit_t is not None:
         roots.append(exit_t)
     that = min(roots + [Fraction(1)])
@@ -420,9 +432,7 @@ def _epivector_scalar_dini(f: EpiVectorFunction, z, xx, uu) -> ExtReal:
         return PLUS_INF
     slope = Fraction(0)
     for w, comp in zip(z, g.components):
-        val0 = max(c for _, c in comp.pieces)
-        s = max(sl[0] for sl, c in comp.pieces if c == val0)
-        slope += -to_frac(w) * s
+        slope += -to_frac(w) * _first_piece_max(comp)[1]
     return ExtReal(slope)
 
 
@@ -525,11 +535,9 @@ def first_linear_sample(
             return None
         roots = [] if exit_t is None else [exit_t]
         for comp in g.components:
-            val0 = max(c for _, c in comp.pieces)
-            slope = max(s[0] for s, c in comp.pieces if c == val0)
-            for (s,), c in comp.pieces:
-                if c < val0 and s > slope:
-                    roots.append((val0 - c) / (s - slope))
+            t1 = _first_piece_max(comp)[2]
+            if t1 is not None:
+                roots.append(t1)
         return min(roots + [Fraction(1)]) / 2
     if not isinstance(f, ParamPolyFunction):
         return None
@@ -554,15 +562,7 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
         g = f.restrict(x0, x)
         roots = set()
         for comp in g.components:
-            pieces = comp.pieces
-            for i in range(len(pieces)):
-                (si,), ci = pieces[i]
-                for j in range(i + 1, len(pieces)):
-                    (sj,), cj = pieces[j]
-                    if si != sj:
-                        r = (cj - ci) / (si - sj)
-                        if 0 < r < one:
-                            roots.add(r)
+            roots.update(_all_crossings(comp, one))
         for (a,), rr in g.domain.rows:
             if a != 0:
                 r = rr / a

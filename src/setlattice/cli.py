@@ -14,6 +14,7 @@ from .scenario import (
     TaskError,
     ValidationError,
     load_scenario,
+    parse_tolerance,
     run_scenario,
 )
 
@@ -21,9 +22,9 @@ from .scenario import (
 def _cmd_check_vi(args) -> int:
     try:
         scn = load_scenario(args.scenario)
-        if args.tolerance:
-            scn.tolerance = Fraction(args.tolerance)
-        report = run_scenario(scn, jobs=args.jobs)
+        if args.tolerance is not None:
+            scn.tolerance = parse_tolerance(args.tolerance)
+        report = run_scenario(scn)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
@@ -184,7 +185,6 @@ def main(argv=None) -> int:
     p_check.add_argument("--report", help="write the JSON report here")
     p_check.add_argument("--plot", help="write the first plot task's SVG here")
     p_check.add_argument("--tolerance", help="rational tolerance override, e.g. 1/1000000")
-    p_check.add_argument("--jobs", type=int, default=1, help="parallel task workers")
     p_check.set_defaults(func=_cmd_check_vi)
 
     p_eval = sub.add_parser("lattice-eval", help="evaluate a set expression")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Tuple
 
-from . import backend
+from . import _geom_py
 from ._geom_py import (
     facet_from_fraction,
     reduce_point,
@@ -70,7 +70,7 @@ def _primitive_dir(v: Sequence) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# 1D geometry (intervals); the 2D twin lives in the compiled backend
+# 1D geometry (intervals); the 2D case lives in _geom_py
 # ---------------------------------------------------------------------------
 
 
@@ -146,19 +146,19 @@ def _reduce_facet1(a, cn, cd):
 def _vrep(dim, facets):
     if dim == 1:
         return _vrep1(facets)
-    return backend.vrep_from_hrep(facets)
+    return _geom_py.vrep_from_hrep(facets)
 
 
 def _hrep(dim, points, rays):
     if dim == 1:
         return _hrep1(points, rays)
-    return backend.hrep_from_vrep(points, rays)
+    return _geom_py.hrep_from_vrep(points, rays)
 
 
 def _inside(dim, points, rays, facets):
     if dim == 1:
         return _inside1(points, rays, facets)
-    return backend.vrep_inside_hrep(points, rays, facets)
+    return _geom_py.vrep_inside_hrep(points, rays, facets)
 
 
 def _facet_of(dim, normal, offset: Fraction):
@@ -223,7 +223,7 @@ class OrderCone:
             rays = [g for g in self.generators]
             normals = _hrep1(pts, rays)
         else:
-            normals = backend.hrep_from_vrep([(0, 0, 1)], list(self.generators))
+            normals = _geom_py.hrep_from_vrep([(0, 0, 1)], list(self.generators))
         if not normals:
             raise LatticeError("ordering cone must have a nontrivial dual cone")
         self.facet_normals = tuple(_facet_normal(dim, f) for f in normals)

@@ -82,6 +82,14 @@ def _rat(x) -> Fraction:
     raise ValidationError(f"expected a rational, got {x!r}")
 
 
+def parse_tolerance(x) -> Fraction:
+    """A nonnegative rational tolerance, from a scenario field or the CLI flag."""
+    tol = _rat(x)
+    if tol < 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {x!r}")
+    return tol
+
+
 def _vec(x) -> tuple:
     if not isinstance(x, (list, tuple)):
         raise ValidationError(f"expected a vector, got {x!r}")
@@ -130,7 +138,7 @@ class Scenario:
         tasks = doc.get("tasks", [])
         if not isinstance(tasks, list):
             raise ValidationError("tasks must be a list")
-        tol = _rat(doc.get("tolerance", "1/1000000"))
+        tol = parse_tolerance(doc.get("tolerance", "1/1000000"))
         return Scenario(name, ws, functions, sets, spaces, tasks, tol)
 
 
@@ -415,30 +423,18 @@ class Report:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def run_scenario(scn: Scenario, jobs: int = 1) -> Report:
+def run_scenario(scn: Scenario) -> Report:
     from . import __version__
-    from .backend import IMPL_NAME
 
     report = Report(
         scenario=scn.name,
         environment={
-            "backend": IMPL_NAME,
             "package": f"setlattice {__version__}",
             "tolerance": frac_str(scn.tolerance),
         },
     )
-    results: List[Optional[dict]] = [None] * len(scn.tasks)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_task, scn, t) for t in scn.tasks]
-            for i, fut in enumerate(futures):
-                results[i] = fut.result()
-    else:
-        for i, t in enumerate(scn.tasks):
-            results[i] = run_task(scn, t)
-    for res in results:
+    for t in scn.tasks:
+        res = run_task(scn, t)
         report.tasks.append(res)
         report.hard_failures += int(res.get("violations", 0))
     return report

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import backend
+from . import _geom_py
 from ._geom_py import reduce_point
 from .extres import PLUS_INF, ExtReal, ext_min
 from .kernel import (
@@ -568,7 +568,7 @@ def _hull_rows_of_points(xdim: int, pts: List[Vec]):
     for p in pts:
         den = p[0].denominator * p[1].denominator
         hpts.append(reduce_point(int(p[0] * den), int(p[1] * den), den))
-    facets = backend.hrep_from_vrep(hpts, [])
+    facets = _geom_py.hrep_from_vrep(hpts, [])
     return [((Fraction(a), Fraction(b)), Fraction(cn, cd)) for a, b, cn, cd in facets]
 
 

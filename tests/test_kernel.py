@@ -7,6 +7,7 @@ from setlattice import (
     PLUS_INF,
     NormalOutsideDualCone,
     Workspace,
+    _geom_py,
     inf_family,
     sup_family,
 )
@@ -180,3 +181,15 @@ def test_halfplane_and_line_sets(orthant):
     assert s.contains_point((100, 2))
     rec = s.recession()
     assert rec.contains_point((5, 0)) and rec.contains_point((-5, 0))
+
+
+def test_big_integer_exactness():
+    """Huge coordinates stay exact through the geometry core."""
+    big = 10**40
+    facets = [
+        _geom_py.reduce_facet(-1, 0, -big, 1),
+        _geom_py.reduce_facet(0, -1, -(big + 1), 3),
+    ]
+    ok, pts, rays = _geom_py.vrep_from_hrep(facets)
+    assert ok
+    assert _geom_py.hrep_from_vrep(pts, rays) == sorted(facets)

@@ -16,8 +16,8 @@ from setlattice.scenario import (
 F = Fraction
 
 
-def run_builtin(name, jobs=1):
-    return run_scenario(builtin_scenario(name), jobs=jobs)
+def run_builtin(name):
+    return run_scenario(builtin_scenario(name))
 
 
 def task_by_op(report, op):
@@ -95,12 +95,6 @@ def test_builtin_reports_deterministic(name):
     assert a == b
 
 
-def test_jobs_parallel_merge_deterministic():
-    serial = run_builtin("heyde_a", jobs=1).dumps()
-    parallel = run_builtin("heyde_a", jobs=4).dumps()
-    assert serial == parallel
-
-
 def test_scenario_json_round_trip(tmp_path):
     doc = {
         "schema": 1,
@@ -148,8 +142,20 @@ def test_cli_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({"workspace": {"dim": 7}}))
     assert main(["check-vi", "--scenario", str(broken)]) == 1
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"schema": 1, "tolerance": "-1/2", "tasks": []}))
+    assert main(["check-vi", "--scenario", str(negative)]) == 1
     missing = tmp_path / "nope.json"
     assert main(["check-vi", "--scenario", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("tolerance", ["abc", "1/0", "-1"])
+def test_cli_bad_tolerance(tolerance, capsys):
+    code = main(["check-vi", "--scenario", "builtin:example23", "--tolerance", tolerance])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "validation error" in err
+    assert "Traceback" not in err
 
 
 def test_cli_report_and_plot_files(tmp_path):
