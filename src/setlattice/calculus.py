@@ -18,6 +18,7 @@ from .extres import MINUS_INF, PLUS_INF, ExtReal
 from .kernel import (
     LatticeError,
     UpperSet,
+    Vec,
     as_vec,
     inf_family,
     sup_family,
@@ -127,142 +128,168 @@ def _domain_exit(g) -> Optional[Fraction]:
     return hi
 
 
-class _RayAnalysis:
-    """Exact structure of t -> f(x + t u) near t = 0+ for a ParamPoly ray."""
+def _shape_roots(normals, dim: int, offs, directions=()) -> List[Fraction]:
+    """Candidate parameters t at which the system {<N_i, z> <= p_i + q_i t},
+    offs = [(p_i, q_i)], changes shape: two parallel rows swap or close the
+    set, a vertex trajectory crosses a third row, or (per z* in directions)
+    two vertices swap in <z*, v(t)>.  Unfiltered: callers keep the range
+    they need."""
+    roots: List[Fraction] = []
+    m = len(normals)
+    verts = []
+    for i in range(m):
+        ni = normals[i]
+        pi, qi = offs[i]
+        for j in range(i + 1, m):
+            nj = normals[j]
+            pj, qj = offs[j]
+            D = 0 if dim == 1 else ni[0] * nj[1] - nj[0] * ni[1]
+            if D == 0:
+                p, q = (pi - pj, qi - qj) if ni == nj else (pi + pj, qi + qj)
+                if q != 0:
+                    roots.append(-p / q)
+                continue
+            vx = ((pi * nj[1] - pj * ni[1]) / D, (qi * nj[1] - qj * ni[1]) / D)
+            vy = ((ni[0] * pj - nj[0] * pi) / D, (ni[0] * qj - nj[0] * qi) / D)
+            verts.append((vx, vy))
+            for nk, (pk, qk) in zip(normals, offs):
+                p = nk[0] * vx[0] + nk[1] * vy[0] - pk
+                q = nk[0] * vx[1] + nk[1] * vy[1] - qk
+                if q != 0:
+                    roots.append(-p / q)
+    for z in directions:
+        vals = [
+            (z[0] * vx[0] + z[1] * vy[0], z[0] * vx[1] + z[1] * vy[1])
+            for vx, vy in verts
+        ]
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                q = vals[i][1] - vals[j][1]
+                if q != 0:
+                    roots.append((vals[j][0] - vals[i][0]) / q)
+    return roots
 
-    def __init__(self, g: ParamPolyFunction, value_at_base: UpperSet):
-        self.g = g
+
+class _RayAnalysis:
+    """Exact structure of t -> f(x + t u) near t = 0+ for a ParamPoly ray:
+    on (0, t0] the offsets are alpha_i + beta_i t; sigma_i is the support of
+    f(x) in the normal N_i."""
+
+    __slots__ = ("ws", "normals", "alpha", "beta", "sigma", "t0")
+
+    def __init__(self, g: ParamPolyFunction, exit_t: Optional[Fraction], value_at_base: UpperSet):
         self.ws = g.workspace
         self.normals = g.normals
         self.alpha = []
         self.beta = []
-        roots: List[Fraction] = []
+        roots: List[Fraction] = [] if exit_t is None else [exit_t]
         for off in g.offsets:
             a, b, t1 = _first_piece(off)
             self.alpha.append(a)
             self.beta.append(b)
             if t1 is not None:
                 roots.append(t1)
-        self.t_dom = _domain_exit(g)
-        if self.t_dom is not None and self.t_dom > 0:
-            roots.append(self.t_dom)
-        self.sigma = []
-        for n in self.normals:
-            s = value_at_base.support(n)
-            self.sigma.append(s.value)  # finite: the normal bounds its own system
-        roots.extend(self._system_roots(list(zip(self.alpha, self.beta))))
+        # finite: the normal bounds its own system
+        self.sigma = [value_at_base.support(n).value for n in self.normals]
+        dim = self.ws.dim
+        roots.extend(_shape_roots(self.normals, dim, list(zip(self.alpha, self.beta))))
         rho = [(a - s, b) for a, s, b in zip(self.alpha, self.sigma, self.beta)]
-        roots.extend(self._system_roots(rho))
-        self.base_roots = roots
-        self._vertex_lines = self._vertices_for(list(zip(self.alpha, self.beta)))
+        roots.extend(_shape_roots(self.normals, dim, rho))
+        self.t0 = min([r for r in roots if r > 0] + [Fraction(1)])
 
-    # -- affine helpers (offsets as (const, slope) pairs) -----------------
+    def threshold(self, directions) -> Fraction:
+        """t0, lowered to the first optimal-basis switch of <z*, v(t)> over directions."""
+        t = self.t0
+        offs = list(zip(self.alpha, self.beta))
+        for r in _shape_roots(self.normals, self.ws.dim, offs, directions):
+            if 0 < r < t:
+                t = r
+        return t
 
-    def _vertices(self, offs):
-        """Vertex trajectories (affine in t) of {<N_i, z> <= offs_i(t)}."""
-        verts = []
-        n = self.normals
-        for i in range(len(n)):
-            ai, bi = n[i][0], n[i][1]
-            for j in range(i + 1, len(n)):
-                aj, bj = n[j][0], n[j][1]
-                D = ai * bj - aj * bi
-                if D == 0:
-                    continue
-                (pi, qi), (pj, qj) = offs[i], offs[j]
-                vx = ((pi * bj - pj * bi) / D, (qi * bj - qj * bi) / D)
-                vy = ((ai * pj - aj * pi) / D, (ai * qj - aj * qi) / D)
-                verts.append((i, j, vx, vy))
-        return verts
-
-    def _system_roots(self, offs) -> List[Fraction]:
-        """Positive roots of the sign conditions controlling the system's shape."""
-        roots: List[Fraction] = []
-        n = self.normals
-        m = len(n)
-        if self.ws.dim == 1:
-            for i in range(m):
-                for j in range(i + 1, m):
-                    pi, qi = offs[i]
-                    pj, qj = offs[j]
-                    if n[i][0] == n[j][0]:
-                        p, q = pi - pj, qi - qj
-                    else:
-                        p, q = pi + pj, qi + qj
-                    if q != 0:
-                        root = -p / q
-                        if root > 0:
-                            roots.append(root)
-            return roots
-        for i in range(m):
-            for j in range(i + 1, m):
-                if n[i][0] * n[j][1] - n[i][1] * n[j][0] != 0:
-                    continue
-                pi, qi = offs[i]
-                pj, qj = offs[j]
-                if n[i] == n[j]:
-                    p, q = pi - pj, qi - qj
-                else:
-                    p, q = pi + pj, qi + qj
-                if q != 0:
-                    root = -p / q
-                    if root > 0:
-                        roots.append(root)
-        for i, j, vx, vy in self._vertices_for(offs):
-            for k in range(m):
-                p = n[k][0] * vx[0] + n[k][1] * vy[0] - offs[k][0]
-                q = n[k][0] * vx[1] + n[k][1] * vy[1] - offs[k][1]
-                if q != 0:
-                    root = -p / q
-                    if root > 0:
-                        roots.append(root)
-        return roots
-
-    def _vertices_for(self, offs):
-        if self.ws.dim == 1:
-            return []
-        return self._vertices(offs)
-
-    def threshold(self, extra_roots: Sequence[Fraction] = ()) -> Fraction:
-        roots = [r for r in list(self.base_roots) + list(extra_roots) if r > 0]
-        if not roots:
-            return Fraction(1)
-        return min(min(roots), Fraction(1))
-
-    def zstar_roots(self, zstar) -> List[Fraction]:
-        """Crossing parameters of vertex values of <z*, v(t)> (optimal-basis switches)."""
-        z = as_vec(zstar)
-        vals = []
-        for _, _, vx, vy in self._vertex_lines:
-            vals.append((z[0] * vx[0] + z[1] * vy[0], z[0] * vx[1] + z[1] * vy[1]))
-        roots = []
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                p = vals[i][0] - vals[j][0]
-                q = vals[i][1] - vals[j][1]
-                if q != 0:
-                    root = -p / q
-                    if root > 0:
-                        roots.append(root)
-        return roots
+    def value(self, t: Fraction) -> UpperSet:
+        """f(x + t u) for 0 < t <= t0."""
+        return self.ws.upper_set(
+            [(n, a + b * t) for n, a, b in zip(self.normals, self.alpha, self.beta)]
+        )
 
 
-def _exact_ray(f: SetFunction, x, u):
-    """ray-restriction for exact variants, or None."""
-    if isinstance(f, ParamPolyFunction):
-        return f.ray_restrict(x, u)
-    if isinstance(f, EpiVectorFunction):
-        return f.ray_restrict(x, u)
-    return None
+class _EpiRay:
+    """First slopes of the components of an epivector ray, and a t with every
+    component affine on (0, that]."""
+
+    __slots__ = ("slopes", "that")
+
+    def __init__(self, g: EpiVectorFunction, exit_t: Optional[Fraction]):
+        roots: List[Fraction] = [] if exit_t is None else [exit_t]
+        self.slopes = []
+        for comp in g.components:
+            _, slope, t1 = _first_piece_max(comp)
+            self.slopes.append(slope)
+            if t1 is not None:
+                roots.append(t1)
+        self.that = min(roots + [Fraction(1)])
+
+
+_UNSET = object()
+_EXACT_RAYS = (ParamPolyFunction, EpiVectorFunction)
+
+
+class _Ray:
+    """The memo record of one ray t -> f(x + t u), kept in ``f._rays``.
+
+    ``set_derivative``, ``scalar_dini`` and ``first_linear_sample`` fill it
+    lazily: the ray's first-order shape, the derivative, and the Dini value
+    per z*.  Cached results are shared; callers must not mutate them.
+    """
+
+    __slots__ = ("x", "u", "_shape", "derivative", "dini")
+
+    def __init__(self, x: Vec, u: Vec):
+        self.x = x
+        self.u = u
+        self._shape = _UNSET
+        self.derivative: Optional[DerivativeResult] = None
+        self.dini = {}
+
+    def shape(self, f: SetFunction):
+        """A _RayAnalysis or _EpiRay; None when the ray leaves the domain at once.
+        f is one of _EXACT_RAYS; ParamPoly rays need f(x) nonempty."""
+        if self._shape is _UNSET:
+            g = f.ray_restrict(self.x, self.u)
+            exit_t = _domain_exit(g)
+            if exit_t is not None and exit_t <= 0:
+                self._shape = None
+            elif isinstance(g, EpiVectorFunction):
+                self._shape = _EpiRay(g, exit_t)
+            else:
+                self._shape = _RayAnalysis(g, exit_t, f.eval(self.x))
+        return self._shape
+
+
+def _ray(f: SetFunction, x: Sequence, u: Sequence) -> _Ray:
+    xx = as_vec(x)
+    uu = as_vec(u)
+    rec = f._rays.get((xx, uu))
+    if rec is None:
+        f.check_arity(xx)
+        f.check_arity(uu)
+        rec = f._rays[(xx, uu)] = _Ray(xx, uu)
+    return rec
 
 
 def set_derivative(f: SetFunction, x: Sequence, u: Sequence) -> DerivativeResult:
     """Set-valued directional derivative f'(x, u) = inf over t of the quotient."""
     if not f.declared_convex:
         raise NotDeclaredConvex("directional derivatives need a declared-convex function")
+    rec = _ray(f, x, u)
+    if rec.derivative is None:
+        rec.derivative = _set_derivative(f, rec)
+    return rec.derivative
+
+
+def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
     ws = f.workspace
-    xx = as_vec(x)
-    uu = as_vec(u)
+    xx, uu = rec.x, rec.u
     vx = f.eval(xx)
     if vx.is_empty:
         return DerivativeResult(ws.whole_space(), exact=f.is_exact)
@@ -270,19 +297,23 @@ def set_derivative(f: SetFunction, x: Sequence, u: Sequence) -> DerivativeResult
         return DerivativeResult(vx.recession(), exact=f.is_exact)
     if isinstance(f, OracleFunction):
         return _sampled_derivative(f, xx, uu)
-    if isinstance(f, EpiVectorFunction):
-        return _epivector_derivative(f, xx, uu, vx)
-    if not isinstance(f, ParamPolyFunction):
+    if not isinstance(f, _EXACT_RAYS):
         raise NotDeclaredConvex(
             "exact derivatives are available for parametric and epigraphical functions"
         )
-    g = f.ray_restrict(xx, uu)
-    exit_t = _domain_exit(g)
-    if exit_t is not None and exit_t <= 0:
+    ana = rec.shape(f)
+    if ana is None:
         return DerivativeResult(ws.empty_set(), exact=True)
-    ana = _RayAnalysis(g, vx)
-    that = ana.threshold()
-    teval = that / 2
+    if isinstance(ana, _EpiRay):
+        teval = ana.that / 2
+        value = ws.translated_cone(ana.slopes)
+        result = DerivativeResult(value, exact=True)
+        q = diff_quotient(f, xx, uu, teval)
+        result.samples.append((teval, q))
+        if q == value:
+            result.stabilization_t = teval
+        return result
+    teval = ana.t0 / 2
     rho = [
         (a - s) + b * teval for a, s, b in zip(ana.alpha, ana.sigma, ana.beta)
     ]
@@ -312,31 +343,6 @@ def set_derivative(f: SetFunction, x: Sequence, u: Sequence) -> DerivativeResult
     else:
         if q == value:
             result.stabilization_t = tprobe
-    return result
-
-
-def _epivector_derivative(f: EpiVectorFunction, xx, uu, vx) -> DerivativeResult:
-    g = f.ray_restrict(xx, uu)
-    exit_t = _domain_exit(g)
-    if exit_t is not None and exit_t <= 0:
-        return DerivativeResult(f.workspace.empty_set(), exact=True)
-    slopes = []
-    roots = []
-    for comp in g.components:
-        _, slope, t1 = _first_piece_max(comp)
-        slopes.append(slope)
-        if t1 is not None:
-            roots.append(t1)
-    if exit_t is not None:
-        roots.append(exit_t)
-    that = min(roots + [Fraction(1)])
-    teval = that / 2
-    value = f.workspace.translated_cone(slopes)
-    result = DerivativeResult(value, exact=True)
-    q = diff_quotient(f, xx, uu, teval)
-    result.samples.append((teval, q))
-    if q == value:
-        result.stabilization_t = teval
     return result
 
 
@@ -375,10 +381,16 @@ def _sampled_derivative(f: OracleFunction, xx, uu) -> DerivativeResult:
 
 def scalar_dini(f: SetFunction, zstar: Sequence, x: Sequence, u: Sequence) -> ExtReal:
     """Dini derivative of the scalarization: inf over t of (phi(x+tu) ÷ phi(x))/t."""
-    ws = f.workspace
-    xx = as_vec(x)
-    uu = as_vec(u)
+    rec = _ray(f, x, u)
     z = as_vec(zstar)
+    d = rec.dini.get(z)
+    if d is None:
+        d = rec.dini[z] = _scalar_dini(f, rec, z)
+    return d
+
+
+def _scalar_dini(f: SetFunction, rec: _Ray, z: Vec) -> ExtReal:
+    xx, uu = rec.x, rec.u
     vx = f.eval(xx)
     if vx.is_empty:
         return MINUS_INF
@@ -387,32 +399,23 @@ def scalar_dini(f: SetFunction, zstar: Sequence, x: Sequence, u: Sequence) -> Ex
         return MINUS_INF if phi0.is_minus_inf else ExtReal(0)
     if isinstance(f, OracleFunction):
         return _sampled_scalar_dini(f, z, xx, uu)
-    if isinstance(f, EpiVectorFunction):
-        return _epivector_scalar_dini(f, z, xx, uu)
-    if not isinstance(f, ParamPolyFunction):
+    if not isinstance(f, _EXACT_RAYS):
         raise NotDeclaredConvex(
             "exact scalar derivatives are available for parametric and epigraphical functions"
         )
-    g = f.ray_restrict(xx, uu)
-    exit_t = _domain_exit(g)
-    if exit_t is not None and exit_t <= 0:
+    ana = rec.shape(f)
+    if ana is None:
         return PLUS_INF
+    if isinstance(ana, _EpiRay):
+        return ExtReal(sum((-w * s for w, s in zip(z, ana.slopes)), Fraction(0)))
     phi0 = vx.neg_support(z)
     if phi0.is_minus_inf:
         return MINUS_INF
-    cache = getattr(f, "_ray_cache", None)
-    if cache is None:
-        cache = f._ray_cache = {}
-    key = (xx, uu)
-    ana = cache.get(key)
-    if ana is None:
-        ana = _RayAnalysis(g, vx)
-        cache[key] = ana
-    that = ana.threshold(ana.zstar_roots(z))
+    that = ana.threshold((z,))
     ta = that / 2
     tb = that / 4
-    pa = g.eval((ta,)).neg_support(z)
-    pb = g.eval((tb,)).neg_support(z)
+    pa = ana.value(ta).neg_support(z)
+    pb = ana.value(tb).neg_support(z)
     if pa.is_minus_inf or pb.is_minus_inf:
         return MINUS_INF
     if pa.is_plus_inf or pb.is_plus_inf:
@@ -422,17 +425,6 @@ def scalar_dini(f: SetFunction, zstar: Sequence, x: Sequence, u: Sequence) -> Ex
         raise LatticeError(
             "internal error: scalarization not affine on the certified interval"
         )
-    return ExtReal(slope)
-
-
-def _epivector_scalar_dini(f: EpiVectorFunction, z, xx, uu) -> ExtReal:
-    g = f.ray_restrict(xx, uu)
-    exit_t = _domain_exit(g)
-    if exit_t is not None and exit_t <= 0:
-        return PLUS_INF
-    slope = Fraction(0)
-    for w, comp in zip(z, g.components):
-        slope += -to_frac(w) * _first_piece_max(comp)[1]
     return ExtReal(slope)
 
 
@@ -524,65 +516,37 @@ def first_linear_sample(
 ) -> Optional[Fraction]:
     """A parameter t with every scalarization affine on (0, t]; None when the
     data is inexact or the base lies outside the domain."""
-    xx = as_vec(x)
-    uu = as_vec(u)
-    if all(c == 0 for c in uu):
+    if not isinstance(f, _EXACT_RAYS):
         return None
-    if isinstance(f, EpiVectorFunction):
-        g = f.ray_restrict(xx, uu)
-        exit_t = _domain_exit(g)
-        if exit_t is not None and exit_t <= 0:
-            return None
-        roots = [] if exit_t is None else [exit_t]
-        for comp in g.components:
-            t1 = _first_piece_max(comp)[2]
-            if t1 is not None:
-                roots.append(t1)
-        return min(roots + [Fraction(1)]) / 2
-    if not isinstance(f, ParamPolyFunction):
+    rec = _ray(f, x, u)
+    if all(c == 0 for c in rec.u):
         return None
-    vx = f.eval(xx)
-    if vx.is_empty:
+    if isinstance(f, ParamPolyFunction) and f.eval(rec.x).is_empty:
         return None
-    g = f.ray_restrict(xx, uu)
-    exit_t = _domain_exit(g)
-    if exit_t is not None and exit_t <= 0:
+    ana = rec.shape(f)
+    if ana is None:
         return None
-    ana = _RayAnalysis(g, vx)
-    extra: List[Fraction] = []
-    for z in directions:
-        extra.extend(ana.zstar_roots(z))
-    return ana.threshold(extra) / 2
+    if isinstance(ana, _EpiRay):
+        return ana.that / 2
+    return ana.threshold(directions) / 2
 
 
 def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> List[Fraction]:
     """Parameters in (0,1) where the value family along [x0, x] changes shape."""
     one = Fraction(1)
-    if isinstance(f, EpiVectorFunction):
-        g = f.restrict(x0, x)
-        roots = set()
-        for comp in g.components:
-            roots.update(_all_crossings(comp, one))
-        for (a,), rr in g.domain.rows:
-            if a != 0:
-                r = rr / a
-                if 0 < r < one:
-                    roots.add(r)
-        return sorted(roots)
-    if not isinstance(f, ParamPolyFunction):
+    if not isinstance(f, _EXACT_RAYS):
         return []
     g = f.restrict(x0, x)
-    level1 = set()
-    for off in g.offsets:
-        for r in _all_crossings(off, one):
-            level1.add(r)
+    epi = isinstance(g, EpiVectorFunction)
+    roots = set()
+    for off in g.components if epi else g.offsets:
+        roots.update(_all_crossings(off, one))
     for (a,), rr in g.domain.rows:
-        if a != 0:
-            r = rr / a
-            if 0 < r < one:
-                level1.add(r)
-    cuts = sorted(level1)
-    roots = set(cuts)
+        if a != 0 and 0 < rr / a < one:
+            roots.add(rr / a)
+    if epi:
+        return sorted(roots)
+    cuts = sorted(roots)
     bounds = [Fraction(0)] + cuts + [one]
     for lo, hi in zip(bounds, bounds[1:]):
         if hi <= lo:
@@ -595,64 +559,8 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
                 val = c + s * mid
                 if best is None or val < best[0]:
                     best = (val, (c, s))
-            c, s = best[1]
-            offs.append((c, s))
-        roots.update(_interval_roots(g, offs, lo, hi, directions))
+            offs.append(best[1])
+        for r in _shape_roots(g.normals, g.workspace.dim, offs, directions):
+            if lo < r < hi:
+                roots.add(r)
     return sorted(roots)
-
-
-def _interval_roots(g: ParamPolyFunction, offs, lo, hi, directions):
-    """Affine sign-change roots of the value system inside (lo, hi)."""
-    n = g.normals
-    m = len(n)
-    out = set()
-
-    def keep(root):
-        if lo < root < hi:
-            out.add(root)
-
-    if g.workspace.dim == 1:
-        for i in range(m):
-            for j in range(i + 1, m):
-                pi, qi = offs[i]
-                pj, qj = offs[j]
-                p, q = (pi - pj, qi - qj) if n[i][0] == n[j][0] else (pi + pj, qi + qj)
-                if q != 0:
-                    keep(-p / q)
-        return out
-    verts = []
-    for i in range(m):
-        ai, bi = n[i]
-        for j in range(i + 1, m):
-            aj, bj = n[j]
-            D = ai * bj - aj * bi
-            if D == 0:
-                pi, qi = offs[i]
-                pj, qj = offs[j]
-                p, q = (pi - pj, qi - qj) if n[i] == n[j] else (pi + pj, qi + qj)
-                if q != 0:
-                    keep(-p / q)
-                continue
-            pi, qi = offs[i]
-            pj, qj = offs[j]
-            vx = ((pi * bj - pj * bi) / D, (qi * bj - qj * bi) / D)
-            vy = ((ai * pj - aj * pi) / D, (ai * qj - aj * qi) / D)
-            verts.append((vx, vy))
-            for k in range(m):
-                p = n[k][0] * vx[0] + n[k][1] * vy[0] - offs[k][0]
-                q = n[k][0] * vx[1] + n[k][1] * vy[1] - offs[k][1]
-                if q != 0:
-                    keep(-p / q)
-    for z in directions:
-        zz = as_vec(z)
-        vals = [
-            (zz[0] * vx[0] + zz[1] * vy[0], zz[0] * vx[1] + zz[1] * vy[1])
-            for vx, vy in verts
-        ]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                p = vals[i][0] - vals[j][0]
-                q = vals[i][1] - vals[j][1]
-                if q != 0:
-                    keep(-p / q)
-    return out

@@ -96,6 +96,52 @@ def _vec(x) -> tuple:
     return tuple(_rat(c) for c in x)
 
 
+def _int(x) -> int:
+    if isinstance(x, bool):
+        raise ValidationError(f"expected an integer, got {x!r}")
+    try:
+        return int(x)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected an integer, got {x!r}") from exc
+
+
+def _pairs(x) -> list:
+    """A list of two-element entries, such as (normal, offset) rows."""
+    if not isinstance(x, list) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in x
+    ):
+        raise ValidationError(f"expected a list of pairs, got {x!r}")
+    return x
+
+
+def _field(obj, key: str):
+    """A required field of a scenario object."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected an object, got {obj!r}")
+    if key not in obj:
+        raise ValidationError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _in_args(f, x, key: str) -> tuple:
+    """A point or direction in the argument space of f."""
+    v = _vec(x)
+    if len(v) != f.xdim:
+        raise ValidationError(f"{key!r} has {len(v)} coordinates, the function takes {f.xdim}")
+    return v
+
+
+def _arg(f, task: dict, key: str) -> tuple:
+    return _in_args(f, _field(task, key), key)
+
+
+def _arg_list(f, task: dict, key: str) -> List[tuple]:
+    pts = _field(task, key)
+    if not isinstance(pts, list):
+        raise ValidationError(f"{key!r} must be a list of points")
+    return [_in_args(f, p, key) for p in pts]
+
+
 @dataclass
 class Scenario:
     name: str
@@ -118,28 +164,41 @@ class Scenario:
             w = doc["workspace"]
             try:
                 ws = Workspace(
-                    int(w["dim"]),
+                    _int(_field(w, "dim")),
                     [_vec(g) for g in w.get("cone", [])],
                     [_vec(d) for d in w.get("directions", [])],
                 )
-            except (KeyError, TypeError, LatticeError) as exc:
+            except (TypeError, LatticeError) as exc:
                 raise ValidationError(f"bad workspace: {exc}") from exc
         functions: Dict[str, object] = {}
-        for fname, spec in doc.get("functions", {}).items():
-            functions[fname] = _build_function(ws, spec)
+        for fname, spec in _table(doc, "functions").items():
+            try:
+                functions[fname] = _build_function(ws, spec)
+            except LatticeError as exc:
+                raise ValidationError(f"bad function {fname!r}: {exc}") from exc
         sets: Dict[str, UpperSet] = {}
-        for sname, spec in doc.get("sets", {}).items():
+        for sname, spec in _table(doc, "sets").items():
             if ws is None:
                 raise ValidationError("named sets need a workspace")
-            sets[sname] = _build_set(ws, spec)
+            try:
+                sets[sname] = _build_set(ws, spec)
+            except LatticeError as exc:
+                raise ValidationError(f"bad set {sname!r}: {exc}") from exc
         spaces: Dict[str, List[tuple]] = {}
-        for gname, spec in doc.get("spaces", {}).items():
+        for gname, spec in _table(doc, "spaces").items():
             spaces[gname] = _build_space(spec)
         tasks = doc.get("tasks", [])
-        if not isinstance(tasks, list):
-            raise ValidationError("tasks must be a list")
+        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+            raise ValidationError("tasks must be a list of objects")
         tol = parse_tolerance(doc.get("tolerance", "1/1000000"))
         return Scenario(name, ws, functions, sets, spaces, tasks, tol)
+
+
+def _table(doc: dict, key: str) -> dict:
+    table = doc.get(key, {})
+    if not isinstance(table, dict):
+        raise ValidationError(f"{key} must be an object")
+    return table
 
 
 def _build_function(ws: Optional[Workspace], spec: dict):
@@ -153,36 +212,36 @@ def _build_function(ws: Optional[Workspace], spec: dict):
         return builtin_function(bname)
     if ws is None:
         raise ValidationError("non-builtin functions need a workspace")
-    xdim = int(spec.get("xdim", ws.dim))
+    xdim = _int(spec.get("xdim", ws.dim))
     domain = Polyhedron(
-        xdim, [(_vec(a), _rat(r)) for a, r in spec.get("domain", [])]
+        xdim, [(_vec(a), _rat(r)) for a, r in _pairs(spec.get("domain", []))]
     )
     if variant == "parampoly":
-        normals = [_vec(n) for n in spec["normals"]]
+        normals = [_vec(n) for n in _field(spec, "normals")]
         offsets = [
-            ConcavePWL([(_vec(c), _rat(k)) for c, k in pieces])
-            for pieces in spec["offsets"]
+            ConcavePWL([(_vec(c), _rat(k)) for c, k in _pairs(pieces)])
+            for pieces in _field(spec, "offsets")
         ]
         return ParamPolyFunction(ws, xdim, normals, offsets, domain, name=spec.get("name", ""))
-    if variant == "epivector":
+    if variant in ("epivector", "pwlvector"):
         comps = [
-            ConvexPWL([(_vec(c), _rat(k)) for c, k in pieces])
-            for pieces in spec["components"]
+            ConvexPWL([(_vec(c), _rat(k)) for c, k in _pairs(pieces)])
+            for pieces in _field(spec, "components")
         ]
-        return EpiVectorFunction(ws, xdim, comps, domain, name=spec.get("name", ""))
-    if variant == "pwlvector":
-        comps = [
-            ConvexPWL([(_vec(c), _rat(k)) for c, k in pieces])
-            for pieces in spec["components"]
-        ]
-        return PWLVectorFunction(ws, xdim, comps, domain, name=spec.get("name", ""))
+        cls = EpiVectorFunction if variant == "epivector" else PWLVectorFunction
+        return cls(ws, xdim, comps, domain, name=spec.get("name", ""))
     raise ValidationError(f"unknown function variant {variant!r}")
 
 
 def _build_set(ws: Workspace, spec: dict) -> UpperSet:
+    if not isinstance(spec, dict):
+        raise ValidationError(f"bad set spec {spec!r}")
     if spec.get("tag") == "empty":
         return ws.empty_set()
-    cons = [(_vec(item["n"]), _rat(item["b"])) for item in spec.get("constraints", [])]
+    cons = [
+        (_vec(_field(item, "n")), _rat(_field(item, "b")))
+        for item in spec.get("constraints", [])
+    ]
     return ws.upper_set(cons)
 
 
@@ -194,7 +253,7 @@ def _build_space(spec) -> List[tuple]:
         if step <= 0:
             raise ValidationError("grid step must be positive")
         axes = []
-        for lo, hi in spec["box"]:
+        for lo, hi in _pairs(spec["box"]):
             lo, hi = _rat(lo), _rat(hi)
             vals = []
             v = lo
@@ -261,14 +320,14 @@ def run_task(scn: Scenario, task: dict) -> dict:
     out = {"op": op}
     if op == "eval":
         f = _set_function_of(scn, task)
-        out["value"] = f.eval(_vec(task["x"])).to_json()
+        out["value"] = f.eval(_arg(f, task, "x")).to_json()
     elif op == "residual":
-        a = _named_set(scn, task["a"])
-        b = _named_set(scn, task["b"])
+        a = _named_set(scn, _field(task, "a"))
+        b = _named_set(scn, _field(task, "b"))
         out["value"] = a.residual(b).to_json()
     elif op == "scalar_residuals":
-        a = _named_set(scn, task["a"])
-        b = _named_set(scn, task["b"])
+        a = _named_set(scn, _field(task, "a"))
+        b = _named_set(scn, _field(task, "b"))
         vals = {}
         for z in a.workspace.directions:
             r = ext_residual(a.neg_support(z), b.neg_support(z))
@@ -277,33 +336,35 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["residual_empty"] = a.residual(b).is_empty
     elif op == "check_vi":
         f = _set_function_of(scn, task)
-        space = CandidateSpace.of(_space_of(scn, task), base=_vec(task["base"]))
+        base = _arg(f, task, "base")
+        space = CandidateSpace.of(_space_of(scn, task), base=base)
         names = task.get("inequalities", ["svi_I"])
         out["reports"] = [
-            run_checker(n, f, _vec(task["base"]), space, _dirs_for(f)).to_json()
+            run_checker(n, f, base, space, _dirs_for(f)).to_json()
             for n in names
         ]
     elif op == "implication_audit":
         f = _set_function_of(scn, task)
-        space = CandidateSpace.of(_space_of(scn, task), base=_vec(task["base"]))
+        base = _arg(f, task, "base")
+        space = CandidateSpace.of(_space_of(scn, task), base=base)
         audit = implication_audit(
-            f, _vec(task["base"]), space, _dirs_for(f), enrich=task.get("enrich", True)
+            f, base, space, _dirs_for(f), enrich=task.get("enrich", True)
         )
         out["audit"] = audit.to_json()
         out["matrix"] = audit.matrix_text()
         out["violations"] = len(audit.violations)
     elif op == "derivative":
         f = _set_function_of(scn, task)
-        out["result"] = set_derivative(f, _vec(task["x"]), _vec(task["u"])).to_json()
+        out["result"] = set_derivative(f, _arg(f, task, "x"), _arg(f, task, "u")).to_json()
     elif op == "scalar_dini":
         f = _set_function_of(scn, task)
+        x, u = _arg(f, task, "x"), _arg(f, task, "u")
         out["values"] = {
-            ",".join(map(str, z)): scalar_dini(f, z, _vec(task["x"]), _vec(task["u"])).to_json()
-            for z in _dirs_for(f)
+            ",".join(map(str, z)): scalar_dini(f, z, x, u).to_json() for z in _dirs_for(f)
         }
     elif op == "regularity":
         f = _set_function_of(scn, task)
-        rep = regularity_check(f, _vec(task["x"]), _vec(task["u"]), _dirs_for(f))
+        rep = regularity_check(f, _arg(f, task, "x"), _arg(f, task, "u"), _dirs_for(f))
         out["strong"] = rep.strong
         out["weak"] = rep.weak
         out["exact"] = rep.exact
@@ -328,13 +389,13 @@ def run_task(scn: Scenario, task: dict) -> dict:
         f = _set_function_of(scn, task)
         space = CandidateSpace.of(_space_of(scn, task))
         out["report"] = infimizer_check(
-            f, [_vec(m) for m in task["M"]], space, _dirs_for(f)
+            f, _arg_list(f, task, "M"), space, _dirs_for(f)
         ).to_json()
     elif op == "solution":
         f = _set_function_of(scn, task)
         space = CandidateSpace.of(_space_of(scn, task))
         out["report"] = solution_check(
-            f, [_vec(m) for m in task["M"]], space, _dirs_for(f)
+            f, _arg_list(f, task, "M"), space, _dirs_for(f)
         ).to_json()
     elif op == "efficient_set":
         psi = _vector_function_of(scn, task)
@@ -346,17 +407,15 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["bridge_agrees"] = bridge["agrees"]
     elif op == "vector_dini":
         psi = _vector_function_of(scn, task)
-        dl = vector_dini(psi, _vec(task["base"]), _vec(task["direction"]))
+        base, direction = _arg(psi, task, "base"), _arg(psi, task, "direction")
+        dl = vector_dini(psi, base, direction)
         out["limit"] = dl.to_json()
         out["classification"] = {
             k: v if isinstance(v, bool) else str(v)
             for k, v in classify_dini(
                 psi,
-                _vec(task["base"]),
-                tuple(
-                    b + d
-                    for b, d in zip(_vec(task["base"]), _vec(task["direction"]))
-                ),
+                base,
+                tuple(b + d for b, d in zip(base, direction)),
                 dl,
                 _dirs_for(psi),
             ).items()
@@ -364,7 +423,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
     elif op == "vector_minty":
         psi = _vector_function_of(scn, task)
         rep = vector_minty_check(
-            psi, _vec(task["base"]), _space_of(scn, task, "grid" if "grid" in task else "space"), _dirs_for(psi)
+            psi, _arg(psi, task, "base"), _space_of(scn, task, "grid" if "grid" in task else "space"), _dirs_for(psi)
         )
         out["report"] = {
             k: (v if isinstance(v, bool) else str(v))
@@ -376,10 +435,10 @@ def run_task(scn: Scenario, task: dict) -> dict:
         ws = scn.workspace
         if ws is None:
             raise ValidationError("infdir_plus_cone needs a workspace")
-        out["value"] = infdir_plus_cone(ws, _vec(task["direction"])).to_json()
+        out["value"] = infdir_plus_cone(ws, _vec(_field(task, "direction"))).to_json()
     elif op == "noncommutation":
         ws = scn.workspace or example23_workspace()
-        count = int(task.get("count", 6))
+        count = _int(task.get("count", 6))
         hull = inf_family(
             ws, [ws.translated_cone(p) for p in noncommutation_trail(count)]
         )

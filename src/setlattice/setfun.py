@@ -36,6 +36,10 @@ class EmptyTranslationSet(LatticeError):
     pass
 
 
+class ArityMismatch(LatticeError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Halfspace systems in the argument space X
 # ---------------------------------------------------------------------------
@@ -175,15 +179,21 @@ class SetFunction:
     name: str = ""
 
     def __init__(self):
-        self._cache = {}
+        self._cache = {}  # value per argument
+        self._rays = {}  # calculus._Ray per (x, u)
 
     def eval(self, x: Sequence) -> UpperSet:
         key = as_vec(x)
         hit = self._cache.get(key)
         if hit is None:
+            self.check_arity(key)
             hit = self._eval(key)
             self._cache[key] = hit
         return hit
+
+    def check_arity(self, x: Vec):
+        if len(x) != self.xdim:
+            raise ArityMismatch(f"expected {self.xdim} coordinates, got {len(x)}")
 
     def _eval(self, x: Vec) -> UpperSet:
         raise NotImplementedError
@@ -260,7 +270,7 @@ class ParamPolyFunction(SetFunction):
         rows.append(((Fraction(-1),), Fraction(0)))
         if cap:
             rows.append(((Fraction(1),), Fraction(1)))
-        g = ParamPolyFunction(
+        return ParamPolyFunction(
             self.workspace,
             1,
             self.normals,
@@ -268,9 +278,6 @@ class ParamPolyFunction(SetFunction):
             Polyhedron(1, rows),
             name=f"{self.name}|segment" if self.name else "",
         )
-        g.base_point = b
-        g.direction = d
-        return g
 
     def shift_arg(self, m):
         mm = as_vec(m)
@@ -339,7 +346,7 @@ class EpiVectorFunction(SetFunction):
         rows.append(((Fraction(-1),), Fraction(0)))
         if cap:
             rows.append(((Fraction(1),), Fraction(1)))
-        g = EpiVectorFunction(
+        return EpiVectorFunction(
             self.workspace,
             1,
             [c.pullback(b, d) for c in self.components],
@@ -347,9 +354,6 @@ class EpiVectorFunction(SetFunction):
             name=f"{self.name}|segment" if self.name else "",
             declared_convex=self.declared_convex,
         )
-        g.base_point = b
-        g.direction = d
-        return g
 
     def shift_arg(self, m):
         mm = as_vec(m)
@@ -434,13 +438,10 @@ class OracleFunction(SetFunction):
                 return self.workspace.empty_set()
             return self.eval(tuple(p + tt * q for p, q in zip(b, d)))
 
-        g = OracleFunction(
+        return OracleFunction(
             self.workspace, 1, seg_eval, self.declared_convex, self.tolerance,
             name=f"{self.name}|segment" if self.name else "",
         )
-        g.base_point = b
-        g.direction = d
-        return g
 
     def ray_restrict(self, x, u):
         b = as_vec(x)
@@ -452,13 +453,10 @@ class OracleFunction(SetFunction):
                 return self.workspace.empty_set()
             return self.eval(tuple(p + tt * q for p, q in zip(b, d)))
 
-        g = OracleFunction(
+        return OracleFunction(
             self.workspace, 1, ray_eval, self.declared_convex, self.tolerance,
             name=self.name,
         )
-        g.base_point = b
-        g.direction = d
-        return g
 
     def shift_arg(self, m):
         mm = as_vec(m)
@@ -493,9 +491,7 @@ class FiniteInfFunction(SetFunction):
         return ext_min(m.scalarize(zstar, x) for m in self.members)
 
     def restrict(self, x0, x):
-        g = FiniteInfFunction([m.restrict(x0, x) for m in self.members], name=self.name)
-        g.base_point = as_vec(x0)
-        return g
+        return FiniteInfFunction([m.restrict(x0, x) for m in self.members], name=self.name)
 
     def ray_restrict(self, x, u):
         return FiniteInfFunction([m.ray_restrict(x, u) for m in self.members], name=self.name)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .calculus import (
-    DerivativeResult,
     regularity_check,
     scalar_dini,
     segment_criticals,
@@ -129,30 +128,6 @@ def _require_base(f: SetFunction, x0: Vec):
         raise BaseOutsideDomain(f"base point {x0} is outside the domain")
 
 
-def _memo_derivative(f: SetFunction, x: Vec, u: Vec) -> DerivativeResult:
-    memo = getattr(f, "_deriv_memo", None)
-    if memo is None:
-        memo = f._deriv_memo = {}
-    key = (x, u)
-    hit = memo.get(key)
-    if hit is None:
-        hit = set_derivative(f, x, u)
-        memo[key] = hit
-    return hit
-
-
-def _memo_dini(f: SetFunction, z, x: Vec, u: Vec) -> ExtReal:
-    memo = getattr(f, "_dini_memo", None)
-    if memo is None:
-        memo = f._dini_memo = {}
-    key = (tuple(z), x, u)
-    hit = memo.get(key)
-    if hit is None:
-        hit = scalar_dini(f, z, x, u)
-        memo[key] = hit
-    return hit
-
-
 # ---------------------------------------------------------------------------
 # The ten inequality checkers
 # ---------------------------------------------------------------------------
@@ -168,7 +143,7 @@ def check_svi_i(f: SetFunction, x0, space: CandidateSpace, directions) -> ViRepo
         if f.scalarize(z, x0).is_minus_inf:
             continue
         for x in space.points:
-            d = _memo_dini(f, z, x0, _vsub(x, x0))
+            d = scalar_dini(f, z, x0, _vsub(x, x0))
             if d < zero:
                 report.holds = False
                 report.witnesses.append({"x": x, "zstar": tuple(z), "dini": d})
@@ -186,7 +161,7 @@ def check_SVI_I(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
     rec0 = f.eval(x0).recession()
     report = ViReport("SVI_I", True, exact=f.is_exact, space_size=len(space))
     for x in space.points:
-        D = _memo_derivative(f, x0, _vsub(x, x0))
+        D = set_derivative(f, x0, _vsub(x, x0))
         report.exact = report.exact and D.exact
         if not rec0.leq(D.value):
             report.holds = False
@@ -203,7 +178,7 @@ def check_mvi_i(f: SetFunction, x0, space: CandidateSpace, directions) -> ViRepo
     for x in space.points:
         u = _vsub(x0, x)
         for z in directions:
-            d = _memo_dini(f, z, x, u)
+            d = scalar_dini(f, z, x, u)
             if zero < d:
                 report.holds = False
                 report.witnesses.append({"x": x, "zstar": tuple(z), "dini": d})
@@ -219,7 +194,7 @@ def check_MVI_I(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
     report = ViReport("MVI_I", True, exact=f.is_exact, space_size=len(space))
     agreement = True
     for x in space.points:
-        D = _memo_derivative(f, x, _vsub(x0, x))
+        D = set_derivative(f, x, _vsub(x0, x))
         report.exact = report.exact and D.exact
         holds_here = D.value.leq(rec0)
         member = D.value.contains_point(origin)
@@ -248,7 +223,7 @@ def check_svi_M(f: SetFunction, x0, space: CandidateSpace, directions) -> ViRepo
         if vx.is_empty or vx == v0:
             continue
         if not any(
-            zero < _memo_dini(f, z, x0, _vsub(x, x0)) for z in directions
+            zero < scalar_dini(f, z, x0, _vsub(x, x0)) for z in directions
         ):
             report.holds = False
             report.witnesses.append({"x": x})
@@ -272,7 +247,7 @@ def check_SVI_M(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
         vx = f.eval(x)
         if vx.is_empty or vx == v0:
             continue
-        D = _memo_derivative(f, x0, _vsub(x, x0))
+        D = set_derivative(f, x0, _vsub(x, x0))
         report.exact = report.exact and D.exact
         member = D.value.contains_point(origin)
         intersects = feasible_with(D.value, rec0_mirror)
@@ -304,7 +279,7 @@ def check_svi_M2(f: SetFunction, x0, space: CandidateSpace, directions) -> ViRep
             if phi0.is_minus_inf and not phix.is_minus_inf:
                 ok = True
                 break
-            if zero < _memo_dini(f, z, x0, _vsub(x, x0)):
+            if zero < scalar_dini(f, z, x0, _vsub(x, x0)):
                 ok = True
                 break
         if not ok:
@@ -331,7 +306,7 @@ def check_mvi_M(
         for z in directions:
             if f.scalarize(z, x).is_minus_inf:
                 continue
-            if _memo_dini(f, z, x, u) < zero:
+            if scalar_dini(f, z, x, u) < zero:
                 ok = True
                 break
         if not ok:
@@ -355,7 +330,7 @@ def check_MVI_M(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
         vx = f.eval(x)
         if vx == v0:
             continue
-        D = _memo_derivative(f, x, _vsub(x0, x))
+        D = set_derivative(f, x, _vsub(x0, x))
         report.exact = report.exact and D.exact
         if vx.recession().leq(D.value):
             report.holds = False
@@ -698,7 +673,7 @@ def enrich_directions(
             if base == other:
                 continue
             try:
-                D = _memo_derivative(f, base, _vsub(other, base))
+                D = set_derivative(f, base, _vsub(other, base))
             except LatticeError:
                 continue
             if not D.value.is_empty:

@@ -9,6 +9,7 @@ from setlattice.calculus import (
     regularity_check,
     scalar_dini,
     scalarized_derivative_intersection,
+    segment_criticals,
     set_derivative,
 )
 from setlattice.extres import MINUS_INF, PLUS_INF
@@ -23,6 +24,7 @@ from setlattice.instances import (
 )
 from setlattice.kernel import inf_family
 from setlattice.setfun import (
+    ArityMismatch,
     ConcavePWL,
     ConvexPWL,
     EpiVectorFunction,
@@ -243,3 +245,63 @@ def test_derivative_against_brute_force_grid():
             assert D.value.leq(deep)
             if D.stabilization_t is not None and F(1, 2**18) <= D.stabilization_t:
                 assert deep == D.value
+
+
+def test_ray_memo_restricts_once(ws, absdiag, monkeypatch):
+    """Derivative, Dini values and the regularity check at one (x, u) share
+    one ray restriction; repeated calls return equal values."""
+    calls = []
+    original = ParamPolyFunction.ray_restrict
+
+    def counting(self, x, u):
+        calls.append((x, u))
+        return original(self, x, u)
+
+    monkeypatch.setattr(ParamPolyFunction, "ray_restrict", counting)
+    x, u = (F(1, 2),), (F(-1),)
+    D = set_derivative(absdiag, x, u)
+    dini = {z: scalar_dini(absdiag, z, x, u) for z in ws.directions}
+    rep = regularity_check(absdiag, x, u, ws.directions)
+    assert len(calls) == 1
+    assert set_derivative(absdiag, x, u).value == D.value
+    assert {z: scalar_dini(absdiag, z, x, u) for z in ws.directions} == dini
+    again = regularity_check(absdiag, x, u, ws.directions)
+    assert (again.strong, again.weak, again.intersection) == (
+        rep.strong, rep.weak, rep.intersection
+    )
+    assert len(calls) == 1
+
+
+def test_arity_mismatch_raises(absdiag):
+    with pytest.raises(ArityMismatch):
+        absdiag.eval((0, 5, 7))
+    with pytest.raises(ArityMismatch):
+        set_derivative(absdiag, (0,), (1, 2))
+    with pytest.raises(ArityMismatch):
+        scalar_dini(absdiag, (-1, 0), (0, 0), (1,))
+
+
+@pytest.mark.parametrize("xdim", [1, 2])
+def test_segment_criticals_bound_affine_pieces(xdim):
+    """Independent oracle for the shape roots: between consecutive critical
+    parameters every scalarization along the segment, evaluated through f
+    itself, keeps one kind (finite, +inf or -inf) and is affine."""
+    rng = random.Random(4100 + xdim)
+    intervals = 0
+    for _ in range(100):
+        ws = random_workspace(rng)
+        f = random_parampoly(rng, ws, xdim, max_normals=6)
+        x0, x = random_grid(rng, xdim, 2)
+        cuts = [F(0)] + segment_criticals(f, x0, x, ws.directions) + [F(1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            intervals += 1
+            ts = [lo + k * (hi - lo) / 4 for k in (1, 2, 3)]
+            pts = [tuple(a + t * (b - a) for a, b in zip(x0, x)) for t in ts]
+            for z in ws.directions:
+                phis = [f.scalarize(z, p) for p in pts]
+                kinds = {(v.is_finite, v.is_plus_inf) for v in phis}
+                assert len(kinds) == 1, (f.normals, x0, x, lo, hi, z)
+                if phis[0].is_finite:
+                    a, b, c = (v.value for v in phis)
+                    assert b - a == c - b, (f.normals, x0, x, lo, hi, z)
+    assert intervals > 100

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import setlattice
 from setlattice.cli import main
 from setlattice.instances import BUILTIN_NAMES
 from setlattice.scenario import (
@@ -131,7 +133,47 @@ def test_scenario_json_round_trip(tmp_path):
     assert rep.hard_failures == 0
 
 
-def test_cli_exit_codes(tmp_path):
+_WS = {"dim": 2, "cone": [[1, 0], [0, 1]], "directions": [[-1, 0], [0, -1]]}
+_F1 = {
+    "variant": "parampoly",
+    "xdim": 1,
+    "normals": [[-1, 0], [0, -1]],
+    "offsets": [[[["1"], "0"]], [[["-1"], "0"]]],
+}
+
+# malformed scenarios; each must exit 1 with a validation error
+MALFORMED = {
+    "eval_without_x": {
+        "workspace": _WS, "functions": {"f": _F1}, "tasks": [{"op": "eval", "function": "f"}],
+    },
+    "constraint_without_b": {
+        "workspace": _WS, "sets": {"A": {"constraints": [{"n": [-1, 0]}]}},
+    },
+    "parampoly_without_normals": {
+        "workspace": _WS,
+        "functions": {"f": {"variant": "parampoly", "xdim": 1, "offsets": []}},
+    },
+    "task_not_an_object": {"tasks": [5]},
+    "box_row_one_bound": {"spaces": {"g": {"box": [["0"]]}}},
+    "count_not_an_integer": {"tasks": [{"op": "noncommutation", "count": "x"}]},
+    "offset_count_mismatch": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, offsets=[[[["1"], "0"]]])},
+    },
+    "eval_arity": {
+        "workspace": _WS,
+        "functions": {"f": _F1},
+        "tasks": [{"op": "eval", "function": "f", "x": [0, 5, 7]}],
+    },
+    "derivative_arity": {
+        "workspace": _WS,
+        "functions": {"f": _F1},
+        "tasks": [{"op": "derivative", "function": "f", "x": [0], "u": [1, 2]}],
+    },
+}
+
+
+def test_cli_exit_codes(tmp_path, capsys):
     # healthy builtin: exit 0
     assert main(["check-vi", "--scenario", "builtin:circle"]) == 0
     # malformed JSON: exit 1
@@ -147,6 +189,14 @@ def test_cli_exit_codes(tmp_path):
     assert main(["check-vi", "--scenario", str(negative)]) == 1
     missing = tmp_path / "nope.json"
     assert main(["check-vi", "--scenario", str(missing)]) == 1
+    for label, doc in MALFORMED.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check-vi", "--scenario", str(path)]) == 1, label
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:"), (label, err)
+        assert "Traceback" not in err, label
 
 
 @pytest.mark.parametrize("tolerance", ["abc", "1/0", "-1"])
@@ -179,10 +229,14 @@ def test_cli_report_and_plot_files(tmp_path):
 
 
 def test_cli_entry_point_subprocess():
+    # the child imports the same setlattice as this process, installed or not
+    src = os.path.dirname(os.path.dirname(setlattice.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "setlattice.cli", "check-vi", "--scenario", "builtin:heyde_b"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert '"scenario": "heyde_b"' in proc.stdout
