@@ -25,11 +25,10 @@ from .kernel import (
     to_frac,
 )
 from .setfun import (
-    ConcavePWL,
-    ConvexPWL,
     EpiVectorFunction,
     OracleFunction,
     ParamPolyFunction,
+    Polyhedron,
     SetFunction,
     level_set,
 )
@@ -75,32 +74,6 @@ def diff_quotient(f: SetFunction, x: Sequence, u: Sequence, t) -> UpperSet:
 # ---------------------------------------------------------------------------
 
 
-def _first_piece(off: ConcavePWL):
-    """Initial value, active slope and first crossing t of a 1-var min-of-affine."""
-    alpha = min(c for _, c in off.pieces)
-    beta = min(s[0] for s, c in off.pieces if c == alpha)
-    t1 = None
-    for (s,), c in off.pieces:
-        if c > alpha and s < beta:
-            root = (c - alpha) / (beta - s)
-            if t1 is None or root < t1:
-                t1 = root
-    return alpha, beta, t1
-
-
-def _first_piece_max(comp: ConvexPWL):
-    """Initial value, active slope and first crossing t of a 1-var max-of-affine."""
-    alpha = max(c for _, c in comp.pieces)
-    beta = max(s[0] for s, c in comp.pieces if c == alpha)
-    t1 = None
-    for (s,), c in comp.pieces:
-        if c < alpha and s > beta:
-            root = (alpha - c) / (s - beta)
-            if t1 is None or root < t1:
-                t1 = root
-    return alpha, beta, t1
-
-
 def _all_crossings(off, window: Fraction):
     """All crossing parameters of a 1-var min- or max-of-affine inside (0, window)."""
     out = []
@@ -117,10 +90,10 @@ def _all_crossings(off, window: Fraction):
     return out
 
 
-def _domain_exit(g) -> Optional[Fraction]:
-    """Least positive t excluded by the t-domain rows (None = unbounded)."""
+def _domain_exit(domain: Polyhedron) -> Optional[Fraction]:
+    """The upper end of a one-parameter domain (None = unbounded)."""
     hi: Optional[Fraction] = None
-    for (a,), r in g.domain.rows:
+    for (a,), r in domain.rows:
         if a > 0:
             bound = r / a
             if hi is None or bound < hi:
@@ -128,12 +101,12 @@ def _domain_exit(g) -> Optional[Fraction]:
     return hi
 
 
-def _shape_roots(normals, dim: int, offs, directions=()) -> List[Fraction]:
+def _shape_roots(normals, dim: int, offs):
     """Candidate parameters t at which the system {<N_i, z> <= p_i + q_i t},
     offs = [(p_i, q_i)], changes shape: two parallel rows swap or close the
-    set, a vertex trajectory crosses a third row, or (per z* in directions)
-    two vertices swap in <z*, v(t)>.  Unfiltered: callers keep the range
-    they need."""
+    set, or a vertex trajectory crosses a third row.  Returns the roots,
+    unfiltered (callers keep the range they need), and the vertex
+    trajectories v(t) = (x0 + x1 t, y0 + y1 t) as ((x0, x1), (y0, y1))."""
     roots: List[Fraction] = []
     m = len(normals)
     verts = []
@@ -157,6 +130,13 @@ def _shape_roots(normals, dim: int, offs, directions=()) -> List[Fraction]:
                 q = nk[0] * vx[1] + nk[1] * vy[1] - qk
                 if q != 0:
                     roots.append(-p / q)
+    return roots, verts
+
+
+def _swap_roots(verts, directions) -> List[Fraction]:
+    """Parameters t at which two vertex trajectories swap in <z*, v(t)>, per
+    z* in directions; unfiltered."""
+    roots: List[Fraction] = []
     for z in directions:
         vals = [
             (z[0] * vx[0] + z[1] * vy[0], z[0] * vx[1] + z[1] * vy[1])
@@ -175,7 +155,7 @@ class _RayAnalysis:
     on (0, t0] the offsets are alpha_i + beta_i t; sigma_i is the support of
     f(x) in the normal N_i."""
 
-    __slots__ = ("ws", "normals", "alpha", "beta", "sigma", "t0")
+    __slots__ = ("ws", "normals", "alpha", "beta", "sigma", "verts", "t0")
 
     def __init__(self, g: ParamPolyFunction, exit_t: Optional[Fraction], value_at_base: UpperSet):
         self.ws = g.workspace
@@ -184,7 +164,7 @@ class _RayAnalysis:
         self.beta = []
         roots: List[Fraction] = [] if exit_t is None else [exit_t]
         for off in g.offsets:
-            a, b, t1 = _first_piece(off)
+            a, b, t1 = off.first_piece()
             self.alpha.append(a)
             self.beta.append(b)
             if t1 is not None:
@@ -192,16 +172,16 @@ class _RayAnalysis:
         # finite: the normal bounds its own system
         self.sigma = [value_at_base.support(n).value for n in self.normals]
         dim = self.ws.dim
-        roots.extend(_shape_roots(self.normals, dim, list(zip(self.alpha, self.beta))))
+        shape, self.verts = _shape_roots(self.normals, dim, list(zip(self.alpha, self.beta)))
+        roots.extend(shape)
         rho = [(a - s, b) for a, s, b in zip(self.alpha, self.sigma, self.beta)]
-        roots.extend(_shape_roots(self.normals, dim, rho))
+        roots.extend(_shape_roots(self.normals, dim, rho)[0])
         self.t0 = min([r for r in roots if r > 0] + [Fraction(1)])
 
     def threshold(self, directions) -> Fraction:
         """t0, lowered to the first optimal-basis switch of <z*, v(t)> over directions."""
         t = self.t0
-        offs = list(zip(self.alpha, self.beta))
-        for r in _shape_roots(self.normals, self.ws.dim, offs, directions):
+        for r in _swap_roots(self.verts, directions):
             if 0 < r < t:
                 t = r
         return t
@@ -223,7 +203,7 @@ class _EpiRay:
         roots: List[Fraction] = [] if exit_t is None else [exit_t]
         self.slopes = []
         for comp in g.components:
-            _, slope, t1 = _first_piece_max(comp)
+            _, slope, t1 = comp.first_piece()
             self.slopes.append(slope)
             if t1 is not None:
                 roots.append(t1)
@@ -256,7 +236,7 @@ class _Ray:
         f is one of _EXACT_RAYS; ParamPoly rays need f(x) nonempty."""
         if self._shape is _UNSET:
             g = f.ray_restrict(self.x, self.u)
-            exit_t = _domain_exit(g)
+            exit_t = _domain_exit(g.domain)
             if exit_t is not None and exit_t <= 0:
                 self._shape = None
             elif isinstance(g, EpiVectorFunction):
@@ -560,7 +540,8 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
                 if best is None or val < best[0]:
                     best = (val, (c, s))
             offs.append(best[1])
-        for r in _shape_roots(g.normals, g.workspace.dim, offs, directions):
+        shape, verts = _shape_roots(g.normals, g.workspace.dim, offs)
+        for r in shape + _swap_roots(verts, directions):
             if lo < r < hi:
                 roots.add(r)
     return sorted(roots)

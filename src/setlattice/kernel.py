@@ -337,12 +337,6 @@ class Workspace:
         p = as_vec(point)
         return self.upper_set([(n, _dot(n, p)) for n in self.cone.facet_normals])
 
-    def hull_of_points(self, points: Iterable[Sequence]) -> "UpperSet":
-        """Closed convex hull of finitely many points plus the cone."""
-        pts = [_vec_point(self.dim, as_vec(p)) for p in points]
-        rays = list(self.cone.generators)
-        return UpperSet._from_generators(self, pts, rays)
-
     def from_json(self, obj) -> "UpperSet":
         if obj["tag"] == "empty":
             return self.empty_set()

@@ -5,6 +5,7 @@ deterministic JSON report and optional SVG plots."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -59,6 +60,9 @@ from .vi import (
 )
 
 SCHEMA_VERSION = 1
+
+# Largest candidate space a "box" grid may enumerate.
+MAX_SPACE_POINTS = 10_000
 
 
 class ValidationError(LatticeError):
@@ -135,11 +139,15 @@ def _arg(f, task: dict, key: str) -> tuple:
     return _in_args(f, _field(task, key), key)
 
 
+def _list(items, key: str) -> list:
+    """A list-valued scenario field."""
+    if not isinstance(items, list):
+        raise ValidationError(f"{key!r} must be a list, got {items!r}")
+    return items
+
+
 def _arg_list(f, task: dict, key: str) -> List[tuple]:
-    pts = _field(task, key)
-    if not isinstance(pts, list):
-        raise ValidationError(f"{key!r} must be a list of points")
-    return [_in_args(f, p, key) for p in pts]
+    return [_in_args(f, p, key) for p in _list(_field(task, key), key)]
 
 
 @dataclass
@@ -217,16 +225,16 @@ def _build_function(ws: Optional[Workspace], spec: dict):
         xdim, [(_vec(a), _rat(r)) for a, r in _pairs(spec.get("domain", []))]
     )
     if variant == "parampoly":
-        normals = [_vec(n) for n in _field(spec, "normals")]
+        normals = [_vec(n) for n in _list(_field(spec, "normals"), "normals")]
         offsets = [
             ConcavePWL([(_vec(c), _rat(k)) for c, k in _pairs(pieces)])
-            for pieces in _field(spec, "offsets")
+            for pieces in _list(_field(spec, "offsets"), "offsets")
         ]
         return ParamPolyFunction(ws, xdim, normals, offsets, domain, name=spec.get("name", ""))
     if variant in ("epivector", "pwlvector"):
         comps = [
             ConvexPWL([(_vec(c), _rat(k)) for c, k in _pairs(pieces)])
-            for pieces in _field(spec, "components")
+            for pieces in _list(_field(spec, "components"), "components")
         ]
         cls = EpiVectorFunction if variant == "epivector" else PWLVectorFunction
         return cls(ws, xdim, comps, domain, name=spec.get("name", ""))
@@ -240,27 +248,26 @@ def _build_set(ws: Workspace, spec: dict) -> UpperSet:
         return ws.empty_set()
     cons = [
         (_vec(_field(item, "n")), _rat(_field(item, "b")))
-        for item in spec.get("constraints", [])
+        for item in _list(spec.get("constraints", []), "constraints")
     ]
     return ws.upper_set(cons)
 
 
 def _build_space(spec) -> List[tuple]:
     if isinstance(spec, dict) and "points" in spec:
-        return [_vec(p) for p in spec["points"]]
+        return [_vec(p) for p in _list(spec["points"], "points")]
     if isinstance(spec, dict) and "box" in spec:
         step = _rat(spec.get("step", 1))
         if step <= 0:
             raise ValidationError("grid step must be positive")
-        axes = []
-        for lo, hi in _pairs(spec["box"]):
-            lo, hi = _rat(lo), _rat(hi)
-            vals = []
-            v = lo
-            while v <= hi:
-                vals.append(v)
-                v += step
-            axes.append(vals)
+        rows = [(_rat(lo), _rat(hi)) for lo, hi in _pairs(spec["box"])]
+        counts = [max(0, (hi - lo) // step + 1) for lo, hi in rows]
+        total = math.prod(counts)
+        if total > MAX_SPACE_POINTS:
+            raise ValidationError(f"box grid has {total} points, more than {MAX_SPACE_POINTS}")
+        if not total:
+            return []
+        axes = [[lo + k * step for k in range(n)] for (lo, _), n in zip(rows, counts)]
         pts = [()]
         for axis in axes:
             pts = [p + (v,) for p in pts for v in axis]
@@ -338,7 +345,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
         f = _set_function_of(scn, task)
         base = _arg(f, task, "base")
         space = CandidateSpace.of(_space_of(scn, task), base=base)
-        names = task.get("inequalities", ["svi_I"])
+        names = _list(task.get("inequalities", ["svi_I"]), "inequalities")
         out["reports"] = [
             run_checker(n, f, base, space, _dirs_for(f)).to_json()
             for n in names
@@ -453,7 +460,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
             hull2.leq(hull) and hull2 != hull and not shadow.is_whole
         )
     elif op == "plot":
-        names = task.get("sets", [])
+        names = _list(task.get("sets", []), "sets")
         pairs = [(n, _named_set(scn, n)) for n in names]
         out["svg"] = render_svg(pairs)
         out["sets"] = names

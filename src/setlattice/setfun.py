@@ -75,32 +75,10 @@ class Polyhedron:
         xx = as_vec(x)
         return all(_dot(a, xx) <= r for a, r in self.rows)
 
-    def shift(self, m: Sequence) -> "Polyhedron":
-        """The polyhedron {x : x + m in self}."""
-        mm = as_vec(m)
-        return Polyhedron(self.dim, [(a, r - _dot(a, mm)) for a, r in self.rows])
-
-    def t_interval(self, base: Sequence, direction: Sequence):
-        """The interval {t : base + t*direction in self} as (lo, hi), None = unbounded."""
-        b = as_vec(base)
-        d = as_vec(direction)
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for a, r in self.rows:
-            ad = _dot(a, d)
-            rem = r - _dot(a, b)
-            if ad == 0:
-                if rem < 0:
-                    return (Fraction(1), Fraction(0))  # empty marker lo > hi
-                continue
-            bound = rem / ad
-            if ad > 0:
-                if hi is None or bound < hi:
-                    hi = bound
-            else:
-                if lo is None or bound > lo:
-                    lo = bound
-        return (lo, hi)
+    def compose(self, base: Vec, cols: Sequence[Vec], extra=()) -> "Polyhedron":
+        """The polyhedron {y : base + Σ_j y_j cols_j in self}, cut by the y-rows extra."""
+        rows = [(tuple(_dot(a, c) for c in cols), r - _dot(a, base)) for a, r in self.rows]
+        return Polyhedron(len(cols), rows + list(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -108,65 +86,69 @@ class Polyhedron:
 # ---------------------------------------------------------------------------
 
 
-class ConcavePWL:
-    """Pointwise minimum of finitely many affine forms (concave by construction)."""
+class _PWL:
+    """Pointwise best (min or max, per subclass) of finitely many affine forms."""
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: Iterable[Tuple[Sequence, object]]):
         self.pieces = tuple((as_vec(c), to_frac(k)) for c, k in pieces)
         if not self.pieces:
-            raise LatticeError("a piecewise-linear offset needs at least one piece")
+            raise LatticeError(f"{self._what} needs at least one piece")
 
     def value(self, x: Sequence) -> Fraction:
         xx = as_vec(x)
-        return min(_dot(c, xx) + k for c, k in self.pieces)
+        return self._best(_dot(c, xx) + k for c, k in self.pieces)
 
-    def pullback(self, base: Sequence, direction: Sequence) -> "ConcavePWL":
-        b = as_vec(base)
-        d = as_vec(direction)
-        return ConcavePWL(
-            [((_dot(c, d),), _dot(c, b) + k) for c, k in self.pieces]
+    def compose(self, base: Vec, cols: Sequence[Vec]):
+        """The same kind of function of y, at x = base + Σ_j y_j cols_j."""
+        return type(self)(
+            [(tuple(_dot(c, col) for col in cols), _dot(c, base) + k) for c, k in self.pieces]
         )
 
-    def shift(self, m: Sequence) -> "ConcavePWL":
-        mm = as_vec(m)
-        return ConcavePWL([(c, k + _dot(c, mm)) for c, k in self.pieces])
+    def first_piece(self):
+        """For a function of one variable: the value at 0, the active slope on
+        (0, t1] and the first crossing t1 (None when that piece stays active)."""
+        best = self._best
+        alpha = best(c for _, c in self.pieces)
+        beta = best(s[0] for s, c in self.pieces if c == alpha)
+        t1 = None
+        # a piece behind at 0 with a better slope takes over at its crossing
+        for (s,), c in self.pieces:
+            if c != alpha and s != beta and best(s, beta) == s:
+                root = (c - alpha) / (beta - s)
+                if t1 is None or root < t1:
+                    t1 = root
+        return alpha, beta, t1
 
     def __repr__(self):
-        return f"ConcavePWL({list(self.pieces)})"
+        return f"{type(self).__name__}({list(self.pieces)})"
 
 
-class ConvexPWL:
+class ConcavePWL(_PWL):
+    """Pointwise minimum of finitely many affine forms (concave by construction)."""
+
+    __slots__ = ()
+    _best = min
+    _what = "a piecewise-linear offset"
+
+
+class ConvexPWL(_PWL):
     """Pointwise maximum of finitely many affine forms (convex by construction)."""
 
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces: Iterable[Tuple[Sequence, object]]):
-        self.pieces = tuple((as_vec(c), to_frac(k)) for c, k in pieces)
-        if not self.pieces:
-            raise LatticeError("a piecewise-linear component needs at least one piece")
-
-    def value(self, x: Sequence) -> Fraction:
-        xx = as_vec(x)
-        return max(_dot(c, xx) + k for c, k in self.pieces)
-
-    def pullback(self, base: Sequence, direction: Sequence) -> "ConvexPWL":
-        b = as_vec(base)
-        d = as_vec(direction)
-        return ConvexPWL([((_dot(c, d),), _dot(c, b) + k) for c, k in self.pieces])
-
-    def shift(self, m: Sequence) -> "ConvexPWL":
-        mm = as_vec(m)
-        return ConvexPWL([(c, k + _dot(c, mm)) for c, k in self.pieces])
-
-    def __repr__(self):
-        return f"ConvexPWL({list(self.pieces)})"
+    __slots__ = ()
+    _best = max
+    _what = "a piecewise-linear component"
 
 
 # ---------------------------------------------------------------------------
 # Set-valued functions
 # ---------------------------------------------------------------------------
+
+
+# t-rows (coefficient, bound) of the parameter ranges of restrict and ray_restrict
+_HALF_LINE = (((Fraction(-1),), Fraction(0)),)
+_UNIT_INTERVAL = _HALF_LINE + (((Fraction(1),), Fraction(1)),)
 
 
 class SetFunction:
@@ -202,20 +184,24 @@ class SetFunction:
         """The scalarization value inf{-<z*, z> : z in f(x)} (+∞ iff f(x) = ∅)."""
         return self.eval(x).neg_support(zstar)
 
-    def domain_contains(self, x: Sequence) -> bool:
-        return not self.eval(x).is_empty
+    def _compose(self, base: Vec, cols: Sequence[Vec], extra) -> "SetFunction":
+        """The function y -> f(base + Σ_j y_j cols_j), ∅ where a y-row of extra fails."""
+        raise NotImplementedError
 
     def restrict(self, x0: Sequence, x: Sequence) -> "SetFunction":
         """The segment function t -> f(x0 + t(x - x0)) on [0, 1], ∅ outside."""
-        raise NotImplementedError
+        b = as_vec(x0)
+        return self._compose(b, (tuple(q - p for p, q in zip(b, as_vec(x))),), _UNIT_INTERVAL)
 
     def ray_restrict(self, x: Sequence, u: Sequence) -> "SetFunction":
         """The ray function t -> f(x + t*u) for t >= 0 (no [0,1] cap)."""
-        raise NotImplementedError
+        return self._compose(as_vec(x), (as_vec(u),), _HALF_LINE)
 
     def shift_arg(self, m: Sequence) -> "SetFunction":
         """The function x -> f(m + x)."""
-        raise NotImplementedError
+        n = self.xdim
+        units = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
+        return self._compose(as_vec(m), units, ())
 
 
 class ParamPolyFunction(SetFunction):
@@ -257,36 +243,13 @@ class ParamPolyFunction(SetFunction):
         cons = [(n, off.value(x)) for n, off in zip(self.normals, self.offsets)]
         return self.workspace.upper_set(cons)
 
-    def restrict(self, x0, x):
-        return self._pull(x0, tuple(to_frac(b) - to_frac(a) for a, b in zip(as_vec(x0), as_vec(x))), cap=True)
-
-    def ray_restrict(self, x, u):
-        return self._pull(x, as_vec(u), cap=False)
-
-    def _pull(self, base, direction, cap: bool) -> "ParamPolyFunction":
-        b = as_vec(base)
-        d = as_vec(direction)
-        rows = [((_dot(a, d),), r - _dot(a, b)) for a, r in self.domain.rows]
-        rows.append(((Fraction(-1),), Fraction(0)))
-        if cap:
-            rows.append(((Fraction(1),), Fraction(1)))
+    def _compose(self, base, cols, extra):
         return ParamPolyFunction(
             self.workspace,
-            1,
+            len(cols),
             self.normals,
-            [off.pullback(b, d) for off in self.offsets],
-            Polyhedron(1, rows),
-            name=f"{self.name}|segment" if self.name else "",
-        )
-
-    def shift_arg(self, m):
-        mm = as_vec(m)
-        return ParamPolyFunction(
-            self.workspace,
-            self.xdim,
-            self.normals,
-            [off.shift(mm) for off in self.offsets],
-            self.domain.shift(mm),
+            [off.compose(base, cols) for off in self.offsets],
+            self.domain.compose(base, cols, extra),
             name=self.name,
         )
 
@@ -329,39 +292,12 @@ class EpiVectorFunction(SetFunction):
             return PLUS_INF
         return ExtReal(-_dot(as_vec(zstar), self.psi(xx)))
 
-    def restrict(self, x0, x):
-        return self._pull(
-            x0,
-            tuple(to_frac(b) - to_frac(a) for a, b in zip(as_vec(x0), as_vec(x))),
-            cap=True,
-        )
-
-    def ray_restrict(self, x, u):
-        return self._pull(x, as_vec(u), cap=False)
-
-    def _pull(self, base, direction, cap: bool) -> "EpiVectorFunction":
-        b = as_vec(base)
-        d = as_vec(direction)
-        rows = [((_dot(a, d),), r - _dot(a, b)) for a, r in self.domain.rows]
-        rows.append(((Fraction(-1),), Fraction(0)))
-        if cap:
-            rows.append(((Fraction(1),), Fraction(1)))
+    def _compose(self, base, cols, extra):
         return EpiVectorFunction(
             self.workspace,
-            1,
-            [c.pullback(b, d) for c in self.components],
-            Polyhedron(1, rows),
-            name=f"{self.name}|segment" if self.name else "",
-            declared_convex=self.declared_convex,
-        )
-
-    def shift_arg(self, m):
-        mm = as_vec(m)
-        return EpiVectorFunction(
-            self.workspace,
-            self.xdim,
-            [c.shift(mm) for c in self.components],
-            self.domain.shift(mm),
+            len(cols),
+            [c.compose(base, cols) for c in self.components],
+            self.domain.compose(base, cols, extra),
             name=self.name,
             declared_convex=self.declared_convex,
         )
@@ -428,44 +364,17 @@ class OracleFunction(SetFunction):
             raise OracleFailure("oracle evaluator must return an UpperSet")
         return value
 
-    def restrict(self, x0, x):
-        b = as_vec(x0)
-        d = tuple(to_frac(q) - to_frac(p) for p, q in zip(b, as_vec(x)))
+    def _compose(self, base, cols, extra):
+        params = Polyhedron(len(cols), extra)
+        coords = list(zip(base, zip(*cols)))
 
-        def seg_eval(t: Vec) -> UpperSet:
-            tt = t[0]
-            if tt < 0 or tt > 1:
+        def composed(y: Vec) -> UpperSet:
+            if not params.contains(y):
                 return self.workspace.empty_set()
-            return self.eval(tuple(p + tt * q for p, q in zip(b, d)))
+            return self.eval(tuple(b + _dot(y, c) for b, c in coords))
 
         return OracleFunction(
-            self.workspace, 1, seg_eval, self.declared_convex, self.tolerance,
-            name=f"{self.name}|segment" if self.name else "",
-        )
-
-    def ray_restrict(self, x, u):
-        b = as_vec(x)
-        d = as_vec(u)
-
-        def ray_eval(t: Vec) -> UpperSet:
-            tt = t[0]
-            if tt < 0:
-                return self.workspace.empty_set()
-            return self.eval(tuple(p + tt * q for p, q in zip(b, d)))
-
-        return OracleFunction(
-            self.workspace, 1, ray_eval, self.declared_convex, self.tolerance,
-            name=self.name,
-        )
-
-    def shift_arg(self, m):
-        mm = as_vec(m)
-        return OracleFunction(
-            self.workspace,
-            self.xdim,
-            lambda x: self.eval(tuple(p + q for p, q in zip(mm, x))),
-            self.declared_convex,
-            self.tolerance,
+            self.workspace, len(cols), composed, self.declared_convex, self.tolerance,
             name=self.name,
         )
 
@@ -490,14 +399,10 @@ class FiniteInfFunction(SetFunction):
     def scalarize(self, zstar, x):
         return ext_min(m.scalarize(zstar, x) for m in self.members)
 
-    def restrict(self, x0, x):
-        return FiniteInfFunction([m.restrict(x0, x) for m in self.members], name=self.name)
-
-    def ray_restrict(self, x, u):
-        return FiniteInfFunction([m.ray_restrict(x, u) for m in self.members], name=self.name)
-
-    def shift_arg(self, m):
-        return FiniteInfFunction([f.shift_arg(m) for f in self.members], name=self.name)
+    def _compose(self, base, cols, extra):
+        return FiniteInfFunction(
+            [m._compose(base, cols, extra) for m in self.members], name=self.name
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +627,10 @@ def lattice_lsc_probe(
     their domains are closed, so the liminf never exceeds the value.  Oracle
     functions are sampled; sampling can refute or support, never certify.
     """
+    if f.is_exact:
+        return ProbeResult(holds=True, certified=True)
     probe = probe or LscProbe()
     g = f.restrict(x0, x)
-    if g.is_exact:
-        return ProbeResult(holds=True, certified=True)
     v0 = g.eval((Fraction(0),))
     hulls = []
     for r in probe.radii:
@@ -755,14 +660,13 @@ def cminus_lsc_probe(
     exactly when nearby sampled values stay bounded (the value jumps down in
     the limit); exact constructors are certified to hold.
     """
+    if f.is_exact:
+        return {tuple(z): ProbeResult(holds=True, certified=True) for z in directions}
     probe = probe or LscProbe()
     g = f.restrict(x0, x)
     results = {}
     for zstar in directions:
         z = tuple(zstar)
-        if g.is_exact:
-            results[z] = ProbeResult(holds=True, certified=True)
-            continue
         phi0 = g.scalarize(z, (Fraction(0),))
         if phi0.is_minus_inf:
             results[z] = ProbeResult(holds=True, certified=False)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .calculus import scalar_dini, set_derivative
+from .calculus import _domain_exit, scalar_dini, set_derivative
 from .extres import ExtReal
 from .kernel import (
     LatticeError,
@@ -262,15 +262,11 @@ def vector_dini(psi: VectorFunction, x0: Sequence, u: Sequence) -> DiniLimitSet:
     if base is None:
         raise LatticeError("base point is outside the domain")
     if isinstance(psi, PWLVectorFunction):
-        lo, hi = psi.domain.t_interval(x0, uu)
+        hi = _domain_exit(psi.domain.compose(x0, (uu,)))
         if hi is not None and hi <= 0:
             return DiniLimitSet(exact=True, diagnostic={"note": "no admissible t"})
-        slopes = []
-        for comp in psi.components:
-            g = comp.pullback(x0, uu)
-            val0 = max(c for _, c in g.pieces)
-            slopes.append(max(s[0] for s, c in g.pieces if c == val0))
-        return DiniLimitSet(finite_points=[tuple(slopes)], exact=True)
+        slopes = tuple(c.compose(x0, (uu,)).first_piece()[1] for c in psi.components)
+        return DiniLimitSet(finite_points=[slopes], exact=True)
     tol = getattr(psi, "tolerance", Fraction(1, 10**6))
     trail = []
     t = Fraction(1)

@@ -150,10 +150,6 @@ def check_svi_i(f: SetFunction, x0, space: CandidateSpace, directions) -> ViRepo
     return report
 
 
-def check_svi_I(f, x0, space, directions):  # noqa: N802 - paper-style alias
-    return check_svi_i(f, x0, space, directions)
-
-
 def check_SVI_I(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
     """Strict set-valued Stampacchia: 0+f(x0) ≼ f'(x0, x - x0) for all x."""
     x0 = as_vec(x0)
@@ -372,14 +368,6 @@ class ConditionReport:
     witnesses: Dict[str, list]
     consistent: bool
     exact: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.conditions[self.primary]
-
-    @property
-    def primary(self) -> str:
-        return "a"
 
     def to_json(self):
         return {

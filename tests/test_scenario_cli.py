@@ -170,6 +170,21 @@ MALFORMED = {
         "functions": {"f": _F1},
         "tasks": [{"op": "derivative", "function": "f", "x": [0], "u": [1, 2]}],
     },
+    "points_not_a_list": {"spaces": {"g": {"points": 5}}},
+    "constraints_not_a_list": {"workspace": _WS, "sets": {"A": {"constraints": 5}}},
+    "normals_not_a_list": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, normals=5)},
+    },
+    "inequalities_not_a_list": {
+        "workspace": _WS,
+        "functions": {"f": _F1},
+        "spaces": {"g": {"points": [[0]]}},
+        "tasks": [{"op": "check_vi", "function": "f", "base": [0], "space": "g", "inequalities": 5}],
+    },
+    "plot_sets_not_a_list": {"tasks": [{"op": "plot", "sets": 5}]},
+    # 2·10⁹ + 1 points: rejected before any is enumerated
+    "box_too_large": {"spaces": {"g": {"box": [["-1000000000", "1000000000"]], "step": "1"}}},
 }
 
 

@@ -20,6 +20,7 @@ from setlattice.setfun import (
     FiniteInfFunction,
     OracleFunction,
     ParamPolyFunction,
+    Polyhedron,
     cminus_lsc_probe,
     inf_translate,
     inf_translation,
@@ -227,3 +228,69 @@ def test_finite_inf_function_restrict(absdiag, ws):
         ws, [absdiag.eval((F(-1, 2),)), absdiag.eval((F(3, 2),))]
     )
     assert g.eval((F(1, 2),)) == expected
+
+
+def _composable(kind):
+    """A function of x in R^2 of each constructor class, with a bounded domain."""
+    ws = orthant_workspace()
+    box = Polyhedron.box([(-2, 2), (-1, 3)])
+    pp = ParamPolyFunction(
+        ws,
+        2,
+        [(-1, 0), (0, -1), (-1, -1)],
+        [
+            ConcavePWL([((1, 0), 0), ((-1, 1), 1)]),
+            ConcavePWL([((0, 1), F(1, 2)), ((2, -1), -1)]),
+            ConcavePWL([((1, 1), 0), ((0, -1), 2)]),
+        ],
+        box,
+        name="pp",
+    )
+    epi = EpiVectorFunction(
+        ws,
+        2,
+        [ConvexPWL([((1, 0), 0), ((-1, 1), 1)]), ConvexPWL([((0, -1), 1), ((1, 1), F(-1, 3))])],
+        Polyhedron.box([(-1, 3), (-2, 2)]),
+        name="epi",
+    )
+    if kind == "parampoly":
+        return pp
+    if kind == "epivector":
+        return epi
+    if kind == "oracle":
+        return OracleFunction(
+            ws,
+            2,
+            lambda x: ws.translated_cone((x[0] * x[0], x[1] - x[0])) if box.contains(x)
+            else ws.empty_set(),
+            name="oracle",
+        )
+    return FiniteInfFunction([pp, epi], name="finf")
+
+
+@pytest.mark.parametrize("kind", ["parampoly", "epivector", "oracle", "finite_inf"])
+def test_compositions_match_direct_eval(kind):
+    """restrict, ray_restrict and shift_arg agree with evaluating f itself at
+    the composed argument, and are empty outside their parameter range."""
+    f = _composable(kind)
+    x0, x = (F(-1), F(1, 2)), (F(3), F(-1))
+    u = (F(1, 2), F(1, 3))
+    at = lambda p, t, d: tuple(a + t * b for a, b in zip(p, d))  # noqa: E731
+    seg = f.restrict(x0, x)
+    assert seg.xdim == 1
+    diff = tuple(b - a for a, b in zip(x0, x))
+    for t in (F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)):
+        assert seg.eval((t,)) == f.eval(at(x0, t, diff)), t
+    for t in (F(-1, 2), F(-1, 100), F(101, 100), F(3, 2)):
+        assert seg.eval((t,)).is_empty, t
+    ray = f.ray_restrict(x0, u)
+    assert ray.xdim == 1
+    for t in (F(0), F(1, 3), F(1), F(5, 2), F(4), F(9)):
+        assert ray.eval((t,)) == f.eval(at(x0, t, u)), t
+    for t in (F(-1, 100), F(-2)):
+        assert ray.eval((t,)).is_empty, t
+    m = (F(1, 2), F(-1))
+    shifted = f.shift_arg(m)
+    assert shifted.xdim == 2
+    for p in [(F(i, 2), F(j, 2)) for i in range(-6, 7, 2) for j in range(-4, 9, 3)]:
+        assert shifted.eval(p) == f.eval(at(m, 1, p)), p
