@@ -501,7 +501,7 @@ def first_linear_sample(
     rec = _ray(f, x, u)
     if all(c == 0 for c in rec.u):
         return None
-    if isinstance(f, ParamPolyFunction) and f.eval(rec.x).is_empty:
+    if f.eval(rec.x).is_empty:
         return None
     ana = rec.shape(f)
     if ana is None:

@@ -51,6 +51,7 @@ from .vectoropt import (
     vector_minty_check,
 )
 from .vi import (
+    INEQUALITY_IDS,
     CandidateSpace,
     implication_audit,
     infimizer_check,
@@ -127,12 +128,15 @@ def _field(obj, key: str):
     return obj[key]
 
 
+def _arity(f, v: tuple, what: str) -> tuple:
+    if len(v) != f.xdim:
+        raise ValidationError(f"{what} has {len(v)} coordinates, the function takes {f.xdim}")
+    return v
+
+
 def _in_args(f, x, key: str) -> tuple:
     """A point or direction in the argument space of f."""
-    v = _vec(x)
-    if len(v) != f.xdim:
-        raise ValidationError(f"{key!r} has {len(v)} coordinates, the function takes {f.xdim}")
-    return v
+    return _arity(f, _vec(x), repr(key))
 
 
 def _arg(f, task: dict, key: str) -> tuple:
@@ -305,11 +309,12 @@ def _vector_function_of(scn: Scenario, task: dict) -> VectorFunction:
     return f
 
 
-def _space_of(scn: Scenario, task: dict, key: str = "space") -> List[tuple]:
+def _space_of(scn: Scenario, task: dict, f, key: str = "space") -> List[tuple]:
+    """The points of the task's named space, in the argument space of f."""
     gname = task.get(key)
     if gname not in scn.spaces:
         raise ValidationError(f"unknown space {gname!r}")
-    return scn.spaces[gname]
+    return [_arity(f, p, f"a point of space {gname!r}") for p in scn.spaces[gname]]
 
 
 def _named_set(scn: Scenario, key: str) -> UpperSet:
@@ -344,8 +349,11 @@ def run_task(scn: Scenario, task: dict) -> dict:
     elif op == "check_vi":
         f = _set_function_of(scn, task)
         base = _arg(f, task, "base")
-        space = CandidateSpace.of(_space_of(scn, task), base=base)
+        space = CandidateSpace.of(_space_of(scn, task, f), base=base)
         names = _list(task.get("inequalities", ["svi_I"]), "inequalities")
+        for n in names:
+            if n not in INEQUALITY_IDS:
+                raise ValidationError(f"unknown inequality id {n!r}")
         out["reports"] = [
             run_checker(n, f, base, space, _dirs_for(f)).to_json()
             for n in names
@@ -353,7 +361,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
     elif op == "implication_audit":
         f = _set_function_of(scn, task)
         base = _arg(f, task, "base")
-        space = CandidateSpace.of(_space_of(scn, task), base=base)
+        space = CandidateSpace.of(_space_of(scn, task, f), base=base)
         audit = implication_audit(
             f, base, space, _dirs_for(f), enrich=task.get("enrich", True)
         )
@@ -379,9 +387,9 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["intersection"] = rep.intersection.to_json()
     elif op == "minimal_scan":
         f = _set_function_of(scn, task)
-        pts = _space_of(scn, task)
+        pts = _space_of(scn, task, f)
         probe = CandidateSpace.of(
-            _space_of(scn, task, "probe_space") if "probe_space" in task else pts
+            _space_of(scn, task, f, "probe_space") if "probe_space" in task else pts
         )
         dirs = _dirs_for(f)
         minimal = []
@@ -394,19 +402,19 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["minimal"] = minimal
     elif op == "infimizer":
         f = _set_function_of(scn, task)
-        space = CandidateSpace.of(_space_of(scn, task))
+        space = CandidateSpace.of(_space_of(scn, task, f))
         out["report"] = infimizer_check(
             f, _arg_list(f, task, "M"), space, _dirs_for(f)
         ).to_json()
     elif op == "solution":
         f = _set_function_of(scn, task)
-        space = CandidateSpace.of(_space_of(scn, task))
+        space = CandidateSpace.of(_space_of(scn, task, f))
         out["report"] = solution_check(
             f, _arg_list(f, task, "M"), space, _dirs_for(f)
         ).to_json()
     elif op == "efficient_set":
         psi = _vector_function_of(scn, task)
-        grid = _space_of(scn, task, "grid" if "grid" in task else "space")
+        grid = _space_of(scn, task, psi, "grid" if "grid" in task else "space")
         out["efficient"] = [
             [frac_str(c) for c in p] for p in efficient_set(psi, grid)
         ]
@@ -430,7 +438,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
     elif op == "vector_minty":
         psi = _vector_function_of(scn, task)
         rep = vector_minty_check(
-            psi, _arg(psi, task, "base"), _space_of(scn, task, "grid" if "grid" in task else "space"), _dirs_for(psi)
+            psi, _arg(psi, task, "base"), _space_of(scn, task, psi, "grid" if "grid" in task else "space"), _dirs_for(psi)
         )
         out["report"] = {
             k: (v if isinstance(v, bool) else str(v))

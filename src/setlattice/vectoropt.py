@@ -20,7 +20,7 @@ from .kernel import (
     to_frac,
 )
 from .setfun import ConvexPWL, EpiVectorFunction, OracleFunction, Polyhedron, SetFunction
-from .vi import CandidateSpace, check_mvi_M_finite, minimal_check
+from .vi import CandidateSpace, minimal_check, run_checker
 
 class EmptyGrid(LatticeError):
     pass
@@ -472,7 +472,7 @@ def vector_minty_check(
                 witnesses.append({"form": "inner", "x": x, "t": t})
     space = CandidateSpace.of(list(pts) + seg_points + [x0], base=x0)
     finite_dirs = list(ws.cone.facet_normals)
-    mvi = check_mvi_M_finite(f, x0, space, finite_dirs)
+    mvi = run_checker("mvi_M_finite", f, x0, space, finite_dirs)
     eff = efficient_set(psi, [p for p in space.points if psi.domain_contains(p)])
     is_efficient = x0 in eff
     pointed = ws.cone.is_pointed

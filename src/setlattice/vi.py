@@ -13,10 +13,12 @@ keeps every audited implication faithful to the underlying statements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .calculus import (
+    first_linear_sample,
     regularity_check,
     scalar_dini,
     segment_criticals,
@@ -33,6 +35,7 @@ from .kernel import (
     mirror_facets,
 )
 from .setfun import (
+    EmptyTranslationSet,
     EpiVectorFunction,
     LscProbe,
     ParamPolyFunction,
@@ -41,19 +44,6 @@ from .setfun import (
     inf_translate,
     inf_translation,
     lattice_lsc_probe,
-)
-
-INEQUALITY_IDS = (
-    "SVI_I",
-    "svi_I",
-    "MVI_I",
-    "mvi_I",
-    "SVI_M",
-    "svi_M",
-    "svi_M2",
-    "MVI_M",
-    "mvi_M",
-    "mvi_M_finite",
 )
 
 
@@ -129,231 +119,160 @@ def _require_base(f: SetFunction, x0: Vec):
 
 
 # ---------------------------------------------------------------------------
-# The ten inequality checkers
+# The ten inequalities: one table, one loop
 # ---------------------------------------------------------------------------
 
-
-def check_svi_i(f: SetFunction, x0, space: CandidateSpace, directions) -> ViReport:
-    """Strict scalarized Stampacchia: phi(x0) = -inf or 0 <= phi'(x0, x - x0)."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    zero = ExtReal(0)
-    report = ViReport("svi_I", True, exact=f.is_exact, space_size=len(space))
-    for z in directions:
-        if f.scalarize(z, x0).is_minus_inf:
-            continue
-        for x in space.points:
-            d = scalar_dini(f, z, x0, _vsub(x, x0))
-            if d < zero:
-                report.holds = False
-                report.witnesses.append({"x": x, "zstar": tuple(z), "dini": d})
-    return report
+_ZERO = ExtReal(0)
 
 
-def check_SVI_I(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
-    """Strict set-valued Stampacchia: 0+f(x0) ≼ f'(x0, x - x0) for all x."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    rec0 = f.eval(x0).recession()
-    report = ViReport("SVI_I", True, exact=f.is_exact, space_size=len(space))
-    for x in space.points:
-        D = set_derivative(f, x0, _vsub(x, x0))
-        report.exact = report.exact and D.exact
-        if not rec0.leq(D.value):
-            report.holds = False
-            report.witnesses.append({"x": x})
-    return report
+class _Run:
+    """One checker run: what its candidates x share, and the test of each
+    inequality at x, where (base, u) is the ray of the row's orientation."""
+
+    def __init__(self, f: SetFunction, x0: Vec, directions, report: ViReport):
+        self.f, self.x0, self.directions, self.report = f, x0, directions, report
+        self.v0 = f.eval(x0)
+        self.origin = (Fraction(0),) * f.workspace.dim
+
+    @cached_property
+    def rec0(self):
+        return self.v0.recession()
+
+    @cached_property
+    def bounded_dirs(self):
+        """The directions z* with phi(x0) > -inf."""
+        return [z for z in self.directions if not self.f.scalarize(z, self.x0).is_minus_inf]
+
+    def derivative(self, base: Vec, u: Vec):
+        """The set derivative f'(base, u); an inexact one makes the report inexact."""
+        D = set_derivative(self.f, base, u)
+        self.report.exact = self.report.exact and D.exact
+        return D
+
+    def dini_witnesses(self, x, base, u, directions, fails) -> List[dict]:
+        dinis = ((z, scalar_dini(self.f, z, base, u)) for z in directions)
+        return [{"x": x, "zstar": tuple(z), "dini": d} for z, d in dinis if fails(d)]
+
+    def svi_I(self, x, base, u):
+        """phi(x0) = -inf or 0 <= phi'(x0, x - x0), for every z*."""
+        return self.dini_witnesses(x, base, u, self.bounded_dirs, lambda d: d < _ZERO)
+
+    def SVI_I(self, x, base, u):
+        """0+f(x0) ≼ f'(x0, x - x0)."""
+        return self.rec0.leq(self.derivative(base, u).value)
+
+    def mvi_I(self, x, base, u):
+        """phi'(x, x0 - x) <= 0, for every z*."""
+        return self.dini_witnesses(x, base, u, self.directions, lambda d: _ZERO < d)
+
+    def MVI_I(self, x, base, u):
+        """f'(x, x0 - x) ≼ 0+f(x0); the equivalent form is 0 ∈ f'(x, x0 - x)."""
+        D = self.derivative(base, u)
+        comparable = D.exact and not self.f.eval(x).is_empty
+        return D.value.leq(self.rec0), D.value.contains_point(self.origin) if comparable else None
+
+    def svi_M(self, x, base, u):
+        """phi'(x0, x - x0) > 0 for some z*."""
+        return any(_ZERO < scalar_dini(self.f, z, base, u) for z in self.directions)
+
+    def SVI_M(self, x, base, u):
+        """0 ∉ f'(x0, x - x0); the equivalent form is f'(x0, x - x0) ∩ -0+f(x0) = ∅."""
+        D = self.derivative(base, u)
+        meets = feasible_with(D.value, mirror_facets(self.rec0))
+        return not D.value.contains_point(self.origin), not meets if D.exact else None
+
+    def svi_M2(self, x, base, u):
+        """-inf = phi(x0) < phi(x) or phi'(x0, x - x0) > 0, for some z*."""
+        return any(
+            (z not in self.bounded_dirs and not self.f.scalarize(z, x).is_minus_inf)
+            or _ZERO < scalar_dini(self.f, z, base, u)
+            for z in self.directions
+        )
+
+    def mvi_M(self, x, base, u):
+        """phi(x) > -inf and phi'(x, x0 - x) < 0, for some z*."""
+        return any(
+            not self.f.scalarize(z, x).is_minus_inf and scalar_dini(self.f, z, base, u) < _ZERO
+            for z in self.directions
+        )
+
+    def MVI_M(self, x, base, u):
+        """0+f(x) ⋠ f'(x, x0 - x)."""
+        return not self.f.eval(x).recession().leq(self.derivative(base, u).value)
 
 
-def check_mvi_i(f: SetFunction, x0, space: CandidateSpace, directions) -> ViReport:
-    """Strict scalarized Minty: phi'(x, x0 - x) <= 0 for all x, z*."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    zero = ExtReal(0)
-    report = ViReport("mvi_I", True, exact=f.is_exact, space_size=len(space))
-    for x in space.points:
-        u = _vsub(x0, x)
-        for z in directions:
-            d = scalar_dini(f, z, x, u)
-            if zero < d:
-                report.holds = False
-                report.witnesses.append({"x": x, "zstar": tuple(z), "dini": d})
-    return report
+@dataclass(frozen=True)
+class _Inequality:
+    """One row of the inequality grid.
+
+    minty: derivatives at x toward x0 (Minty), else at x0 toward x
+    (Stampacchia).  form: "I" (infimizer) or "M" (minimality); M rows skip
+    every x with f(x) = f(x0), Stampacchia M rows also every f(x) = ∅.
+    guard: f(x0) = Z passes.  test(run, x, base, u): the witnesses at x, or
+    whether x passes, and with a note also the verdict of an equivalent form
+    (None if not comparable); the note says if both agreed at every x.
+    by_direction: witnesses are listed z*-major."""
+
+    minty: bool
+    form: str
+    guard: bool
+    test: Callable
+    note: Optional[str] = None
+    by_direction: bool = False
 
 
-def check_MVI_I(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
-    """Strict set-valued Minty: f'(x, x0 - x) ≼ 0+f(x0), equivalently 0 ∈ f'."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    rec0 = f.eval(x0).recession()
-    origin = (Fraction(0),) * f.workspace.dim
-    report = ViReport("MVI_I", True, exact=f.is_exact, space_size=len(space))
-    agreement = True
-    for x in space.points:
-        D = set_derivative(f, x, _vsub(x0, x))
-        report.exact = report.exact and D.exact
-        holds_here = D.value.leq(rec0)
-        member = D.value.contains_point(origin)
-        if D.exact and not f.eval(x).is_empty and holds_here != member:
-            agreement = False
-        if not holds_here:
-            report.holds = False
-            report.witnesses.append({"x": x})
-    report.notes["membership_form_agrees"] = agreement
-    return report
-
-
-def check_svi_M(f: SetFunction, x0, space: CandidateSpace, directions) -> ViReport:
-    """Scalarized Stampacchia (minimality form): a strictly positive scalar
-    derivative exists toward every differing value."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    v0 = f.eval(x0)
-    zero = ExtReal(0)
-    report = ViReport("svi_M", True, exact=f.is_exact, space_size=len(space))
-    if v0.is_whole:
-        report.notes["guard"] = "f(x0) = Z"
-        return report
-    for x in space.points:
-        vx = f.eval(x)
-        if vx.is_empty or vx == v0:
-            continue
-        if not any(
-            zero < scalar_dini(f, z, x0, _vsub(x, x0)) for z in directions
-        ):
-            report.holds = False
-            report.witnesses.append({"x": x})
-    return report
-
-
-def check_SVI_M(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
-    """Set-valued Stampacchia (minimality form): 0 ∉ f'(x0, x - x0) toward
-    every differing value; the intersection form with -0+f(x0) is cross-checked."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    v0 = f.eval(x0)
-    origin = (Fraction(0),) * f.workspace.dim
-    report = ViReport("SVI_M", True, exact=f.is_exact, space_size=len(space))
-    if v0.is_whole:
-        report.notes["guard"] = "f(x0) = Z"
-        return report
-    rec0_mirror = mirror_facets(v0.recession())
-    agreement = True
-    for x in space.points:
-        vx = f.eval(x)
-        if vx.is_empty or vx == v0:
-            continue
-        D = set_derivative(f, x0, _vsub(x, x0))
-        report.exact = report.exact and D.exact
-        member = D.value.contains_point(origin)
-        intersects = feasible_with(D.value, rec0_mirror)
-        if D.exact and member != intersects:
-            agreement = False
-        if member:
-            report.holds = False
-            report.witnesses.append({"x": x})
-    report.notes["intersection_form_agrees"] = agreement
-    return report
-
-
-def check_svi_M2(f: SetFunction, x0, space: CandidateSpace, directions) -> ViReport:
-    """Disjunctive scalarized Stampacchia: -inf = phi(x0) < phi(x), or a
-    strictly positive scalar derivative."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    v0 = f.eval(x0)
-    zero = ExtReal(0)
-    report = ViReport("svi_M2", True, exact=f.is_exact, space_size=len(space))
-    for x in space.points:
-        vx = f.eval(x)
-        if vx.is_empty or vx == v0:
-            continue
-        ok = False
-        for z in directions:
-            phi0 = f.scalarize(z, x0)
-            phix = f.scalarize(z, x)
-            if phi0.is_minus_inf and not phix.is_minus_inf:
-                ok = True
-                break
-            if zero < scalar_dini(f, z, x0, _vsub(x, x0)):
-                ok = True
-                break
-        if not ok:
-            report.holds = False
-            report.witnesses.append({"x": x})
-    return report
-
-
-def check_mvi_M(
-    f: SetFunction, x0, space: CandidateSpace, directions, inequality_id: str = "mvi_M"
-) -> ViReport:
-    """Scalarized Minty (minimality form): toward every differing value some
-    scalarization is finite at x and strictly decreasing toward x0."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    v0 = f.eval(x0)
-    zero = ExtReal(0)
-    report = ViReport(inequality_id, True, exact=f.is_exact, space_size=len(space))
-    for x in space.points:
-        if f.eval(x) == v0:
-            continue
-        u = _vsub(x0, x)
-        ok = False
-        for z in directions:
-            if f.scalarize(z, x).is_minus_inf:
-                continue
-            if scalar_dini(f, z, x, u) < zero:
-                ok = True
-                break
-        if not ok:
-            report.holds = False
-            report.witnesses.append({"x": x})
-    return report
-
-
-def check_mvi_M_finite(f, x0, space, finite_directions) -> ViReport:
-    return check_mvi_M(f, x0, space, finite_directions, inequality_id="mvi_M_finite")
-
-
-def check_MVI_M(f: SetFunction, x0, space: CandidateSpace) -> ViReport:
-    """Set-valued Minty (minimality form): 0+f(x) ⋠ f'(x, x0 - x) toward
-    every differing value."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    v0 = f.eval(x0)
-    report = ViReport("MVI_M", True, exact=f.is_exact, space_size=len(space))
-    for x in space.points:
-        vx = f.eval(x)
-        if vx == v0:
-            continue
-        D = set_derivative(f, x, _vsub(x0, x))
-        report.exact = report.exact and D.exact
-        if vx.recession().leq(D.value):
-            report.holds = False
-            report.witnesses.append({"x": x})
-    return report
-
-
-_CHECKERS = {
-    "svi_I": lambda f, x0, sp, dirs: check_svi_i(f, x0, sp, dirs),
-    "SVI_I": lambda f, x0, sp, dirs: check_SVI_I(f, x0, sp),
-    "mvi_I": lambda f, x0, sp, dirs: check_mvi_i(f, x0, sp, dirs),
-    "MVI_I": lambda f, x0, sp, dirs: check_MVI_I(f, x0, sp),
-    "svi_M": lambda f, x0, sp, dirs: check_svi_M(f, x0, sp, dirs),
-    "SVI_M": lambda f, x0, sp, dirs: check_SVI_M(f, x0, sp),
-    "svi_M2": lambda f, x0, sp, dirs: check_svi_M2(f, x0, sp, dirs),
-    "mvi_M": lambda f, x0, sp, dirs: check_mvi_M(f, x0, sp, dirs),
-    "MVI_M": lambda f, x0, sp, dirs: check_MVI_M(f, x0, sp),
-    "mvi_M_finite": lambda f, x0, sp, dirs: check_mvi_M_finite(f, x0, sp, dirs),
+_INEQUALITIES = {
+    "SVI_I": _Inequality(False, "I", False, _Run.SVI_I),
+    "svi_I": _Inequality(False, "I", False, _Run.svi_I, by_direction=True),
+    "MVI_I": _Inequality(True, "I", False, _Run.MVI_I, "membership_form_agrees"),
+    "mvi_I": _Inequality(True, "I", False, _Run.mvi_I),
+    "SVI_M": _Inequality(False, "M", True, _Run.SVI_M, "intersection_form_agrees"),
+    "svi_M": _Inequality(False, "M", True, _Run.svi_M),
+    "svi_M2": _Inequality(False, "M", False, _Run.svi_M2),
+    "MVI_M": _Inequality(True, "M", False, _Run.MVI_M),
+    "mvi_M": _Inequality(True, "M", False, _Run.mvi_M),
+    # mvi_M over the finite direction sample the caller passes
+    "mvi_M_finite": _Inequality(True, "M", False, _Run.mvi_M),
 }
 
+INEQUALITY_IDS = tuple(_INEQUALITIES)
 
-def run_checker(name: str, f, x0, space, directions) -> ViReport:
-    try:
-        checker = _CHECKERS[name]
-    except KeyError:
-        raise LatticeError(f"unknown inequality id {name!r}") from None
-    return checker(f, x0, space, directions)
+
+def run_checker(name: str, f: SetFunction, x0, space: CandidateSpace, directions) -> ViReport:
+    """Check the inequality `name` (one of INEQUALITY_IDS) at x0 against every
+    x of the space; the scalarized forms range over the directions."""
+    ineq = _INEQUALITIES.get(name)
+    if ineq is None:
+        raise LatticeError(f"unknown inequality id {name!r}")
+    x0 = as_vec(x0)
+    _require_base(f, x0)
+    report = ViReport(name, True, exact=f.is_exact, space_size=len(space))
+    run = _Run(f, x0, directions, report)
+    if ineq.guard and run.v0.is_whole:
+        report.notes["guard"] = "f(x0) = Z"
+        return report
+    agreement = True
+    for x in space.points:
+        if ineq.form == "M":
+            vx = f.eval(x)
+            if vx == run.v0 or (vx.is_empty and not ineq.minty):
+                continue
+        base, u = (x, _vsub(x0, x)) if ineq.minty else (x0, _vsub(x, x0))
+        verdict = ineq.test(run, x, base, u)
+        if ineq.note:
+            verdict, other = verdict
+            agreement = agreement and other in (None, verdict)
+        if isinstance(verdict, list):
+            report.witnesses.extend(verdict)
+        elif not verdict:
+            report.witnesses.append({"x": x})
+    if ineq.by_direction:
+        rank = {tuple(z): k for k, z in enumerate(directions)}
+        report.witnesses.sort(key=lambda w: rank[w["zstar"]])
+    if ineq.note:
+        report.notes[ineq.note] = agreement
+    report.holds = not report.witnesses
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +307,6 @@ def infimum_at_point_check(
     _require_base(f, x0)
     v0 = f.eval(x0)
     rec0 = v0.recession()
-    zero = ExtReal(0)
     conds = {k: True for k in "abcdef"}
     wits = {k: [] for k in "abcdef"}
     inf_all = inf_family(f.workspace, [f.eval(x) for x in space.points] + [v0])
@@ -412,10 +330,10 @@ def infimum_at_point_check(
             if phix < phi0:
                 conds["b"] = False
                 wits["b"].append({"x": x, "zstar": tuple(z)})
-            if zero < ext_residual(phi0, phix):
+            if _ZERO < ext_residual(phi0, phix):
                 conds["c"] = False
                 wits["c"].append({"x": x, "zstar": tuple(z)})
-            if not phi0.is_minus_inf and ext_residual(phix, phi0) < zero:
+            if not phi0.is_minus_inf and ext_residual(phix, phi0) < _ZERO:
                 conds["e"] = False
                 wits["e"].append({"x": x, "zstar": tuple(z)})
     equiv = conds["a"] == conds["b"] == conds["c"] == conds["d"] == conds["e"]
@@ -434,7 +352,6 @@ def minimal_check(f: SetFunction, x0, space: CandidateSpace, directions) -> Cond
     x0 = as_vec(x0)
     _require_base(f, x0)
     v0 = f.eval(x0)
-    zero = ExtReal(0)
     conds = {k: True for k in "abcde"}
     wits = {k: [] for k in "abcde"}
     origin = (Fraction(0),) * f.workspace.dim
@@ -451,9 +368,9 @@ def minimal_check(f: SetFunction, x0, space: CandidateSpace, directions) -> Cond
             phix = f.scalarize(z, x)
             if phi0 < phix:
                 found_b = True
-            if not phix.is_minus_inf and ext_residual(phi0, phix) < zero:
+            if not phix.is_minus_inf and ext_residual(phi0, phix) < _ZERO:
                 found_c = True
-            if zero < ext_residual(phix, phi0):
+            if _ZERO < ext_residual(phix, phi0):
                 found_d = True
         if not found_b:
             conds["b"] = False
@@ -504,8 +421,6 @@ def infimizer_check(
     agreement f̂(0; M) = f̂(0; co M) and the strict scalar Stampacchia verdict
     for the convexified translation at 0."""
     if not M:
-        from .setfun import EmptyTranslationSet
-
         raise EmptyTranslationSet("infimizer candidate set must be nonempty")
     pts = [as_vec(m) for m in M]
     ws = f.workspace
@@ -521,18 +436,13 @@ def infimizer_check(
         fhat = inf_translate(f, pts, convex=True)
         fhat0_convex = fhat.eval(origin)
         agrees = fhat0_finite == fhat0_convex
-        probe_points = []
-        for x in space.points:
-            for m in pts:
-                probe_points.append(_vsub(x, m))
+        probe_points = [_vsub(x, m) for x in space.points for m in pts]
         probe = CandidateSpace.of(probe_points, base=origin)
         if not fhat0_convex.is_empty:
             probe_dirs = directions
             if fhat.is_exact:
                 # a first-linear-piece sample per segment plus the value facet
                 # normals suffice for the strict-Stampacchia/infimum bridge
-                from .calculus import first_linear_sample
-
                 extra_pts = []
                 for x in probe.points:
                     if x == origin:
@@ -549,7 +459,7 @@ def infimizer_check(
                     if not v.is_empty:
                         facet_dirs.extend(n for n, _ in v.constraints)
                 probe_dirs = directions.union(facet_dirs, f.workspace.cone)
-            svi_zero = check_svi_i(fhat, origin, probe, probe_dirs)
+            svi_zero = run_checker("svi_I", fhat, origin, probe, probe_dirs)
             # the faithful form of the corollary compares against the
             # translated infimum over the same (enriched) probe space
             probe_inf = inf_family(
@@ -736,6 +646,33 @@ class AuditReport:
         return "\n".join(lines)
 
 
+# The audited implications: (premise, conclusion, side condition).  SR and WR
+# are the strong and weak regularity along the premise's own rays (from x0
+# toward x for a Stampacchia premise, from x toward x0 for a Minty one).
+IMPLICATIONS = (
+    ("svi_I", "SVI_I", None),
+    ("SVI_I", "svi_I", "SR"),
+    ("MVI_I", "mvi_I", None),
+    ("mvi_I", "MVI_I", "WR"),
+    ("svi_M", "SVI_M", None),
+    ("SVI_M", "svi_M", "WR"),
+    ("MVI_M", "mvi_M", None),
+    ("mvi_M", "MVI_M", "SR"),
+    ("svi_M", "svi_M2", None),
+    ("svi_I", "infimum", None),
+    ("infimum", "svi_I", None),
+    ("infimum", "MVI_I", None),
+    ("MVI_I", "infimum", "lattice-lsc"),
+    ("mvi_I", "infimum", "C--lsc"),
+    ("SVI_M", "minimal", None),
+    ("svi_M2", "minimal", None),
+    ("minimal", "mvi_M", None),
+    ("mvi_M_finite", "minimal", "M*-lsc"),
+    ("mvi_M", "segment-monotone", None),
+    ("segment-monotone", "mvi_M", None),
+)
+
+
 def implication_audit(
     f: SetFunction,
     x0,
@@ -752,47 +689,38 @@ def implication_audit(
     """
     x0 = as_vec(x0)
     _require_base(f, x0)
+    space = space.with_base(x0)
     if enrich:
-        space = enrich_space(f, x0, space.with_base(x0), directions)
+        space = enrich_space(f, x0, space, directions)
         directions = enrich_directions(f, x0, space, directions)
-    else:
-        space = space.with_base(x0)
 
-    reports: Dict[str, ViReport] = {}
-    for name in INEQUALITY_IDS:
-        reports[name] = run_checker(name, f, x0, space, directions)
+    reports = {name: run_checker(name, f, x0, space, directions) for name in INEQUALITY_IDS}
 
     infimum = infimum_at_point_check(f, x0, space, directions)
     minimal = minimal_check(f, x0, space, directions)
 
-    sr_stamp = True
-    wr_stamp = True
-    sr_minty = True
-    wr_minty = True
+    # strong (SR) and weak (WR) regularity along the Stampacchia rays from x0
+    # toward every other x and the Minty rays from every x toward x0
+    regularity = dict.fromkeys(("SR_stampacchia", "WR_stampacchia", "SR_minty", "WR_minty"), True)
     reg_exact = True
     for x in space.points:
-        if x != x0:
-            rep = regularity_check(f, x0, _vsub(x, x0), directions)
-            sr_stamp = sr_stamp and rep.strong
-            wr_stamp = wr_stamp and rep.weak
+        rays = (("stampacchia", x0, x), ("minty", x, x0)) if x != x0 else (("minty", x, x0),)
+        for side, base, other in rays:
+            rep = regularity_check(f, base, _vsub(other, base), directions)
+            regularity[f"SR_{side}"] = regularity[f"SR_{side}"] and rep.strong
+            regularity[f"WR_{side}"] = regularity[f"WR_{side}"] and rep.weak
             reg_exact = reg_exact and rep.exact
-        rep2 = regularity_check(f, x, _vsub(x0, x), directions)
-        sr_minty = sr_minty and rep2.strong
-        wr_minty = wr_minty and rep2.weak
-        reg_exact = reg_exact and rep2.exact
 
-    lattice_lsc = True
-    cminus_lsc = True
-    lsc_certified = True
+    lsc = {"lattice": True, "cminus": True, "certified": True}
     for x in space.points:
         if x == x0:
             continue
         pr = lattice_lsc_probe(f, x0, x, probe)
-        lattice_lsc = lattice_lsc and pr.holds
-        lsc_certified = lsc_certified and pr.certified
+        lsc["lattice"] = lsc["lattice"] and pr.holds
+        lsc["certified"] = lsc["certified"] and pr.certified
         for res in cminus_lsc_probe(f, x0, x, directions, probe).values():
-            cminus_lsc = cminus_lsc and res.holds
-            lsc_certified = lsc_certified and res.certified
+            lsc["cminus"] = lsc["cminus"] and res.holds
+            lsc["certified"] = lsc["certified"] and res.certified
 
     monotone, monotone_exact = _monotone_segment_characterization(f, x0, space)
 
@@ -803,80 +731,44 @@ def implication_audit(
         and minimal.exact
         and reg_exact
     )
-    _LSC_CONDS = ("lattice-lsc", "C--lsc", "M*-lsc")
-    _MONOTONE = "segment-monotone"
-
-    def item(name, premise, conclusion, cond_name=None, cond_value=None):
-        p = _lookup(reports, infimum, minimal, monotone, premise)
-        c = _lookup(reports, infimum, minimal, monotone, conclusion)
-        applicable = p and (cond_value is None or cond_value)
-        ok = (not applicable) or c
-        if ok:
+    holds = {
+        **{name: rep.holds for name, rep in reports.items()},
+        "infimum": infimum.conditions["a"],
+        "minimal": minimal.conditions["a"],
+        "segment-monotone": monotone,
+        "lattice-lsc": lsc["lattice"],
+        "C--lsc": lsc["cminus"],
+        "M*-lsc": lsc["cminus"],
+    }
+    # facts that are trusted only where their probes were exact
+    uncertain = {
+        "segment-monotone": not monotone_exact,
+        **dict.fromkeys(("lattice-lsc", "C--lsc", "M*-lsc"), not lsc["certified"]),
+    }
+    items = []
+    for premise, conclusion, cond in IMPLICATIONS:
+        if cond in ("SR", "WR"):
+            side = "minty" if _INEQUALITIES[premise].minty else "stampacchia"
+            cond_value = regularity[f"{cond}_{side}"]
+        else:
+            cond_value = holds[cond] if cond else None
+        p, c = holds[premise], holds[conclusion]
+        if not (p and (cond_value is None or cond_value)) or c:
             status = "ok"
-        elif not exact:
-            status = "inconclusive"
-        elif cond_name in _LSC_CONDS and not lsc_certified:
-            status = "inconclusive"
-        elif _MONOTONE in (premise, conclusion) and not monotone_exact:
+        elif not exact or any(uncertain.get(k) for k in (premise, conclusion, cond)):
             status = "inconclusive"
         else:
             status = "violation"
-        return AuditItem(
-            name=name,
-            premise=premise,
-            conclusion=conclusion,
-            condition=cond_name or "",
-            premise_holds=p,
-            conclusion_holds=c,
-            condition_holds=cond_value,
-            status=status,
-        )
-
-    items = [
-        item("svi_I => SVI_I", "svi_I", "SVI_I"),
-        item("SVI_I + SR => svi_I", "SVI_I", "svi_I", "SR", sr_stamp),
-        item("MVI_I => mvi_I", "MVI_I", "mvi_I"),
-        item("mvi_I + WR => MVI_I", "mvi_I", "MVI_I", "WR", wr_minty),
-        item("svi_M => SVI_M", "svi_M", "SVI_M"),
-        item("SVI_M + WR => svi_M", "SVI_M", "svi_M", "WR", wr_stamp),
-        item("MVI_M => mvi_M", "MVI_M", "mvi_M"),
-        item("mvi_M + SR => MVI_M", "mvi_M", "MVI_M", "SR", sr_minty),
-        item("svi_M => svi_M2", "svi_M", "svi_M2"),
-        item("svi_I => infimum", "svi_I", "infimum"),
-        item("infimum => svi_I", "infimum", "svi_I"),
-        item("infimum => MVI_I", "infimum", "MVI_I"),
-        item("MVI_I + lattice-lsc => infimum", "MVI_I", "infimum", "lattice-lsc", lattice_lsc),
-        item("mvi_I + C--lsc => infimum", "mvi_I", "infimum", "C--lsc", cminus_lsc),
-        item("SVI_M => minimal", "SVI_M", "minimal"),
-        item("svi_M2 => minimal", "svi_M2", "minimal"),
-        item("minimal => mvi_M", "minimal", "mvi_M"),
-        item(
-            "mvi_M_finite + M*-lsc => minimal",
-            "mvi_M_finite",
-            "minimal",
-            "M*-lsc",
-            cminus_lsc,
-        ),
-        item("mvi_M => segment-monotone", "mvi_M", "segment-monotone"),
-        item("segment-monotone => mvi_M", "segment-monotone", "mvi_M"),
-    ]
+        name = f"{premise} + {cond} => {conclusion}" if cond else f"{premise} => {conclusion}"
+        items.append(AuditItem(name, premise, conclusion, cond or "", p, c, cond_value, status))
 
     return AuditReport(
         reports=reports,
         infimum=infimum,
         minimal=minimal,
         items=items,
-        regularity={
-            "SR_stampacchia": sr_stamp,
-            "WR_stampacchia": wr_stamp,
-            "SR_minty": sr_minty,
-            "WR_minty": wr_minty,
-        },
-        lsc={
-            "lattice": lattice_lsc,
-            "cminus": cminus_lsc,
-            "certified": lsc_certified,
-        },
+        regularity=regularity,
+        lsc=lsc,
         space=space,
         directions=tuple(directions),
         exact=exact,
@@ -903,18 +795,6 @@ def implication_audit_for_set(
     probe_points = [_vsub(x, m) for x in space.points for m in pts]
     probe_space = CandidateSpace.of(probe_points, base=origin)
     return implication_audit(fhat, origin, probe_space, directions, enrich, probe)
-
-
-def _lookup(reports, infimum, minimal, monotone, key: str) -> bool:
-    if key in reports:
-        return reports[key].holds
-    if key == "infimum":
-        return infimum.conditions["a"]
-    if key == "minimal":
-        return minimal.conditions["a"]
-    if key == "segment-monotone":
-        return monotone
-    raise LatticeError(f"unknown audit key {key!r}")
 
 
 def _monotone_segment_characterization(f: SetFunction, x0: Vec, space: CandidateSpace):

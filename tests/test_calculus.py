@@ -6,6 +6,7 @@ import pytest
 from setlattice.calculus import (
     NotDeclaredConvex,
     diff_quotient,
+    first_linear_sample,
     regularity_check,
     scalar_dini,
     scalarized_derivative_intersection,
@@ -30,6 +31,7 @@ from setlattice.setfun import (
     EpiVectorFunction,
     FiniteInfFunction,
     ParamPolyFunction,
+    Polyhedron,
 )
 from setlattice.vectoropt import epigraphical
 
@@ -180,6 +182,18 @@ def test_epivector_derivative_and_sr(ws):
     assert D.value == ws.translated_cone((1, -1))
     rep = regularity_check(psi, (F(1, 3),), (1,), ws.directions)
     assert rep.strong and rep.weak and rep.exact
+
+
+def test_first_linear_sample_base_outside_domain(ws):
+    # psi(x) = x on {y <= 1}: the base (0, 2) lies outside the domain
+    psi = EpiVectorFunction(
+        ws,
+        2,
+        [ConvexPWL([((1, 0), 0)]), ConvexPWL([((0, 1), 0)])],
+        Polyhedron(2, [((0, 1), 1)]),
+    )
+    assert first_linear_sample(psi, (0, 2), (1, 0), ws.directions) is None
+    assert first_linear_sample(psi, (0, 0), (1, 0), ws.directions) is not None
 
 
 def test_sr_for_random_epigraphical():

@@ -140,6 +140,7 @@ _F1 = {
     "normals": [[-1, 0], [0, -1]],
     "offsets": [[[["1"], "0"]], [[["-1"], "0"]]],
 }
+_HEYDE_B = {"variant": "builtin", "name": "heyde_b"}
 
 # malformed scenarios; each must exit 1 with a validation error
 MALFORMED = {
@@ -185,6 +186,23 @@ MALFORMED = {
     "plot_sets_not_a_list": {"tasks": [{"op": "plot", "sets": 5}]},
     # 2·10⁹ + 1 points: rejected before any is enumerated
     "box_too_large": {"spaces": {"g": {"box": [["-1000000000", "1000000000"]], "step": "1"}}},
+    "unknown_inequality_id": {
+        "workspace": _WS,
+        "functions": {"f": _F1},
+        "spaces": {"g": {"points": [[0]]}},
+        "tasks": [{"op": "check_vi", "function": "f", "base": [0], "space": "g", "inequalities": ["nope"]}],
+    },
+    # 2-D space points against the 1-D builtin heyde_b
+    "check_vi_space_arity": {
+        "functions": {"b": _HEYDE_B},
+        "spaces": {"g": {"points": [[1, 2]]}},
+        "tasks": [{"op": "check_vi", "function": "b", "base": [0], "space": "g"}],
+    },
+    "minimal_scan_space_arity": {
+        "functions": {"b": _HEYDE_B},
+        "spaces": {"g": {"points": [[1, 2]]}},
+        "tasks": [{"op": "minimal_scan", "function": "b", "space": "g"}],
+    },
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -17,21 +19,14 @@ from setlattice.setfun import ConcavePWL, ParamPolyFunction
 from setlattice.vi import (
     BaseOutsideDomain,
     CandidateSpace,
-    check_MVI_I,
-    check_MVI_M,
-    check_SVI_I,
-    check_SVI_M,
-    check_mvi_M,
-    check_mvi_i,
-    check_svi_M,
-    check_svi_M2,
-    check_svi_i,
     enrich_directions,
     enrich_space,
     implication_audit,
     infimizer_check,
     infimum_at_point_check,
+    INEQUALITY_IDS,
     minimal_check,
+    run_checker,
     solution_check,
 )
 
@@ -57,8 +52,8 @@ def grid():
 
 
 def test_svi_i_at_optimum_and_off_optimum(absdiag, grid, ws):
-    assert check_svi_i(absdiag, (0,), grid, ws.directions).holds
-    rep = check_svi_i(absdiag, (F(1, 2),), grid, ws.directions)
+    assert run_checker("svi_I", absdiag, (0,), grid, ws.directions).holds
+    rep = run_checker("svi_I", absdiag, (F(1, 2),), grid, ws.directions)
     assert not rep.holds
     assert any(w["x"] == (F(0),) for w in rep.witnesses)
 
@@ -67,37 +62,110 @@ def test_base_outside_domain(grid, ws):
     f = heyde_a()
     space = CandidateSpace.of([(0, 0), (1, 1)])
     with pytest.raises(BaseOutsideDomain):
-        check_svi_i(f, (-1, 0), space, ws.directions)
+        run_checker("svi_I", f, (-1, 0), space, ws.directions)
 
 
 def test_strict_set_checkers(absdiag, grid, ws):
-    assert check_SVI_I(absdiag, (0,), grid).holds
-    assert check_MVI_I(absdiag, (0,), grid).holds
-    assert check_mvi_i(absdiag, (0,), grid, ws.directions).holds
-    rep = check_MVI_I(absdiag, (0,), grid)
+    assert run_checker("SVI_I", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("MVI_I", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("mvi_I", absdiag, (0,), grid, ws.directions).holds
+    rep = run_checker("MVI_I", absdiag, (0,), grid, ws.directions)
     assert rep.notes["membership_form_agrees"]
-    assert not check_MVI_I(absdiag, (F(1, 2),), grid).holds
+    assert not run_checker("MVI_I", absdiag, (F(1, 2),), grid, ws.directions).holds
 
 
 def test_minimality_checkers(absdiag, grid, ws):
     # 0 is the unique minimizer of the diagonal distance function
-    assert check_svi_M(absdiag, (0,), grid, ws.directions).holds
-    assert check_SVI_M(absdiag, (0,), grid).holds
-    assert check_svi_M2(absdiag, (0,), grid, ws.directions).holds
-    assert check_mvi_M(absdiag, (0,), grid, ws.directions).holds
-    assert check_MVI_M(absdiag, (0,), grid).holds
-    assert check_SVI_M(absdiag, (0,), grid).notes["intersection_form_agrees"]
-    for name, rep in {
-        "svi_M": check_svi_M(absdiag, (F(1, 2),), grid, ws.directions),
-        "MVI_M": check_MVI_M(absdiag, (F(1, 2),), grid),
-    }.items():
-        assert not rep.holds, name
+    assert run_checker("svi_M", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("SVI_M", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("svi_M2", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("mvi_M", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("MVI_M", absdiag, (0,), grid, ws.directions).holds
+    assert run_checker("SVI_M", absdiag, (0,), grid, ws.directions).notes["intersection_form_agrees"]
+    for name in ("svi_M", "MVI_M"):
+        assert not run_checker(name, absdiag, (F(1, 2),), grid, ws.directions).holds, name
+
+
+# sha256 of the sorted-key JSON of every ViReport, recorded from the
+# hand-written checkers that the inequality table replaced.  It pins the
+# witnesses and their order (svi_I lists them z*-major, every other id
+# x-major), the exact flag and the notes.
+GOLDEN_REPORTS = {
+    "absdiag": {
+        "SVI_I": "6405e52555897a3059137e22071dd42fc9c813c15a5f7c056f9e9766d58fe8d0",
+        "svi_I": "cbf5e8c50bfa4be31efddf38f3ed4997fab52e9bb02613f9c8a6292cbd9115a7",
+        "MVI_I": "83bfdee98a45c18262fea53237355cf046396bed189991614b7b6d90c20f2c89",
+        "mvi_I": "af0e6462ae3c25f8a2705c61acd4f00e046cf998ec88d261dfa9d445f8a44077",
+        "SVI_M": "150112119803d2a4321be386a71b0821d5d76f9c1befcc1e62eb8497f43605a2",
+        "svi_M": "fb0c850f7178a5de1acd0f25fa7de7422944cf2773839a79e2758ad828db5433",
+        "svi_M2": "53e668531e65166533905d3ed84c2b05cbc7273bdfa68144a61eee393a6c2b52",
+        "MVI_M": "c0d448474fdb8098d09f7ea466bf509c306e1040070515f349b3347a310e6291",
+        "mvi_M": "15f967d51a536add3d8a83c4a556d74b54314bf68eb5571de48ad9b2d06e1b12",
+        "mvi_M_finite": "4002501842a9cbf773c71bf6c8d272f398f8118c204a1ebd24a64bc7acecd2a1",
+    },
+    "random57": {
+        "SVI_I": "6b5790fb8e4bc7ccada181e0bfdbc2b4ac0de3b6d4059fef8a7cbb90763cd6ca",
+        "svi_I": "4ac4ae348e6af69c365814861612e41670b642d63be8459d41a6af6205c45729",
+        "MVI_I": "644d3c44a9eb5f274009e00dd1187119350ca3526bfc97238fd3bbabd90db66a",
+        "mvi_I": "821f5eb8f573e1985064f5ec8299d1c800e129f38d77e17a322aad3ccb98567e",
+        "SVI_M": "7c81cfa21f8ca869419189b5b2ef6a7e9b757c352cd819d886c5cb6add1ba611",
+        "svi_M": "59a9324614dbd187dcf01feaaed57009a74d9135b757b2690c53a091bcba0de4",
+        "svi_M2": "274c066710ec0050219e0756aa43bab562a3afcce87134314f858a9621918cc9",
+        "MVI_M": "127e50ffc3ad39dd716549aaa0a65978ebe356e8059d0235d9746d373961b307",
+        "mvi_M": "95d9017c5daa8fe2be560cca65747eb0a8bffcfc4f3e616345e2da6d2bb51487",
+        "mvi_M_finite": "b73d634027e0c9f2e84855abc932da2fa1fb9bd3afeb65c29d8f8091e98bda79",
+    },
+    "heyde_b": {
+        "SVI_I": "b04fb56a456b3a36539018ba804bf7870ec3499c9d53264b2ddc738133a83e1a",
+        "svi_I": "c0ba4ea11a7206a03f9c42bbf23a7388b550259108974f9fd8924e1801d64421",
+        "MVI_I": "d57e7340e686bd7cc55d9c1c269ff229b1805dca1fa6d75ecc062209c8bae269",
+        "mvi_I": "3713568f570ed854183b7c14e6ccd43f97f898eef7a795d54aa9badfe8915907",
+        "SVI_M": "303cfdd86c2308838e6a7ffcbc69d849a36d9aee903ae00455d5fc139095c0d3",
+        "svi_M": "10b68a0eb384ea4138ea85f8093907e93772712c57ec5c2c9abd079b98f8ff5f",
+        "svi_M2": "2c04799ed35d6f87d0c0c57230f625ede493616fcdf74207b2890810ece8078c",
+        "MVI_M": "94e99919378e28cbe0fbe196c4caa55a2099f7b6ce6ed87708b44844869509e4",
+        "mvi_M": "de7e3b256171c480f1012ab3e258817d65c70725a50d3110a7aa91aefdb404ec",
+        "mvi_M_finite": "9dbdcaf3799f9f49c35173afebac70beda9cb23bbae43528b3ed6ebc6fc24c8f",
+    },
+}
+
+
+def test_reports_match_golden(absdiag, grid, ws):
+    # a random cone and directions; some grid points lie outside the domain
+    rng = random.Random(57)
+    rws = random_workspace(rng)
+    f = random_parampoly(rng, rws, 2, max_normals=2, max_pieces=2)
+    pts = random_grid(rng, 2, 6, span=6)
+    x0 = next(x for x in pts if not f.eval(x).is_empty)
+    hb = heyde_b()
+    cases = {
+        "absdiag": (absdiag, (F(1, 2),), grid, ws.directions),
+        "random57": (f, x0, CandidateSpace.of(pts, base=x0), rws.directions),
+        "heyde_b": (
+            hb,
+            (F(1, 2),),
+            CandidateSpace.of([(F(k, 4),) for k in range(5)]),
+            hb.workspace.directions,
+        ),
+    }
+    assert sorted(GOLDEN_REPORTS["absdiag"]) == sorted(INEQUALITY_IDS)
+    for label, (fn, base, space, dirs) in cases.items():
+        for name in INEQUALITY_IDS:
+            rep = run_checker(name, fn, base, space, dirs)
+            text = json.dumps(rep.to_json(), sort_keys=True)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == GOLDEN_REPORTS[label][name], (label, name, text)
+    # the instance spreads svi_I's witnesses over several z* and x, so their
+    # order is pinned
+    rep = run_checker("svi_I", *cases["random57"])
+    assert len({w["zstar"] for w in rep.witnesses}) >= 2
+    assert len({w["x"] for w in rep.witnesses}) >= 2
 
 
 def test_svi_M_whole_space_guard(ws):
     f = ParamPolyFunction(ws, 1, [], [], name="whole")
     space = CandidateSpace.of([(0,), (1,)])
-    rep = check_svi_M(f, (0,), space, ws.directions)
+    rep = run_checker("svi_M", f, (0,), space, ws.directions)
     assert rep.holds and rep.notes.get("guard") == "f(x0) = Z"
 
 
