@@ -2,7 +2,10 @@
 
 This is the hot kernel behind every 2D lattice operation.  Its entry points
 are ``vrep_from_hrep``, ``hrep_from_vrep`` and ``vrep_inside_hrep``; all of
-them work on Python integers, so results stay exact at any magnitude.
+them work on Python integers, so results stay exact at any magnitude.  Two
+homogeneous points are ordered by cross-multiplication (n/W < n'/W' iff
+n*W' < n'*W), never through Fractions: the support maximum of the hull and
+the sort of ``convex_hull`` both work this way.
 
 Conventions:
   facet  -- (a, b, cn, cd): the halfspace a*x + b*y <= cn/cd with (a, b)
@@ -14,8 +17,7 @@ The empty set is signalled by the boolean in vrep_from_hrep; the whole
 plane is the empty facet list.
 """
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _FULL_RAYS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -52,22 +54,12 @@ def reduce_facet(a, b, cn, cd):
     return (a, b, cn, cd)
 
 
-def facet_from_fraction(a, b, off):
-    """Facet with normal (a, b) and Fraction offset."""
-    return reduce_facet(a, b, off.numerator, off.denominator)
-
-
 def point_satisfies(f, p):
     return f[3] * (f[0] * p[0] + f[1] * p[1]) <= f[2] * p[2]
 
 
 def ray_satisfies(f, r):
     return f[0] * r[0] + f[1] * r[1] <= 0
-
-
-def support_value(n, p):
-    """<n, p> as a Fraction for a homogeneous point p."""
-    return Fraction(n[0] * p[0] + n[1] * p[1], p[2])
 
 
 def vrep_inside_hrep(points, rays, facets):
@@ -104,7 +96,9 @@ def convex_hull(points):
     Returns a single point, the two endpoints of a segment, or a CCW
     polygon; collinear non-extreme points are dropped.
     """
-    pts = sorted(set(points), key=lambda p: (Fraction(p[0], p[2]), Fraction(p[1], p[2])))
+    pts = set(points)
+    den = lcm(*(p[2] for p in pts))
+    pts = sorted(pts, key=lambda p: (p[0] * (den // p[2]), p[1] * (den // p[2])))
     if len(pts) <= 1:
         return pts
     lower = []
@@ -140,24 +134,26 @@ def vrep_from_hrep(facets):
 def _vrep_rank1(facets):
     n0 = _canon_sign(reduce_ray(facets[0][0], facets[0][1]))
     nx, ny = n0
+    # bounds on <n0, z> as (num, den) with den > 0, compared cross-multiplied
     lo = None
     hi = None
     for a, b, cn, cd in facets:
         k = a // nx if nx != 0 else b // ny
-        val = Fraction(cn, cd * k)
         if k > 0:
-            if hi is None or val < hi:
-                hi = val
+            v = (cn, cd * k)
+            if hi is None or v[0] * hi[1] < hi[0] * v[1]:
+                hi = v
         else:
-            if lo is None or val > lo:
-                lo = val
-    if lo is not None and hi is not None and lo > hi:
+            v = (-cn, -cd * k)
+            if lo is None or v[0] * lo[1] > lo[0] * v[1]:
+                lo = v
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return False, [], []
     nn = nx * nx + ny * ny
     points = []
     for v in (lo, hi):
         if v is not None:
-            points.append(reduce_point(nx * v.numerator, ny * v.numerator, nn * v.denominator))
+            points.append(reduce_point(nx * v[0], ny * v[0], nn * v[1]))
     if lo is not None and hi is not None and points[0] == points[1]:
         points = points[:1]
     rays = [(-ny, nx), (ny, -nx)]
@@ -260,13 +256,19 @@ def _classify_cone(rays):
     return ("wedge", (lo, hi))
 
 
-def _max_support(n, points):
-    best = None
+def _facet_at(n, p):
+    """The facet with normal n through the homogeneous point p."""
+    return reduce_facet(n[0], n[1], n[0] * p[0] + n[1] * p[1], p[2])
+
+
+def _support_facet(n, points):
+    """The facet with normal n through the points' maximiser of <n, .>."""
+    bv = None
     for p in points:
-        v = support_value(n, p)
-        if best is None or v > best:
-            best = v
-    return best
+        v = n[0] * p[0] + n[1] * p[1]
+        if bv is None or v * bw > bv * p[2]:
+            bv, bw = v, p[2]
+    return reduce_facet(n[0], n[1], bv, bw)
 
 
 def hrep_from_vrep(points, rays):
@@ -285,47 +287,32 @@ def hrep_from_vrep(points, rays):
     if kind == "full":
         return []
     if kind == "halfplane":
-        n = reduce_ray(-data[0], -data[1])
-        return [facet_from_fraction(n[0], n[1], _max_support(n, pts))]
+        return [_support_facet(reduce_ray(-data[0], -data[1]), pts)]
     if kind == "line":
         n0 = _canon_sign(reduce_ray(-data[1], data[0]))
-        hi = _max_support(n0, pts)
-        lo = -_max_support((-n0[0], -n0[1]), pts)
-        return sorted(
-            (
-                facet_from_fraction(n0[0], n0[1], hi),
-                facet_from_fraction(-n0[0], -n0[1], -lo),
-            )
-        )
+        return sorted((_support_facet(n0, pts), _support_facet((-n0[0], -n0[1]), pts)))
     hull = convex_hull(pts)
     facets = []
     if kind == "zero":
         if len(hull) == 1:
-            x = Fraction(hull[0][0], hull[0][2])
-            y = Fraction(hull[0][1], hull[0][2])
-            facets = [
-                facet_from_fraction(1, 0, x),
-                facet_from_fraction(-1, 0, -x),
-                facet_from_fraction(0, 1, y),
-                facet_from_fraction(0, -1, -y),
-            ]
+            p = hull[0]
+            facets = [_facet_at(n, p) for n in _FULL_RAYS]
         elif len(hull) == 2:
             p, q = hull
             d = reduce_ray(q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2])
             n = (-d[1], d[0])
             facets = [
-                facet_from_fraction(n[0], n[1], support_value(n, p)),
-                facet_from_fraction(-n[0], -n[1], -support_value(n, p)),
-                facet_from_fraction(d[0], d[1], support_value(d, q)),
-                facet_from_fraction(-d[0], -d[1], -support_value(d, p)),
+                _facet_at(n, p),
+                _facet_at((-n[0], -n[1]), p),
+                _facet_at(d, q),
+                _facet_at((-d[0], -d[1]), p),
             ]
         else:
             k = len(hull)
             for i in range(k):
                 p, q = hull[i], hull[(i + 1) % k]
                 d = (q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2])
-                n = reduce_ray(d[1], -d[0])
-                facets.append(facet_from_fraction(n[0], n[1], support_value(n, p)))
+                facets.append(_facet_at(reduce_ray(d[1], -d[0]), p))
     else:
         if kind == "ray":
             r_lo = r_hi = data
@@ -334,7 +321,7 @@ def hrep_from_vrep(points, rays):
         n1 = reduce_ray(r_lo[1], -r_lo[0])
         n2 = reduce_ray(-r_hi[1], r_hi[0])
         for n in (n1, n2) if n1 != n2 else (n1,):
-            facets.append(facet_from_fraction(n[0], n[1], _max_support(n, pts)))
+            facets.append(_support_facet(n, pts))
         if len(hull) >= 3:
             k = len(hull)
             for i in range(k):
@@ -345,23 +332,21 @@ def hrep_from_vrep(points, rays):
                     n[0] * r_lo[0] + n[1] * r_lo[1] < 0
                     and n[0] * r_hi[0] + n[1] * r_hi[1] < 0
                 ):
-                    facets.append(facet_from_fraction(n[0], n[1], support_value(n, p)))
+                    facets.append(_facet_at(n, p))
         elif len(hull) == 2:
             p, q = hull
             d = (q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2])
             if kind == "ray" and d[0] * data[1] - d[1] * data[0] == 0:
-                n = (-data[0], -data[1])
-                facets.append(facet_from_fraction(n[0], n[1], _max_support(n, pts)))
+                facets.append(_support_facet((-data[0], -data[1]), pts))
             else:
                 for n in ((d[1], -d[0]), (-d[1], d[0])):
                     if (
                         n[0] * r_lo[0] + n[1] * r_lo[1] < 0
                         and n[0] * r_hi[0] + n[1] * r_hi[1] < 0
                     ):
-                        facets.append(facet_from_fraction(n[0], n[1], _max_support(n, pts)))
+                        facets.append(_support_facet(n, pts))
         elif kind == "ray":
-            n = (-data[0], -data[1])
-            facets.append(facet_from_fraction(n[0], n[1], _max_support(n, pts)))
+            facets.append(_support_facet((-data[0], -data[1]), pts))
     best = {}
     for f in facets:
         key = (f[0], f[1])

@@ -21,10 +21,8 @@ from .scenario import (
 
 def _cmd_check_vi(args) -> int:
     try:
-        scn = load_scenario(args.scenario)
-        if args.tolerance is not None:
-            scn.tolerance = parse_tolerance(args.tolerance)
-        report = run_scenario(scn)
+        tol = None if args.tolerance is None else parse_tolerance(args.tolerance)
+        report = run_scenario(load_scenario(args.scenario, tol))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

@@ -159,18 +159,22 @@ def no_solution_line(ws: Optional[Workspace] = None) -> ParamPolyFunction:
     )
 
 
-def builtin_function(name: str):
-    """Named builtin; returns a SetFunction, VectorFunction or set pair."""
+def builtin_function(name: str, tolerance=Fraction(1, 10**6)):
+    """Named builtin; returns a SetFunction, VectorFunction or set pair.
+
+    ``tolerance`` goes to the oracle builtins (heyde_b, circle,
+    infdir_example); the exact ones have none.
+    """
     if name == "example23":
         return example23_sets()
     if name == "heyde_a":
         return heyde_a()
     if name == "heyde_b":
-        return heyde_b()
+        return heyde_b(tolerance=tolerance)
     if name == "circle":
-        return circle()
+        return circle(tolerance=tolerance)
     if name == "infdir_example":
-        return infdir_example()
+        return infdir_example(tolerance=tolerance)
     if name == "no_solution_line":
         return no_solution_line()
     raise KeyError(f"unknown builtin {name!r}")

@@ -9,14 +9,12 @@ greatest and smallest elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from . import _geom_py
-from ._geom_py import (
-    facet_from_fraction,
-    reduce_point,
-)
+from ._geom_py import reduce_facet, reduce_point
 from .extres import MINUS_INF, PLUS_INF, ExtReal
 
 Vec = Tuple[Fraction, ...]
@@ -54,16 +52,19 @@ def as_vec(v) -> Vec:
     return tuple(to_frac(c) for c in v)
 
 
+def _int_dir(v: Sequence) -> Tuple[Tuple[int, ...], int]:
+    """An integer vector k and a denominator den >= 1 with v = k/den."""
+    if all(type(c) is int for c in v):
+        return tuple(v), 1
+    fr = [to_frac(c) for c in v]
+    den = lcm(*(c.denominator for c in fr))
+    return tuple(c.numerator * (den // c.denominator) for c in fr), den
+
+
 def _primitive_dir(v: Sequence) -> Tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    fr = [to_frac(c) for c in v]
-    den = 1
-    for c in fr:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fr]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    ints, _ = _int_dir(v)
+    g = gcd(*ints)
     if g == 0:
         raise LatticeError("zero vector has no direction")
     return tuple(c // g for c in ints)
@@ -161,20 +162,20 @@ def _inside(dim, points, rays, facets):
     return _geom_py.vrep_inside_hrep(points, rays, facets)
 
 
-def _facet_of(dim, normal, offset: Fraction):
+def _facet_of(dim, normal, num: int, den: int):
+    """The reduced facet <normal, z> <= num/den."""
     if dim == 1:
-        return _reduce_facet1(normal[0], offset.numerator, offset.denominator)
-    return facet_from_fraction(normal[0], normal[1], offset)
+        return _reduce_facet1(normal[0], num, den)
+    return reduce_facet(normal[0], normal[1], num, den)
 
 
-def _facet_normal(dim, facet):
-    return (facet[0],) if dim == 1 else (facet[0], facet[1])
+# a facet is (normal..., cn, cd): <normal, z> <= cn/cd in either dimension
+def _facet_normal(facet):
+    return facet[:-2]
 
 
-def _facet_offset(dim, facet):
-    if dim == 1:
-        return Fraction(facet[1], facet[2])
-    return Fraction(facet[2], facet[3])
+def _facet_offset(facet) -> Fraction:
+    return Fraction(facet[-2], facet[-1])
 
 
 def _point_vec(dim, p) -> Vec:
@@ -193,7 +194,13 @@ def _vec_point(dim, v: Vec):
 
 
 def _dot(u, v) -> Fraction:
-    return sum((to_frac(a) * to_frac(b) for a, b in zip(u, v)), Fraction(0))
+    """Exact inner product: the raw products are summed and converted once.
+
+    Float operands are made exact first, so no product is rounded.
+    """
+    if float in map(type, u) or float in map(type, v):
+        u, v = as_vec(u), as_vec(v)
+    return to_frac(sum(map(mul, u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,7 @@ class OrderCone:
             normals = _geom_py.hrep_from_vrep([(0, 0, 1)], list(self.generators))
         if not normals:
             raise LatticeError("ordering cone must have a nontrivial dual cone")
-        self.facet_normals = tuple(_facet_normal(dim, f) for f in normals)
+        self.facet_normals = tuple(_facet_normal(f) for f in normals)
         lin = []
         for g in self.generators:
             neg = tuple(-c for c in g)
@@ -235,18 +242,14 @@ class OrderCone:
         self._lineality = tuple(lin)
 
     def contains(self, v: Sequence) -> bool:
-        vv = as_vec(v)
-        return all(_dot(n, vv) <= 0 for n in self.facet_normals)
+        return all(_dot(n, v) <= 0 for n in self.facet_normals)
 
     def in_dual(self, z: Sequence) -> bool:
         """Membership of z in the negative dual cone C^-."""
-        zz = as_vec(z)
-        return all(_dot(zz, g) <= 0 for g in self.generators)
+        return all(_dot(z, g) <= 0 for g in self.generators)
 
     def in_lineality(self, v: Sequence) -> bool:
-        vv = as_vec(v)
-        neg = tuple(-c for c in vv)
-        return self.contains(vv) and self.contains(neg)
+        return self.contains(v) and self.contains(tuple(-c for c in v))
 
     @property
     def is_pointed(self) -> bool:
@@ -324,10 +327,13 @@ class Workspace:
         """Canonical upper set from (normal, offset) halfspaces {z: <n,z> <= b}."""
         facets = []
         for normal, offset in constraints:
-            n = _primitive_dir(normal)
+            k, den = _int_dir(normal)
+            n = _primitive_dir(k)
             if not self.cone.in_dual(n):
                 raise NormalOutsideDualCone(f"normal {tuple(normal)} is not in C^-")
-            facets.append(_facet_of(self.dim, n, to_frac(offset)))
+            # normal = (g/den)*n for the primitive n, so the row is <n, z> <= b*den/g
+            b = to_frac(offset)
+            facets.append(_facet_of(self.dim, n, b.numerator * den, b.denominator * gcd(*k)))
         return UpperSet(self, facets)
 
     def cone_set(self) -> "UpperSet":
@@ -377,6 +383,9 @@ class UpperSet:
 
     The whole space is the polyhedron with no constraints.  Instances are
     immutable; the canonical facet tuple is the identity used by __eq__.
+    ``points``/``rayset`` are the one vertex enumeration of ``facets``: the
+    generators of the raw constraints equal those of their canonical facets,
+    so a canonicalisation enumerates vertices once.
     """
 
     __slots__ = ("workspace", "facets", "points", "rayset")
@@ -395,11 +404,9 @@ class UpperSet:
             self.points = ()
             self.rayset = ()
             return
-        canon = _hrep(dim, pts, rays)
-        ok2, pts2, rays2 = _vrep(dim, canon)
-        self.facets = tuple(canon)
-        self.points = tuple(pts2)
-        self.rayset = tuple(rays2)
+        self.facets = tuple(_hrep(dim, pts, rays))
+        self.points = tuple(pts)
+        self.rayset = tuple(rays)
 
     @classmethod
     def _from_generators(cls, workspace: Workspace, points, rays) -> "UpperSet":
@@ -428,10 +435,7 @@ class UpperSet:
     def constraints(self):
         if self.is_empty:
             return ()
-        dim = self.workspace.dim
-        return tuple(
-            (_facet_normal(dim, f), _facet_offset(dim, f)) for f in self.facets
-        )
+        return tuple((_facet_normal(f), _facet_offset(f)) for f in self.facets)
 
     @property
     def vertices(self) -> Tuple[Vec, ...]:
@@ -455,11 +459,10 @@ class UpperSet:
             return "UpperSet(empty)"
         if self.is_whole:
             return "UpperSet(whole space)"
-        dim = self.workspace.dim
         parts = []
         for f in self.facets:
-            n = _facet_normal(dim, f)
-            parts.append(f"<{','.join(map(str, n))}|z> <= {frac_str(_facet_offset(dim, f))}")
+            n = _facet_normal(f)
+            parts.append(f"<{','.join(map(str, n))}|z> <= {frac_str(_facet_offset(f))}")
         return "UpperSet({" + ", ".join(parts) + "})"
 
     # -- order and lattice ----------------------------------------------
@@ -477,9 +480,8 @@ class UpperSet:
         if self.is_empty:
             return False
         vv = as_vec(v)
-        dim = self.workspace.dim
         for f in self.facets:
-            if _dot(_facet_normal(dim, f), vv) > _facet_offset(dim, f):
+            if _dot(_facet_normal(f), vv) > _facet_offset(f):
                 return False
         return True
 
@@ -523,7 +525,7 @@ class UpperSet:
             return self
         dim = self.workspace.dim
         facets = [
-            _facet_of(dim, _facet_normal(dim, f), _facet_offset(dim, f) * t)
+            _facet_of(dim, _facet_normal(f), f[-2] * t.numerator, f[-1] * t.denominator)
             for f in self.facets
         ]
         obj = object.__new__(UpperSet)
@@ -559,11 +561,12 @@ class UpperSet:
         dim = self.workspace.dim
         facets = []
         for f in self.facets:
-            n = _facet_normal(dim, f)
-            s = other.support(n)
-            if s.is_plus_inf:
+            n = _facet_normal(f)
+            s = other._sup(n)
+            if s is None:
                 return self.workspace.empty_set()
-            facets.append(_facet_of(dim, n, _facet_offset(dim, f) - s.value))
+            # cn/cd - sn/sd over the common denominator
+            facets.append(_facet_of(dim, n, f[-2] * s[1] - s[0] * f[-1], f[-1] * s[1]))
         return UpperSet(self.workspace, facets)
 
     def recession(self) -> "UpperSet":
@@ -571,7 +574,7 @@ class UpperSet:
         if self.is_empty:
             return self
         dim = self.workspace.dim
-        facets = [_facet_of(dim, _facet_normal(dim, f), Fraction(0)) for f in self.facets]
+        facets = [_facet_of(dim, _facet_normal(f), 0, 1) for f in self.facets]
         return UpperSet(self.workspace, facets)
 
     # -- scalarization ------------------------------------------------
@@ -580,17 +583,27 @@ class UpperSet:
         """Support function sup{<z*, z> : z in A}; -∞ on the empty set."""
         if self.is_empty:
             return MINUS_INF
-        d = as_vec(direction)
+        k, den = _int_dir(direction)
+        s = self._sup(k)
+        if s is None:
+            return PLUS_INF
+        return ExtReal(Fraction(s[0], s[1] * den))
+
+    def _sup(self, k):
+        """sup <k, z> over a nonempty set for an integer vector k, as a pair
+        (num, den) with den >= 1; None when it is +∞."""
         for r in self.rayset:
-            if _dot(d, r) > 0:
-                return PLUS_INF
-        dim = self.workspace.dim
-        best = None
+            if sum(map(mul, k, r)) > 0:
+                return None
+        # <k, p> for a homogeneous point p = (X, [Y,] W) is n/W with n the dot
+        # of k and the leading coordinates; compare n/W by cross-multiplying
+        bn = None
         for p in self.points:
-            v = _dot(d, _point_vec(dim, p))
-            if best is None or v > best:
-                best = v
-        return ExtReal(best)
+            n = sum(map(mul, k, p))
+            w = p[-1]
+            if bn is None or n * bw > bn * w:
+                bn, bw = n, w
+        return bn, bw
 
     def neg_support(self, direction: Sequence) -> ExtReal:
         """-σ(z*|A) = inf{-<z*, z> : z in A}, the scalarization value."""
@@ -601,13 +614,12 @@ class UpperSet:
     def to_json(self):
         if self.is_empty:
             return {"tag": "empty"}
-        dim = self.workspace.dim
         return {
             "tag": "poly",
             "constraints": [
                 {
-                    "n": list(_facet_normal(dim, f)),
-                    "b": frac_str(_facet_offset(dim, f)),
+                    "n": list(_facet_normal(f)),
+                    "b": frac_str(_facet_offset(f)),
                 }
                 for f in self.facets
             ],

@@ -61,6 +61,7 @@ from .vi import (
 )
 
 SCHEMA_VERSION = 1
+DEFAULT_TOLERANCE = Fraction(1, 10**6)
 
 # Largest candidate space a "box" grid may enumerate.
 MAX_SPACE_POINTS = 10_000
@@ -162,15 +163,21 @@ class Scenario:
     sets: Dict[str, UpperSet]
     spaces: Dict[str, List[tuple]]
     tasks: List[dict]
-    tolerance: Fraction = Fraction(1, 10**6)
+    tolerance: Fraction = DEFAULT_TOLERANCE
 
     @staticmethod
-    def from_json(doc: dict, name: str = "scenario") -> "Scenario":
+    def from_json(
+        doc: dict, name: str = "scenario", tolerance: Optional[Fraction] = None
+    ) -> "Scenario":
+        """Parse a scenario; ``tolerance``, when given, overrides the document's."""
         if not isinstance(doc, dict):
             raise ValidationError("scenario document must be an object")
         if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValidationError("unsupported schema version")
         name = doc.get("name", name)
+        doc_tol = parse_tolerance(doc["tolerance"]) if "tolerance" in doc else DEFAULT_TOLERANCE
+        if tolerance is None:
+            tolerance = doc_tol
         ws = None
         if "workspace" in doc:
             w = doc["workspace"]
@@ -185,7 +192,7 @@ class Scenario:
         functions: Dict[str, object] = {}
         for fname, spec in _table(doc, "functions").items():
             try:
-                functions[fname] = _build_function(ws, spec)
+                functions[fname] = _build_function(ws, spec, tolerance)
             except LatticeError as exc:
                 raise ValidationError(f"bad function {fname!r}: {exc}") from exc
         sets: Dict[str, UpperSet] = {}
@@ -202,8 +209,7 @@ class Scenario:
         tasks = doc.get("tasks", [])
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise ValidationError("tasks must be a list of objects")
-        tol = parse_tolerance(doc.get("tolerance", "1/1000000"))
-        return Scenario(name, ws, functions, sets, spaces, tasks, tol)
+        return Scenario(name, ws, functions, sets, spaces, tasks, tolerance)
 
 
 def _table(doc: dict, key: str) -> dict:
@@ -213,7 +219,7 @@ def _table(doc: dict, key: str) -> dict:
     return table
 
 
-def _build_function(ws: Optional[Workspace], spec: dict):
+def _build_function(ws: Optional[Workspace], spec: dict, tolerance: Fraction):
     if not isinstance(spec, dict) or "variant" not in spec:
         raise ValidationError(f"bad function spec {spec!r}")
     variant = spec["variant"]
@@ -221,7 +227,7 @@ def _build_function(ws: Optional[Workspace], spec: dict):
         bname = spec.get("name")
         if bname not in BUILTIN_NAMES:
             raise ValidationError(f"unknown builtin {bname!r}")
-        return builtin_function(bname)
+        return builtin_function(bname, tolerance)
     if ws is None:
         raise ValidationError("non-builtin functions need a workspace")
     xdim = _int(spec.get("xdim", ws.dim))
@@ -519,7 +525,8 @@ def run_scenario(scn: Scenario) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def builtin_scenario(name: str) -> Scenario:
+def builtin_scenario(name: str, tolerance: Optional[Fraction] = None) -> Scenario:
+    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
     if name == "example23":
         ws = example23_workspace()
         A, B = example23_sets(ws)
@@ -534,6 +541,7 @@ def builtin_scenario(name: str) -> Scenario:
                 {"op": "scalar_residuals", "a": "A", "b": "B"},
                 {"op": "plot", "sets": ["A", "B", "A_div_B"]},
             ],
+            tol,
         )
         return scn
     if name == "heyde_a":
@@ -561,6 +569,7 @@ def builtin_scenario(name: str) -> Scenario:
                 ],
             },
             name,
+            tol,
         )
     if name == "heyde_b":
         return Scenario.from_json(
@@ -571,6 +580,7 @@ def builtin_scenario(name: str) -> Scenario:
                 "tasks": [{"op": "minimal_scan", "function": "f", "space": "grid"}],
             },
             name,
+            tol,
         )
     if name == "circle":
         return Scenario.from_json(
@@ -584,6 +594,7 @@ def builtin_scenario(name: str) -> Scenario:
                 ],
             },
             name,
+            tol,
         )
     if name == "infdir_example":
         scn = Scenario.from_json(
@@ -605,6 +616,7 @@ def builtin_scenario(name: str) -> Scenario:
                 ],
             },
             name,
+            tol,
         )
         return scn
     if name == "no_solution_line":
@@ -641,13 +653,16 @@ def builtin_scenario(name: str) -> Scenario:
                 ],
             },
             name,
+            tol,
         )
     raise ValidationError(f"unknown builtin scenario {name!r}")
 
 
-def load_scenario(path_or_name: str) -> Scenario:
+def load_scenario(path_or_name: str, tolerance: Optional[Fraction] = None) -> Scenario:
+    """A builtin (``builtin:NAME``) or a scenario file; ``tolerance``, when
+    given, overrides the scenario's before its functions are built."""
     if path_or_name.startswith("builtin:"):
-        return builtin_scenario(path_or_name.split(":", 1)[1])
+        return builtin_scenario(path_or_name.split(":", 1)[1], tolerance)
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -655,4 +670,4 @@ def load_scenario(path_or_name: str) -> Scenario:
         raise ValidationError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed scenario JSON: {exc}") from exc
-    return Scenario.from_json(doc, path_or_name)
+    return Scenario.from_json(doc, path_or_name, tolerance)

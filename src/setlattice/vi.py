@@ -60,7 +60,6 @@ class CandidateSpace:
     """Finite stand-in for 'for all x in X'; the base point is always a member."""
 
     points: Tuple[Vec, ...]
-    base: Optional[Vec] = None
 
     @staticmethod
     def of(points: Iterable[Sequence], base: Optional[Sequence] = None) -> "CandidateSpace":
@@ -69,12 +68,11 @@ class CandidateSpace:
             v = as_vec(p)
             if v not in pts:
                 pts.append(v)
-        b = None
         if base is not None:
             b = as_vec(base)
             if b not in pts:
                 pts.append(b)
-        return CandidateSpace(tuple(sorted(pts)), b)
+        return CandidateSpace(tuple(sorted(pts)))
 
     def with_base(self, base: Sequence) -> "CandidateSpace":
         return CandidateSpace.of(self.points, base)

@@ -1,0 +1,168 @@
+"""Independent oracles for the L1 lattice kernel.
+
+The support oracle works from the raw constraint rows a set was built from,
+never from its canonical form: it enumerates every pairwise crossing of the
+rows and every row's foot point by brute force in Fractions, keeps the
+feasible ones, and tests recession directions row by row.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setlattice.extres import MINUS_INF, PLUS_INF, ExtReal
+from setlattice.kernel import Workspace, _dot, _vrep
+
+# The trivial cone C = {0} admits every normal, so raw systems can be any
+# polyhedron: points, segments, lines, half-planes, strips, wedges.
+FREE = {1: Workspace(1, []), 2: Workspace(2, [])}
+ORTHANT = Workspace(2, [(1, 0), (0, 1)])
+
+small = st.integers(-3, 3)
+offsets = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+normals2 = st.tuples(small, small).filter(lambda n: n != (0, 0))
+
+
+@st.composite
+def raw_rows(draw, dim):
+    """A raw constraint system with redundant and parallel rows mixed in."""
+    if dim == 1:
+        normals1 = st.sampled_from([(1,), (-1,), (2,), (-3,)])
+        return draw(st.lists(st.tuples(normals1, offsets), max_size=4))
+    kinds = st.sampled_from(["row", "line", "point", "parallel", "redundant"])
+    rows = []
+    for kind in draw(st.lists(kinds, max_size=4)):
+        n, b = draw(normals2), draw(offsets)
+        if kind == "row":
+            rows.append((n, b))
+        elif kind == "line":
+            rows += [(n, b), ((-n[0], -n[1]), -b)]
+        elif kind == "point":
+            x, y = draw(offsets), draw(offsets)
+            rows += [((1, 0), x), ((-1, 0), -x), ((0, 1), y), ((0, -1), -y)]
+        elif kind == "parallel":
+            k = draw(st.integers(1, 3))
+            rows += [(n, b), ((k * n[0], k * n[1]), k * b + draw(offsets))]
+        else:
+            rows += [(n, b), (n, b + draw(st.fractions(min_value=0, max_value=3)))]
+    return rows
+
+
+def _frac_dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def _feasible(rows, z):
+    return all(_frac_dot(n, z) <= b for n, b in rows)
+
+
+def _candidates(dim, rows):
+    """Every point that can be a support maximiser of the raw system."""
+    out = [(Fraction(0),) * dim]
+    for n, b in rows:
+        nn = _frac_dot(n, n)
+        out.append(tuple(Fraction(c) * b / nn for c in n))
+    if dim == 2:
+        for (n, b), (m, c) in combinations(rows, 2):
+            det = n[0] * m[1] - n[1] * m[0]
+            if det:
+                out.append((Fraction(b * m[1] - c * n[1], det), Fraction(n[0] * c - m[0] * b, det)))
+    return [z for z in out if _feasible(rows, z)]
+
+
+def _recession_candidates(dim, rows):
+    """Generators of the recession cone {r : <n, r> <= 0 for every row}."""
+    if dim == 1:
+        cands = [(1,), (-1,)]
+    else:
+        cands = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        for n, _ in rows:
+            cands += [(-n[1], n[0]), (n[1], -n[0]), (-n[0], -n[1])]
+    return [r for r in cands if all(_frac_dot(n, r) <= 0 for n, _ in rows)]
+
+
+def oracle_support(dim, rows, d) -> ExtReal:
+    points = _candidates(dim, rows)
+    if not points:
+        return MINUS_INF
+    if any(_frac_dot(d, r) > 0 for r in _recession_candidates(dim, rows)):
+        return PLUS_INF
+    return ExtReal(max(_frac_dot(d, z) for z in points))
+
+
+def vertex_support(u, d) -> ExtReal:
+    """sup <d, z> over conv(vertices) + cone(rays), in Fractions from scratch."""
+    if u.is_empty:
+        return MINUS_INF
+    if any(_frac_dot(d, r) > 0 for r in u.rays):
+        return PLUS_INF
+    return ExtReal(max(_frac_dot(d, v) for v in u.vertices))
+
+
+def directions(dim):
+    """Primitive, non-primitive and Fraction-entry directions."""
+    ints = st.tuples(*[small] * dim)
+    scaled = st.tuples(ints, st.integers(2, 4)).map(lambda t: tuple(t[1] * c for c in t[0]))
+    fracs = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=5)] * dim)
+    return st.one_of(ints, scaled, fracs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_support_matches_raw_row_oracle(data):
+    dim = data.draw(st.sampled_from([1, 2]))
+    rows = data.draw(raw_rows(dim))
+    d = data.draw(directions(dim))
+    u = FREE[dim].upper_set(rows)
+    assert u.support(d) == oracle_support(dim, rows, d)
+    assert u.support(d) == vertex_support(u, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_support_in_a_pointed_cone_workspace(data):
+    # normals in C^- = the closed negative orthant; the set is an upper set
+    n = st.tuples(st.integers(-3, 0), st.integers(-3, 0)).filter(lambda v: v != (0, 0))
+    rows = data.draw(st.lists(st.tuples(n, offsets), min_size=1, max_size=5))
+    d = data.draw(directions(2))
+    u = ORTHANT.upper_set(rows)
+    assert u.support(d) == oracle_support(2, rows, d)
+    assert u.support(d) == vertex_support(u, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_enumeration_is_the_canonical_one(data):
+    """The generators of the raw rows equal those of the canonical facets."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    u = FREE[dim].upper_set(data.draw(raw_rows(dim)))
+    if u.is_empty:
+        return
+    ok, pts, rays = _vrep(dim, list(u.facets))
+    assert ok
+    assert (u.points, u.rayset) == (tuple(pts), tuple(rays))
+
+
+exact_numbers = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(st.tuples(exact_numbers, exact_numbers), max_size=3))
+def test_dot_is_exact_with_fraction_and_float_operands(pairs):
+    u = [a for a, _ in pairs]
+    v = [b for _, b in pairs]
+    expected = sum((Fraction(a) * Fraction(b) for a, b in pairs), Fraction(0))
+    got = _dot(u, v)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+def test_dot_examples():
+    assert _dot((Fraction(1, 3), 0.1), (3, 10)) == 1 + Fraction(0.1) * 10
+    assert _dot((0.1,), (0.2,)) == Fraction(0.1) * Fraction(0.2) != Fraction(0.1 * 0.2)
+    assert _dot((0.5,), (10**400,)) == Fraction(10**400, 2)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import setlattice
+import setlattice.cli as cli
 from setlattice.cli import main
 from setlattice.instances import BUILTIN_NAMES
 from setlattice.scenario import (
@@ -239,6 +240,36 @@ def test_cli_bad_tolerance(tolerance, capsys):
     assert code == 1
     assert "validation error" in err
     assert "Traceback" not in err
+
+
+def test_tolerance_reaches_builtin_functions(tmp_path, monkeypatch, capsys):
+    doc = {
+        "schema": 1,
+        "tolerance": "1/10",
+        "functions": {
+            name: {"variant": "builtin", "name": name}
+            for name in ("heyde_b", "circle", "infdir_example")
+        },
+    }
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(doc))
+    scn = load_scenario(str(path))
+    assert [f.tolerance for f in scn.functions.values()] == [F(1, 10)] * 3
+    assert load_scenario("builtin:circle").functions["f"].tolerance == F(1, 10**6)
+    # the --tolerance override is applied before the functions are built
+    loaded = []
+
+    def spy(*args):
+        loaded.append(load_scenario(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_scenario", spy)
+    assert main(["check-vi", "--scenario", "builtin:circle", "--tolerance", "1/10"]) == 0
+    assert loaded[0].functions["f"].tolerance == F(1, 10)
+    coarse = capsys.readouterr().out
+    assert main(["check-vi", "--scenario", "builtin:circle"]) == 0
+    # the oracle derivative is only resolved to the tolerance, so its values move
+    assert coarse.replace('"1/10"', "") != capsys.readouterr().out.replace('"1/1000000"', "")
 
 
 def test_cli_report_and_plot_files(tmp_path):
