@@ -1,8 +1,10 @@
 """Exact 2D polyhedral geometry on integer homogeneous coordinates.
 
 This is the hot kernel behind every 2D lattice operation.  Its entry points
-are ``vrep_from_hrep``, ``hrep_from_vrep`` and ``vrep_inside_hrep``; all of
-them work on Python integers, so results stay exact at any magnitude.  Two
+are ``vrep_from_hrep``, ``hrep_from_vrep`` and ``vrep_inside_hrep``, plus the
+small helpers ``facet``, ``point``, ``add_point``, ``scale_point`` and
+``ORIGIN`` (``_geom1`` has the same ones for the line); all of them work on
+Python integers, so results stay exact at any magnitude.  Two
 homogeneous points are ordered by cross-multiplication (n/W < n'/W' iff
 n*W' < n'*W), never through Fractions: the support maximum of the hull and
 the sort of ``convex_hull`` both work this way.
@@ -20,6 +22,8 @@ plane is the empty facet list.
 from math import gcd, lcm
 
 _FULL_RAYS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+ORIGIN = (0, 0, 1)
 
 
 def reduce_ray(x, y):
@@ -52,6 +56,28 @@ def reduce_facet(a, b, cn, cd):
         cn //= g2
         cd //= g2
     return (a, b, cn, cd)
+
+
+def facet(normal, cn, cd):
+    """The reduced facet <normal, z> <= cn/cd."""
+    return reduce_facet(normal[0], normal[1], cn, cd)
+
+
+def point(v):
+    """The homogeneous point of a rational (int or Fraction) vector."""
+    x, y = v
+    # over the lcm of the denominators the triple is already in lowest terms
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+
+
+def add_point(p, q):
+    return reduce_point(p[0] * q[2] + q[0] * p[2], p[1] * q[2] + q[1] * p[2], p[2] * q[2])
+
+
+def scale_point(p, num, den):
+    """The point (num/den) * p for num/den > 0."""
+    return reduce_point(p[0] * num, p[1] * num, p[2] * den)
 
 
 def point_satisfies(f, p):

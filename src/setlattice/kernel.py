@@ -13,8 +13,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
-from . import _geom_py
-from ._geom_py import reduce_facet, reduce_point
+from . import _geom1, _geom_py
 from .extres import MINUS_INF, PLUS_INF, ExtReal
 
 Vec = Tuple[Fraction, ...]
@@ -70,127 +69,17 @@ def _primitive_dir(v: Sequence) -> Tuple[int, ...]:
     return tuple(c // g for c in ints)
 
 
-# ---------------------------------------------------------------------------
-# 1D geometry (intervals); the 2D case lives in _geom_py
-# ---------------------------------------------------------------------------
+# a facet is (normal..., cn, cd): <normal, z> <= cn/cd, and a point is
+# (coords..., W): coords/W, in either dimension; GEOMETRY[dim] works on them
+GEOMETRY = {1: _geom1, 2: _geom_py}
 
 
-def _vrep1(facets):
-    lo = None
-    hi = None
-    for a, cn, cd in facets:
-        v = Fraction(cn, cd * a)
-        if a > 0:
-            if hi is None or v < hi:
-                hi = v
-        else:
-            if lo is None or v > lo:
-                lo = v
-    if lo is not None and hi is not None and lo > hi:
-        return False, [], []
-    points = []
-    for v in (lo, hi):
-        if v is not None:
-            points.append((v.numerator, v.denominator))
-    if len(points) == 2 and points[0] == points[1]:
-        points = points[:1]
-    if not points:
-        points = [(0, 1)]
-    rays = []
-    if hi is None:
-        rays.append((1,))
-    if lo is None:
-        rays.append((-1,))
-    return True, sorted(points), sorted(rays)
-
-
-def _hrep1(points, rays):
-    up = (1,) in rays
-    down = (-1,) in rays
-    if up and down:
-        return []
-    vals = [Fraction(p[0], p[1]) for p in points]
-    facets = []
-    if not up:
-        hi = max(vals)
-        facets.append((1, hi.numerator, hi.denominator))
-    if not down:
-        lo = min(vals)
-        facets.append((-1, -lo.numerator, lo.denominator))
-    return sorted(facets)
-
-
-def _inside1(points, rays, facets):
-    for a, cn, cd in facets:
-        for p in points:
-            if cd * a * p[0] > cn * p[1]:
-                return False
-        for r in rays:
-            if a * r[0] > 0:
-                return False
-    return True
-
-
-def _reduce_facet1(a, cn, cd):
-    if cd < 0:
-        cn, cd = -cn, -cd
-    k = abs(a)
-    cd *= k
-    a //= k
-    g = gcd(abs(cn), cd)
-    if g > 1:
-        cn //= g
-        cd //= g
-    return (a, cn, cd)
-
-
-def _vrep(dim, facets):
-    if dim == 1:
-        return _vrep1(facets)
-    return _geom_py.vrep_from_hrep(facets)
-
-
-def _hrep(dim, points, rays):
-    if dim == 1:
-        return _hrep1(points, rays)
-    return _geom_py.hrep_from_vrep(points, rays)
-
-
-def _inside(dim, points, rays, facets):
-    if dim == 1:
-        return _inside1(points, rays, facets)
-    return _geom_py.vrep_inside_hrep(points, rays, facets)
-
-
-def _facet_of(dim, normal, num: int, den: int):
-    """The reduced facet <normal, z> <= num/den."""
-    if dim == 1:
-        return _reduce_facet1(normal[0], num, den)
-    return reduce_facet(normal[0], normal[1], num, den)
-
-
-# a facet is (normal..., cn, cd): <normal, z> <= cn/cd in either dimension
 def _facet_normal(facet):
     return facet[:-2]
 
 
 def _facet_offset(facet) -> Fraction:
     return Fraction(facet[-2], facet[-1])
-
-
-def _point_vec(dim, p) -> Vec:
-    if dim == 1:
-        return (Fraction(p[0], p[1]),)
-    return (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
-
-
-def _vec_point(dim, v: Vec):
-    if dim == 1:
-        f = to_frac(v[0])
-        return (f.numerator, f.denominator)
-    fx, fy = to_frac(v[0]), to_frac(v[1])
-    den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    return reduce_point(int(fx * den), int(fy * den), den)
 
 
 def _dot(u, v) -> Fraction:
@@ -214,7 +103,7 @@ class OrderCone:
     __slots__ = ("dim", "generators", "facet_normals", "_lineality")
 
     def __init__(self, dim: int, generators: Iterable[Sequence]):
-        if dim not in (1, 2):
+        if dim not in GEOMETRY:
             raise LatticeError("only dimensions 1 and 2 are supported")
         gens = []
         for g in generators:
@@ -225,12 +114,8 @@ class OrderCone:
                 gens.append(d)
         self.dim = dim
         self.generators = tuple(sorted(gens))
-        if dim == 1:
-            pts = [(0, 1)]
-            rays = [g for g in self.generators]
-            normals = _hrep1(pts, rays)
-        else:
-            normals = _geom_py.hrep_from_vrep([(0, 0, 1)], list(self.generators))
+        geom = GEOMETRY[dim]
+        normals = geom.hrep_from_vrep([geom.ORIGIN], list(self.generators))
         if not normals:
             raise LatticeError("ordering cone must have a nontrivial dual cone")
         self.facet_normals = tuple(_facet_normal(f) for f in normals)
@@ -306,13 +191,14 @@ class DirectionSet:
 
 
 class Workspace:
-    """Ambient dimension, ordering cone and scalarization directions."""
+    """Ambient dimension, its geometry module, ordering cone and scalarization directions."""
 
-    __slots__ = ("dim", "cone", "directions")
+    __slots__ = ("dim", "geom", "cone", "directions")
 
     def __init__(self, dim: int, cone_generators: Iterable[Sequence], directions: Iterable[Sequence] = ()):
         self.dim = dim
         self.cone = OrderCone(dim, cone_generators)
+        self.geom = GEOMETRY[dim]
         self.directions = DirectionSet(self.cone, directions)
 
     # -- constructors of lattice elements -----------------------------
@@ -327,13 +213,15 @@ class Workspace:
         """Canonical upper set from (normal, offset) halfspaces {z: <n,z> <= b}."""
         facets = []
         for normal, offset in constraints:
+            if len(normal) != self.dim:
+                raise LatticeError(f"a normal has {len(normal)} coordinates, expected {self.dim}")
             k, den = _int_dir(normal)
             n = _primitive_dir(k)
             if not self.cone.in_dual(n):
                 raise NormalOutsideDualCone(f"normal {tuple(normal)} is not in C^-")
             # normal = (g/den)*n for the primitive n, so the row is <n, z> <= b*den/g
             b = to_frac(offset)
-            facets.append(_facet_of(self.dim, n, b.numerator * den, b.denominator * gcd(*k)))
+            facets.append(self.geom.facet(n, b.numerator * den, b.denominator * gcd(*k)))
         return UpperSet(self, facets)
 
     def cone_set(self) -> "UpperSet":
@@ -392,19 +280,14 @@ class UpperSet:
 
     def __init__(self, workspace: Workspace, facets: Optional[Iterable] = None):
         self.workspace = workspace
-        if facets is None:
-            self.facets = None
-            self.points = ()
-            self.rayset = ()
-            return
-        dim = workspace.dim
-        ok, pts, rays = _vrep(dim, list(facets))
+        geom = workspace.geom
+        ok, pts, rays = (False, (), ()) if facets is None else geom.vrep_from_hrep(list(facets))
         if not ok:
             self.facets = None
             self.points = ()
             self.rayset = ()
             return
-        self.facets = tuple(_hrep(dim, pts, rays))
+        self.facets = tuple(geom.hrep_from_vrep(pts, rays))
         self.points = tuple(pts)
         self.rayset = tuple(rays)
 
@@ -412,10 +295,11 @@ class UpperSet:
     def _from_generators(cls, workspace: Workspace, points, rays) -> "UpperSet":
         if not points:
             return workspace.empty_set()
-        canon = _hrep(workspace.dim, points, rays)
+        geom = workspace.geom
+        canon = geom.hrep_from_vrep(points, rays)
         obj = object.__new__(cls)
         obj.workspace = workspace
-        ok, pts2, rays2 = _vrep(workspace.dim, canon)
+        ok, pts2, rays2 = geom.vrep_from_hrep(canon)
         obj.facets = tuple(canon)
         obj.points = tuple(pts2)
         obj.rayset = tuple(rays2)
@@ -439,8 +323,7 @@ class UpperSet:
 
     @property
     def vertices(self) -> Tuple[Vec, ...]:
-        dim = self.workspace.dim
-        return tuple(_point_vec(dim, p) for p in self.points)
+        return tuple(tuple(Fraction(c, p[-1]) for c in p[:-1]) for p in self.points)
 
     @property
     def rays(self):
@@ -474,7 +357,7 @@ class UpperSet:
             return True
         if self.is_empty:
             return False
-        return _inside(self.workspace.dim, other.points, other.rayset, self.facets)
+        return self.workspace.geom.vrep_inside_hrep(other.points, other.rayset, self.facets)
 
     def contains_point(self, v: Sequence) -> bool:
         if self.is_empty:
@@ -492,22 +375,8 @@ class UpperSet:
         self._check(other)
         if self.is_empty or other.is_empty:
             return self.workspace.empty_set()
-        dim = self.workspace.dim
-        pts = []
-        if dim == 1:
-            for p in self.points:
-                for q in other.points:
-                    pts.append((p[0] * q[1] + q[0] * p[1], p[1] * q[1]))
-        else:
-            for p in self.points:
-                for q in other.points:
-                    pts.append(
-                        reduce_point(
-                            p[0] * q[2] + q[0] * p[2],
-                            p[1] * q[2] + q[1] * p[2],
-                            p[2] * q[2],
-                        )
-                    )
+        add_point = self.workspace.geom.add_point
+        pts = [add_point(p, q) for p in self.points for q in other.points]
         rays = list(dict.fromkeys(list(self.rayset) + list(other.rayset)))
         return UpperSet._from_generators(self.workspace, pts, rays)
 
@@ -523,28 +392,14 @@ class UpperSet:
             return self.workspace.cone_set()
         if self.is_empty:
             return self
-        dim = self.workspace.dim
-        facets = [
-            _facet_of(dim, _facet_normal(f), f[-2] * t.numerator, f[-1] * t.denominator)
-            for f in self.facets
-        ]
+        geom = self.workspace.geom
+        num, den = t.numerator, t.denominator
         obj = object.__new__(UpperSet)
         obj.workspace = self.workspace
-        obj.facets = tuple(sorted(facets))
-        if dim == 1:
-            scaled = []
-            for p in self.points:
-                x, w = p[0] * t.numerator, p[1] * t.denominator
-                g = gcd(abs(x), w)
-                scaled.append((x // g, w // g))
-            obj.points = tuple(sorted(scaled))
-        else:
-            obj.points = tuple(
-                sorted(
-                    reduce_point(p[0] * t.numerator, p[1] * t.numerator, p[2] * t.denominator)
-                    for p in self.points
-                )
-            )
+        obj.facets = tuple(
+            sorted(geom.facet(_facet_normal(f), f[-2] * num, f[-1] * den) for f in self.facets)
+        )
+        obj.points = tuple(sorted(geom.scale_point(p, num, den) for p in self.points))
         obj.rayset = self.rayset
         return obj
 
@@ -558,7 +413,7 @@ class UpperSet:
             return self.workspace.whole_space()
         if self.is_empty:
             return self.workspace.empty_set()
-        dim = self.workspace.dim
+        facet = self.workspace.geom.facet
         facets = []
         for f in self.facets:
             n = _facet_normal(f)
@@ -566,15 +421,15 @@ class UpperSet:
             if s is None:
                 return self.workspace.empty_set()
             # cn/cd - sn/sd over the common denominator
-            facets.append(_facet_of(dim, n, f[-2] * s[1] - s[0] * f[-1], f[-1] * s[1]))
+            facets.append(facet(n, f[-2] * s[1] - s[0] * f[-1], f[-1] * s[1]))
         return UpperSet(self.workspace, facets)
 
     def recession(self) -> "UpperSet":
         """Recession cone 0+A; 0+∅ = ∅ by convention."""
         if self.is_empty:
             return self
-        dim = self.workspace.dim
-        facets = [_facet_of(dim, _facet_normal(f), 0, 1) for f in self.facets]
+        facet = self.workspace.geom.facet
+        facets = [facet(_facet_normal(f), 0, 1) for f in self.facets]
         return UpperSet(self.workspace, facets)
 
     # -- scalarization ------------------------------------------------
@@ -669,17 +524,13 @@ def feasible_with(upper: UpperSet, extra_facets) -> bool:
     """Is A ∩ {extra halfspaces} nonempty?  (Raw geometric test.)"""
     if upper.is_empty:
         return False
-    dim = upper.workspace.dim
     combined = list(upper.facets) + [f for f in extra_facets]
-    ok, _, _ = _vrep(dim, combined)
+    ok, _, _ = upper.workspace.geom.vrep_from_hrep(combined)
     return ok
 
 
 def mirror_facets(upper: UpperSet):
     """Facet system of -A = {-z : z in A} (not an upper set in general)."""
-    dim = upper.workspace.dim
     if upper.is_empty:
         return None
-    if dim == 1:
-        return [(-f[0], f[1], f[2]) for f in upper.facets]
-    return [(-f[0], -f[1], f[2], f[3]) for f in upper.facets]
+    return [tuple(-c for c in _facet_normal(f)) + f[-2:] for f in upper.facets]

@@ -231,6 +231,8 @@ def _build_function(ws: Optional[Workspace], spec: dict, tolerance: Fraction):
     if ws is None:
         raise ValidationError("non-builtin functions need a workspace")
     xdim = _int(spec.get("xdim", ws.dim))
+    if xdim < 1:
+        raise ValidationError(f"xdim must be positive, got {xdim}")
     domain = Polyhedron(
         xdim, [(_vec(a), _rat(r)) for a, r in _pairs(spec.get("domain", []))]
     )

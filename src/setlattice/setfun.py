@@ -9,17 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import _geom_py
-from ._geom_py import reduce_point
 from .extres import PLUS_INF, ExtReal, ext_min
 from .kernel import (
+    GEOMETRY,
     LatticeError,
+    NormalOutsideDualCone,
     UpperSet,
     Vec,
     Workspace,
     _dot,
+    _facet_normal,
+    _facet_offset,
+    _int_dir,
     _primitive_dir,
     as_vec,
     inf_family,
@@ -40,6 +44,22 @@ class ArityMismatch(LatticeError):
     pass
 
 
+def _check_lengths(n: int, vectors: Iterable[Sequence], what: str):
+    """Every vector has n coordinates; _dot would silently truncate a longer one."""
+    for v in vectors:
+        if len(v) != n:
+            raise ArityMismatch(f"{what} has {len(v)} coordinates, expected {n}")
+
+
+def _components(workspace: Workspace, xdim: int, components) -> tuple:
+    """The components of a vector function: one per image coordinate, of xdim arguments."""
+    comps = tuple(components)
+    if len(comps) != workspace.dim:
+        raise LatticeError("need one component per image dimension")
+    _check_lengths(xdim, (c for comp in comps for c, _ in comp.pieces), "a component piece")
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # Halfspace systems in the argument space X
 # ---------------------------------------------------------------------------
@@ -53,6 +73,7 @@ class Polyhedron:
     def __init__(self, dim: int, rows: Iterable[Tuple[Sequence, object]] = ()):
         self.dim = dim
         self.rows = tuple((as_vec(a), to_frac(r)) for a, r in rows)
+        _check_lengths(dim, (a for a, _ in self.rows), "a domain row")
 
     @staticmethod
     def whole(dim: int) -> "Polyhedron":
@@ -223,15 +244,17 @@ class ParamPolyFunction(SetFunction):
         super().__init__()
         self.workspace = workspace
         self.xdim = xdim
+        normals = tuple(normals)
+        offsets = tuple(offsets)
+        _check_lengths(workspace.dim, normals, "a normal")
+        if len(offsets) != len(normals):
+            raise LatticeError("need one offset per normal")
+        _check_lengths(xdim, (c for off in offsets for c, _ in off.pieces), "an offset piece")
         self.normals = tuple(_primitive_dir(n) for n in normals)
         for n in self.normals:
             if not workspace.cone.in_dual(n):
-                from .kernel import NormalOutsideDualCone
-
                 raise NormalOutsideDualCone(f"normal {n} is not in C^-")
-        self.offsets = tuple(offsets)
-        if len(self.offsets) != len(self.normals):
-            raise LatticeError("need one offset per normal")
+        self.offsets = tuple(map(_primitive_offset, normals, offsets))
         self.domain = domain if domain is not None else Polyhedron.whole(xdim)
         self.is_exact = True
         self.declared_convex = True
@@ -254,6 +277,17 @@ class ParamPolyFunction(SetFunction):
         )
 
 
+def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
+    """normal = (g/den)*n for the primitive n, so <normal, z> <= offset(x) is
+    <n, z> <= offset(x)*den/g, as in Workspace.upper_set."""
+    k, den = _int_dir(normal)
+    g = gcd(*k)
+    if g == den:
+        return offset
+    s = Fraction(den, g)
+    return ConcavePWL([(tuple(s * c for c in cf), s * b) for cf, b in offset.pieces])
+
+
 class EpiVectorFunction(SetFunction):
     """Epigraphical extension of a vector function: f(x) = psi(x) + C on S."""
 
@@ -269,9 +303,7 @@ class EpiVectorFunction(SetFunction):
         super().__init__()
         self.workspace = workspace
         self.xdim = xdim
-        self.components = tuple(components)
-        if len(self.components) != workspace.dim:
-            raise LatticeError("need one component per image dimension")
+        self.components = _components(workspace, xdim, components)
         self.domain = domain if domain is not None else Polyhedron.whole(xdim)
         self.is_exact = True
         self.declared_convex = declared_convex
@@ -447,6 +479,7 @@ def inf_translate(f: SetFunction, M: Sequence[Sequence], convex: bool = False) -
     if not M:
         raise EmptyTranslationSet("translation set must be nonempty")
     pts = [as_vec(m) for m in M]
+    _check_lengths(f.xdim, pts, "a translation point")
     if len(pts) == 1:
         return f.shift_arg(pts[0])
     if not convex:
@@ -462,15 +495,11 @@ def inf_translate(f: SetFunction, M: Sequence[Sequence], convex: bool = False) -
 
 def _hull_rows_of_points(xdim: int, pts: List[Vec]):
     """H-rep rows of the convex hull of finitely many points in X."""
-    if xdim == 1:
-        vals = [p[0] for p in pts]
-        return [((Fraction(1),), max(vals)), ((Fraction(-1),), -min(vals))]
-    hpts = []
-    for p in pts:
-        den = p[0].denominator * p[1].denominator
-        hpts.append(reduce_point(int(p[0] * den), int(p[1] * den), den))
-    facets = _geom_py.hrep_from_vrep(hpts, [])
-    return [((Fraction(a), Fraction(b)), Fraction(cn, cd)) for a, b, cn, cd in facets]
+    geom = GEOMETRY.get(xdim)
+    if geom is None:
+        raise LatticeError(f"convex hulls need 1 or 2 argument dimensions, got {xdim}")
+    facets = geom.hrep_from_vrep([geom.point(p) for p in pts], [])
+    return [(tuple(map(Fraction, _facet_normal(f))), _facet_offset(f)) for f in facets]
 
 
 def fourier_motzkin(rows, k: int):

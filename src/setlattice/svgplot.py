@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .kernel import LatticeError, UpperSet, _vrep
+from .kernel import LatticeError, UpperSet
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
@@ -24,7 +24,7 @@ def _clip_polygon(upper: UpperSet, lo: Fraction, hi: Fraction):
         (0, -1, -lo.numerator, lo.denominator),
     ]
     facets = list(upper.facets) + box
-    ok, pts, _ = _vrep(2, facets)
+    ok, pts, _ = upper.workspace.geom.vrep_from_hrep(facets)
     if not ok:
         return []
     cart = [(Fraction(p[0], p[2]), Fraction(p[1], p[2])) for p in pts]

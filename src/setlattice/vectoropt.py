@@ -16,10 +16,12 @@ from .kernel import (
     Vec,
     Workspace,
     _dot,
+    _primitive_dir,
     as_vec,
     to_frac,
 )
 from .setfun import ConvexPWL, EpiVectorFunction, OracleFunction, Polyhedron, SetFunction
+from .setfun import _components
 from .vi import CandidateSpace, minimal_check, run_checker
 
 class EmptyGrid(LatticeError):
@@ -115,9 +117,7 @@ class PWLVectorFunction(VectorFunction):
     ):
         self.workspace = workspace
         self.xdim = xdim
-        self.components = tuple(components)
-        if len(self.components) != workspace.dim:
-            raise LatticeError("need one component per image dimension")
+        self.components = _components(workspace, xdim, components)
         self.domain = domain if domain is not None else Polyhedron.whole(xdim)
         self.is_exact = True
         self.name = name
@@ -315,13 +315,8 @@ def infdir_plus_cone(workspace: Workspace, z: Sequence) -> UpperSet:
     cone = workspace.cone
     if not cone.contains(tuple(-c for c in zz)):
         return workspace.empty_set()
-    from .kernel import _vec_point
-
-    origin = _vec_point(workspace.dim, (Fraction(0),) * workspace.dim)
-    from .kernel import _primitive_dir
-
     rays = list(cone.generators) + [_primitive_dir(zz)]
-    return UpperSet._from_generators(workspace, [origin], rays)
+    return UpperSet._from_generators(workspace, [workspace.geom.ORIGIN], rays)
 
 
 def classify_dini(
@@ -374,11 +369,8 @@ def classify_dini(
         if not D.exact:
             # a finite quotient sample cannot show the recession the outer
             # limit accrues along its divergence directions; fold them in
-            from .kernel import _primitive_dir, _vec_point
-
-            origin = _vec_point(ws.dim, (Fraction(0),) * ws.dim)
             rays = list(rec.rays) + [_primitive_dir(vec)]
-            rec = UpperSet._from_generators(ws, [origin], rays)
+            rec = UpperSet._from_generators(ws, [ws.geom.ORIGIN], rays)
         if not rec.leq(shadow):
             infinite_ok = False
     mixed_ok = True

@@ -7,6 +7,7 @@ from setlattice import (
     PLUS_INF,
     NormalOutsideDualCone,
     Workspace,
+    _geom1,
     _geom_py,
     inf_family,
     sup_family,
@@ -193,3 +194,66 @@ def test_big_integer_exactness():
     ok, pts, rays = _geom_py.vrep_from_hrep(facets)
     assert ok
     assert _geom_py.hrep_from_vrep(pts, rays) == sorted(facets)
+
+
+_BIG = 10**40
+
+# (geometry module, facet rows as (normal, cn, cd), expected canonical rows);
+# the rows go through geom.facet, and redundant rows must drop out
+_GEOMETRY_CASES = {
+    "interval": (_geom1, [((1,), 3, 2), ((2,), 10, 1), ((-1,), 1, 1)], [((-1,), 1, 1), ((1,), 3, 2)]),
+    "half_line": (_geom1, [((-3,), 0, 1)], [((-1,), 0, 1)]),
+    "whole_line": (_geom1, [], []),
+    "point_1d": (_geom1, [((1,), 2, 3), ((-1,), -2, 3)], [((-1,), -2, 3), ((1,), 2, 3)]),
+    # endpoints 10^40 and 10^40 + 1/2; a float would merge them
+    "big_1d": (
+        _geom1,
+        [((-1,), -_BIG, 1), ((2,), 2 * _BIG + 1, 1), ((3,), 3 * _BIG + 2, 1)],
+        [((-1,), -_BIG, 1), ((1,), 2 * _BIG + 1, 2)],
+    ),
+    "wedge": (
+        _geom_py,
+        [((-1, 0), 0, 1), ((0, -1), 0, 1), ((-1, -1), 5, 1)],
+        [((-1, 0), 0, 1), ((0, -1), 0, 1)],
+    ),
+    # parallel rows only (the rank-1 case of _geom_py)
+    "strip": (_geom_py, [((-1, -1), 0, 1), ((2, 2), 6, 1)], [((-1, -1), 0, 1), ((1, 1), 3, 1)]),
+    "half_plane": (_geom_py, [((0, -1), 0, 1), ((0, -3), 3, 1)], [((0, -1), 0, 1)]),
+    "triangle": (
+        _geom_py,
+        [((-1, 0), 0, 1), ((0, -1), 0, 1), ((2, 2), 2, 1)],
+        [((-1, 0), 0, 1), ((0, -1), 0, 1), ((1, 1), 1, 1)],
+    ),
+    "big_2d": (
+        _geom_py,
+        [((-1, 0), -_BIG, 1), ((0, -1), -(_BIG + 1), 3)],
+        [((-1, 0), -_BIG, 1), ((0, -1), -(_BIG + 1), 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GEOMETRY_CASES))
+def test_geometry_contract(case):
+    """Both geometry modules: the hull of the enumeration is the canonical
+    facet list, a second round trip is the identity, and the generators
+    satisfy their own facets."""
+    geom, rows, expected = _GEOMETRY_CASES[case]
+    facets = [geom.facet(n, cn, cd) for n, cn, cd in rows]
+    ok, pts, rays = geom.vrep_from_hrep(facets)
+    assert ok
+    canon = geom.hrep_from_vrep(pts, rays)
+    assert canon == sorted(geom.facet(n, cn, cd) for n, cn, cd in expected)
+    assert geom.vrep_from_hrep(canon) == (True, pts, rays)
+    assert geom.hrep_from_vrep(pts, rays) == canon
+    assert geom.vrep_inside_hrep(pts, rays, canon)
+    assert geom.vrep_inside_hrep(pts, rays, facets)
+
+
+def test_geometry_empty_and_exact_points():
+    assert _geom1.vrep_from_hrep([(1, 0, 1), (-1, -1, 1)]) == (False, [], [])
+    facets = [_geom1.facet((-1,), -_BIG, 1), _geom1.facet((2,), 2 * _BIG + 1, 1)]
+    assert _geom1.vrep_from_hrep(facets) == (True, [(_BIG, 1), (2 * _BIG + 1, 2)], [])
+    assert _geom1.point((Fraction(-6, 4),)) == (-3, 2)
+    assert _geom_py.point((Fraction(1, 6), 2)) == (1, 12, 6)
+    for geom in (_geom1, _geom_py):
+        assert geom.vrep_from_hrep([])[1] == [geom.ORIGIN]

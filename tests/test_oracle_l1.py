@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setlattice.extres import MINUS_INF, PLUS_INF, ExtReal
-from setlattice.kernel import Workspace, _dot, _vrep
+from setlattice.kernel import Workspace, _dot
 
 # The trivial cone C = {0} admits every normal, so raw systems can be any
 # polyhedron: points, segments, lines, half-planes, strips, wedges.
@@ -140,7 +140,7 @@ def test_one_enumeration_is_the_canonical_one(data):
     u = FREE[dim].upper_set(data.draw(raw_rows(dim)))
     if u.is_empty:
         return
-    ok, pts, rays = _vrep(dim, list(u.facets))
+    ok, pts, rays = u.workspace.geom.vrep_from_hrep(list(u.facets))
     assert ok
     assert (u.points, u.rayset) == (tuple(pts), tuple(rays))
 

@@ -204,6 +204,36 @@ MALFORMED = {
         "spaces": {"g": {"points": [[1, 2]]}},
         "tasks": [{"op": "minimal_scan", "function": "b", "space": "g"}],
     },
+    # normals of the wrong length for the 2-D workspace
+    "normal_three_coordinates": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, normals=[[-1, 0, 5], [0, -1]])},
+        "tasks": [{"op": "eval", "function": "f", "x": [0]}],
+    },
+    "normal_one_coordinate": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, normals=[[-1], [0, -1]])},
+        "tasks": [{"op": "eval", "function": "f", "x": [0]}],
+    },
+    # a 2-coefficient offset piece and domain row for xdim 1
+    "offset_piece_arity": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, offsets=[[[["1", "2"], "0"]], [[["-1"], "0"]]])},
+        "tasks": [{"op": "eval", "function": "f", "x": [0]}],
+    },
+    "domain_row_arity": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, domain=[[["1", "2"], "3"]])},
+        "tasks": [{"op": "eval", "function": "f", "x": [0]}],
+    },
+    "xdim_not_positive": {
+        "workspace": _WS,
+        "functions": {"f": dict(_F1, xdim=0, offsets=[[[[], "0"]], [[[], "0"]]])},
+    },
+    "set_normal_arity": {
+        "workspace": _WS,
+        "sets": {"A": {"constraints": [{"n": [-1, 0, 5], "b": "0"}]}},
+    },
 }
 
 

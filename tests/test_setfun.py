@@ -5,6 +5,7 @@ import pytest
 
 from setlattice import inf_family, sup_family
 from setlattice.extres import PLUS_INF, ext_min
+from setlattice.kernel import LatticeError
 from setlattice.instances import (
     heyde_a,
     heyde_b,
@@ -21,6 +22,7 @@ from setlattice.setfun import (
     OracleFunction,
     ParamPolyFunction,
     Polyhedron,
+    _hull_rows_of_points,
     cminus_lsc_probe,
     inf_translate,
     inf_translation,
@@ -294,3 +296,29 @@ def test_compositions_match_direct_eval(kind):
     assert shifted.xdim == 2
     for p in [(F(i, 2), F(j, 2)) for i in range(-6, 7, 2) for j in range(-4, 9, 3)]:
         assert shifted.eval(p) == f.eval(at(m, 1, p)), p
+
+
+def test_non_primitive_normals_scale_their_offsets():
+    """<n, z> <= b(x) means the same set whether or not n is primitive."""
+    ws = orthant_workspace()
+    normals = [(-2, 0), (0, Fraction(-1, 2))]
+    offsets = [ConcavePWL([((1,), 1), ((-1,), 3)]), ConcavePWL([((Fraction(1, 3),), 0)])]
+    f = ParamPolyFunction(ws, 1, normals, offsets)
+    for x in (Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(5, 2)):
+        raw = [(n, off.value((x,))) for n, off in zip(normals, offsets)]
+        assert f.eval((x,)) == ws.upper_set(raw)
+        if x >= 0:
+            assert f.ray_restrict((0,), (1,)).eval((x,)) == f.eval((x,))
+
+
+def test_hull_rows_need_one_or_two_dimensions():
+    assert sorted(_hull_rows_of_points(1, [(Fraction(2),), (Fraction(-1, 2),)])) == [
+        ((Fraction(-1),), Fraction(1, 2)),
+        ((Fraction(1),), Fraction(2)),
+    ]
+    with pytest.raises(LatticeError):
+        _hull_rows_of_points(3, [(Fraction(0),) * 3, (Fraction(1),) * 3])
+    # a translation point of the wrong arity is rejected, not truncated
+    f = ParamPolyFunction(orthant_workspace(), 2, [(-1, 0)], [ConcavePWL([((0, 0), 0)])])
+    with pytest.raises(LatticeError):
+        inf_translate(f, [(0, 0, 5), (1, 1, 5)], convex=True)
