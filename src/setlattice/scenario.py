@@ -292,11 +292,15 @@ def _build_space(spec) -> List[tuple]:
 # ---------------------------------------------------------------------------
 
 
+def _lookup(table: dict, name, what: str):
+    """The entry called name; a name that is not a string names nothing."""
+    if not isinstance(name, str) or name not in table:
+        raise ValidationError(f"unknown {what} {name!r}")
+    return table[name]
+
+
 def _function_of(scn: Scenario, task: dict):
-    fname = task.get("function")
-    if fname not in scn.functions:
-        raise ValidationError(f"unknown function {fname!r}")
-    return scn.functions[fname]
+    return _lookup(scn.functions, task.get("function"), "function")
 
 
 def _set_function_of(scn: Scenario, task: dict) -> SetFunction:
@@ -320,15 +324,12 @@ def _vector_function_of(scn: Scenario, task: dict) -> VectorFunction:
 def _space_of(scn: Scenario, task: dict, f, key: str = "space") -> List[tuple]:
     """The points of the task's named space, in the argument space of f."""
     gname = task.get(key)
-    if gname not in scn.spaces:
-        raise ValidationError(f"unknown space {gname!r}")
-    return [_arity(f, p, f"a point of space {gname!r}") for p in scn.spaces[gname]]
+    points = _lookup(scn.spaces, gname, "space")
+    return [_arity(f, p, f"a point of space {gname!r}") for p in points]
 
 
 def _named_set(scn: Scenario, key: str) -> UpperSet:
-    if key not in scn.sets:
-        raise ValidationError(f"unknown set {key!r}")
-    return scn.sets[key]
+    return _lookup(scn.sets, key, "set")
 
 
 def _dirs_for(obj) -> DirectionSet:
@@ -458,7 +459,10 @@ def run_task(scn: Scenario, task: dict) -> dict:
         ws = scn.workspace
         if ws is None:
             raise ValidationError("infdir_plus_cone needs a workspace")
-        out["value"] = infdir_plus_cone(ws, _vec(_field(task, "direction"))).to_json()
+        direction = _vec(_field(task, "direction"))
+        if len(direction) != ws.dim:
+            raise ValidationError(f"direction has {len(direction)} coordinates, expected {ws.dim}")
+        out["value"] = infdir_plus_cone(ws, direction).to_json()
     elif op == "noncommutation":
         ws = scn.workspace or example23_workspace()
         count = _int(task.get("count", 6))

@@ -493,6 +493,30 @@ def inf_translate(f: SetFunction, M: Sequence[Sequence], convex: bool = False) -
     return _fm_translate(f, pts)
 
 
+def infimum_over_domain(f: ParamPolyFunction) -> UpperSet:
+    """The lattice infimum of f over its whole domain.
+
+    The graph {(x, z) : x in the domain, <N_i, z> <= piece(x) for every
+    piece} is a polyhedron, so the infimum is its projection onto Z: every
+    argument column is eliminated, and a row left with a zero normal and a
+    negative bound means the domain is empty.
+    """
+    zero_z = (Fraction(0),) * f.workspace.dim
+    rows = [
+        (tuple(-c for c in coef) + tuple(map(Fraction, n)), k)
+        for n, off in zip(f.normals, f.offsets)
+        for coef, k in off.pieces
+    ]
+    rows += [(a + zero_z, r) for a, r in f.domain.rows]
+    cons = []
+    for nz, const in fourier_motzkin(rows, f.xdim):
+        if any(nz):
+            cons.append((nz, const))
+        elif const < 0:
+            return f.workspace.empty_set()
+    return f.workspace.upper_set(cons)
+
+
 def _hull_rows_of_points(xdim: int, pts: List[Vec]):
     """H-rep rows of the convex hull of finitely many points in X."""
     geom = GEOMETRY.get(xdim)

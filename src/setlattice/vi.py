@@ -43,6 +43,7 @@ from .setfun import (
     cminus_lsc_probe,
     inf_translate,
     inf_translation,
+    infimum_over_domain,
     lattice_lsc_probe,
 )
 
@@ -796,8 +797,8 @@ def implication_audit_for_set(
 
 
 def _monotone_segment_characterization(f: SetFunction, x0: Vec, space: CandidateSpace):
-    """For each differing candidate: inf of f over the open segment stays
-    below the endpoint value and differs from it.  Returns (holds, exact)."""
+    """For each differing candidate: inf of f over the segment stays below the
+    endpoint value and differs from it.  Returns (holds, exact)."""
     v0 = f.eval(x0)
     holds = True
     exact = True
@@ -805,24 +806,29 @@ def _monotone_segment_characterization(f: SetFunction, x0: Vec, space: Candidate
         vx = f.eval(x)
         if vx == v0 or vx.is_empty:
             continue
-        seg_inf, seg_exact = _open_segment_infimum(f, x0, x)
+        seg_inf, seg_exact = _segment_infimum(f, x0, x)
         exact = exact and seg_exact
         if not (seg_inf.leq(vx) and seg_inf != vx):
             holds = False
     return holds, exact
 
 
-def _open_segment_infimum(f: SetFunction, x0: Vec, x: Vec):
-    ws = f.workspace
+def _segment_infimum(f: SetFunction, x0: Vec, x: Vec):
+    """The lattice infimum of f over the closed segment [x0, x], and whether it is exact.
+
+    The paper takes the infimum over the open segment.  For exact functions
+    the two agree: they are continuous on a closed polyhedral domain that
+    holds x0 and x, so each end value is a limit of values inside the segment
+    and lies in the closed hull the infimum takes.  Oracle functions are
+    sampled inside the open segment.
+    """
     if isinstance(f, EpiVectorFunction):
         try:
             f = f.as_parampoly()
         except LatticeError:
             pass
-    if isinstance(f, ParamPolyFunction):
-        zero = tuple(Fraction(0) for _ in x0)
-        fhat = inf_translate(f, [zero, _vsub(x, x0)], convex=True)
-        return fhat.eval(x0), True
     g = f.restrict(x0, x)
+    if isinstance(g, ParamPolyFunction):
+        return infimum_over_domain(g), True
     samples = [Fraction(k, 16) for k in range(1, 16)]
-    return inf_family(ws, [g.eval((t,)) for t in samples]), False
+    return inf_family(g.workspace, [g.eval((t,)) for t in samples]), False

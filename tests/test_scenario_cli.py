@@ -263,6 +263,89 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err, label
 
 
+# one small scenario with cheap tasks; every field of it is dropped or retyped
+_FUZZ_DOC = {
+    "schema": 1,
+    "name": "fuzz",
+    "tolerance": "1/1000",
+    "workspace": {"dim": 2, "cone": [[1, 0], [0, 1]], "directions": [[-1, -1]]},
+    "sets": {
+        "A": {"constraints": [{"n": [-1, 0], "b": "1"}, {"n": [0, -1], "b": "0"}]},
+        "B": {"tag": "empty"},
+    },
+    "functions": {
+        "f": {
+            "variant": "parampoly",
+            "xdim": 1,
+            "normals": [[-1, 0], [0, -1]],
+            "offsets": [[[["1"], "0"], [["-1"], "1"]], [[["-1"], "0"]]],
+            # wide enough that a coordinate retyped to 5 stays inside: a base
+            # outside the domain is a task error (exit 2), not malformed input
+            "domain": [[["1"], "8"], [["-1"], "8"]],
+        },
+        "psi": {
+            "variant": "epivector",
+            "xdim": 1,
+            "components": [[[["1"], "0"]], [[["-1"], "0"]]],
+        },
+    },
+    "spaces": {"g": {"points": [[0], ["1/2"], [1]]}, "b": {"box": [["0", "1"]], "step": "1/2"}},
+    "tasks": [
+        {"op": "eval", "function": "f", "x": [0]},
+        {"op": "residual", "a": "A", "b": "B"},
+        {"op": "check_vi", "function": "f", "base": [0], "space": "g",
+         "inequalities": ["svi_I", "MVI_M"]},
+        {"op": "minimal_scan", "function": "psi", "space": "b"},
+        {"op": "derivative", "function": "f", "x": [0], "u": [1]},
+        {"op": "infdir_plus_cone", "direction": [0, -1]},
+    ],
+}
+_DROP = object()
+
+
+def _fuzz_mutations(node, path=()):
+    """(path, replacement) for every field and list entry below node."""
+    if isinstance(node, dict):
+        entries = node.items()
+    elif isinstance(node, list):
+        entries = enumerate(node)
+    else:
+        return
+    for key, child in entries:
+        for replacement in (_DROP, 5, "x", None, [], {}):
+            yield path + (key,), replacement
+        yield from _fuzz_mutations(child, path + (key,))
+
+
+def test_malformed_scenario_fuzz(tmp_path, capsys):
+    path = tmp_path / "mutant.json"
+    failures = []
+    count = 0
+    for where, replacement in _fuzz_mutations(_FUZZ_DOC):
+        doc = json.loads(json.dumps(_FUZZ_DOC))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if replacement is _DROP:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = replacement
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        label = (where, "drop" if replacement is _DROP else replacement)
+        try:
+            code = main(["check-vi", "--scenario", str(path)])
+        except Exception as exc:  # noqa: BLE001 - the fuzz reports any escape
+            failures.append((label, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1) or (code == 1 and not err.startswith("validation error:")):
+            failures.append((label, code, err))
+        count += 1
+    assert not failures, failures
+    assert count > 700
+
+
 @pytest.mark.parametrize("tolerance", ["abc", "1/0", "-1"])
 def test_cli_bad_tolerance(tolerance, capsys):
     code = main(["check-vi", "--scenario", "builtin:example23", "--tolerance", tolerance])

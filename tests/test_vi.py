@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,15 +11,25 @@ from setlattice.instances import (
     heyde_b,
     no_solution_line,
     orthant_workspace,
+    random_concave_pwl,
+    random_convex_pwl,
     random_grid,
     random_parampoly,
     random_workspace,
 )
 from setlattice.kernel import Workspace, inf_family
-from setlattice.setfun import ConcavePWL, ParamPolyFunction
+from setlattice.setfun import (
+    ConcavePWL,
+    EpiVectorFunction,
+    ParamPolyFunction,
+    Polyhedron,
+    inf_translate,
+    infimum_over_domain,
+)
 from setlattice.vi import (
     BaseOutsideDomain,
     CandidateSpace,
+    _segment_infimum,
     enrich_directions,
     enrich_space,
     implication_audit,
@@ -322,3 +333,60 @@ def test_implication_audit_for_set():
     assert audit.infimum.conditions["a"]
     bad = implication_audit_for_set(f1, [(1,)], space, w1.directions)
     assert bad.violations == [] and not bad.infimum.conditions["a"]
+
+
+def _segment_cases():
+    """Seeded ParamPoly and EpiVector functions with (x0, x) pairs in their domains:
+    1-D and 2-D workspaces, one and two arguments, box and whole domains, and
+    normals given as twice or 3/2 times a primitive one."""
+    cases = []
+    for seed, (wdim, xdim, boxed, scale) in enumerate(
+        product((1, 2), (1, 2), (False, True), (1, 2, F(3, 2)))
+    ):
+        rng = random.Random(9000 + seed)
+        domain = Polyhedron.box([(-1, 2)] * xdim) if boxed else Polyhedron.whole(xdim)
+        ws = random_workspace(rng, dim=wdim)
+        g = random_parampoly(rng, ws, xdim)
+        normals = [tuple(scale * c for c in n) for n in g.normals]
+        offsets = [random_concave_pwl(rng, xdim) for _ in normals]
+        cases.append((rng, ParamPolyFunction(ws, xdim, normals, offsets, domain)))
+        orthant = Workspace(1, [(1,)], [(-1,)]) if wdim == 1 else orthant_workspace()
+        comps = [random_convex_pwl(rng, xdim) for _ in range(wdim)]
+        cases.append((rng, EpiVectorFunction(orthant, xdim, comps, domain)))
+    for rng, f in cases:
+        pts = [x for x in random_grid(rng, f.xdim, 4) if not f.eval(x).is_empty]
+        for x0, x in zip(pts, pts[1:]):
+            yield f, tuple(map(F, x0)), tuple(map(F, x))
+
+
+def test_segment_infimum_matches_whole_function_translation():
+    seen = set()
+    for f, x0, x in _segment_cases():
+        step = tuple(q - p for p, q in zip(x0, x))
+        oracle = inf_translate(f, [(F(0),) * f.xdim, step], convex=True).eval(x0)
+        assert _segment_infimum(f, x0, x) == (oracle, True), (f, x0, x)
+        seen.add((f.workspace.dim, f.xdim, isinstance(f, EpiVectorFunction)))
+    assert len(seen) == 8
+
+
+def test_segment_infimum_hand_case():
+    # f(x) = {z : -z <= min(x, 1 - x)} on [0, 1]: the segment dips to -z <= 1/2
+    # in its middle, which neither end value shows
+    w1 = Workspace(1, [(1,)])
+    tent = ConcavePWL([((1,), 0), ((-1,), 1)])
+    f = ParamPolyFunction(w1, 1, [(-1,)], [tent], Polyhedron.box([(0, 1)]))
+    x0, x = (F(0),), (F(1),)
+    assert _segment_infimum(f, x0, x) == (w1.upper_set([((-1,), F(1, 2))]), True)
+    assert inf_family(w1, [f.eval(x0), f.eval(x)]) == w1.upper_set([((-1,), 0)])
+
+
+def test_infimum_over_domain_empty_and_whole():
+    w1 = Workspace(1, [(1,)])
+    tent = ConcavePWL([((1,), 0), ((-1,), 1)])
+    gap = Polyhedron(1, [((1,), -1), ((-1,), -1)])  # x <= -1 and x >= 1
+    assert infimum_over_domain(ParamPolyFunction(w1, 1, [(-1,)], [tent], gap)).is_empty
+    # on the whole line the tent still peaks at 1/2; the offset x has no bound
+    peak = w1.upper_set([((-1,), F(1, 2))])
+    assert infimum_over_domain(ParamPolyFunction(w1, 1, [(-1,)], [tent])) == peak
+    ramp = ConcavePWL([((1,), 0)])
+    assert infimum_over_domain(ParamPolyFunction(w1, 1, [(-1,)], [ramp])).is_whole
