@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .extres import PLUS_INF, ExtReal, ext_min
+from .extres import ExtReal, ext_min
 from .kernel import (
     GEOMETRY,
     LatticeError,
@@ -317,12 +317,6 @@ class EpiVectorFunction(SetFunction):
         if not self.domain.contains(x):
             return self.workspace.empty_set()
         return self.workspace.translated_cone(self.psi(x))
-
-    def scalarize(self, zstar, x):
-        xx = as_vec(x)
-        if not self.domain.contains(xx):
-            return PLUS_INF
-        return ExtReal(-_dot(as_vec(zstar), self.psi(xx)))
 
     def _compose(self, base, cols, extra):
         return EpiVectorFunction(

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import Callable, List, Optional, Sequence
 
-from .calculus import _domain_exit, scalar_dini, set_derivative
+from .calculus import _ray, scalar_dini, set_derivative
 from .extres import ExtReal
 from .kernel import (
     LatticeError,
@@ -21,7 +22,6 @@ from .kernel import (
     to_frac,
 )
 from .setfun import ConvexPWL, EpiVectorFunction, OracleFunction, Polyhedron, SetFunction
-from .setfun import _components
 from .vi import CandidateSpace, minimal_check, run_checker
 
 class EmptyGrid(LatticeError):
@@ -117,8 +117,12 @@ class PWLVectorFunction(VectorFunction):
     ):
         self.workspace = workspace
         self.xdim = xdim
-        self.components = _components(workspace, xdim, components)
-        self.domain = domain if domain is not None else Polyhedron.whole(xdim)
+        # the one epigraphical extension: its eval and ray memos serve every task on psi
+        self.epi = EpiVectorFunction(
+            workspace, xdim, components, domain, name=name or "epigraphical"
+        )
+        self.components = self.epi.components
+        self.domain = self.epi.domain
         self.is_exact = True
         self.name = name
 
@@ -158,11 +162,9 @@ class OracleVectorFunction(VectorFunction):
 
 def epigraphical(psi: VectorFunction) -> SetFunction:
     """The epigraphical extension x -> psi(x) + C, ∅ outside the domain."""
-    ws = psi.workspace
     if isinstance(psi, PWLVectorFunction):
-        return EpiVectorFunction(
-            ws, psi.xdim, psi.components, psi.domain, name=psi.name or "epigraphical"
-        )
+        return psi.epi
+    ws = psi.workspace
 
     def evaluator(x: Vec) -> UpperSet:
         v = psi.psi(x)
@@ -185,30 +187,30 @@ def epigraphical(psi: VectorFunction) -> SetFunction:
 # ---------------------------------------------------------------------------
 
 
-def _dominates(cone, y: Vec, z: Vec) -> bool:
-    """z ∈ y + C and z ∉ y + (C ∩ -C)."""
-    d = tuple(a - b for a, b in zip(z, y))
-    return cone.contains(d) and not cone.in_lineality(d)
-
-
 def efficient_set(psi: VectorFunction, grid: Sequence[Sequence]) -> List[Vec]:
-    """Grid points whose value is efficient in psi[grid] (pairwise dominance scan)."""
+    """Grid points whose value is efficient in psi[grid], in grid order.
+
+    Each value v is read once in cone coordinates, key(v) = (<n, v>) over the
+    facet normals n of C = {d : <n, d> <= 0}.  Then psi(x) lies in psi(y) + C
+    off y + (C ∩ -C) exactly when key(x) <= key(y) componentwise and the keys
+    differ, so x is efficient iff no key lies strictly above its own.
+    """
     if not grid:
         raise EmptyGrid("efficiency scan needs a nonempty grid")
-    cone = psi.workspace.cone
-    pts = [as_vec(x) for x in grid]
-    values = {}
-    for x in pts:
+    normals = psi.workspace.cone.facet_normals
+    keys = []
+    for x in map(as_vec, grid):
         v = psi.psi(x)
         if v is None:
             raise EmptyGrid(f"grid point {x} is outside the domain")
-        values[x] = v
-    out = []
-    for x in pts:
-        zx = values[x]
-        if not any(_dominates(cone, values[y], zx) for y in pts if y != x):
-            out.append(x)
-    return out
+        keys.append((x, tuple(_dot(n, v) for n in normals)))
+    distinct = {kx for _, kx in keys}
+    dominated = {
+        kx
+        for kx in distinct
+        if any(ky != kx and all(map(le, kx, ky)) for ky in distinct)
+    }
+    return [x for x, kx in keys if kx not in dominated]
 
 
 def efficiency_minimality_bridge(
@@ -231,16 +233,14 @@ def efficiency_minimality_bridge(
 
 
 def eff_plus_cone_identity(psi: VectorFunction, grid: Sequence[Sequence]) -> bool:
-    """The union of minimal values equals the efficient values plus the cone."""
-    ws = psi.workspace
-    eff = efficient_set(psi, grid)
-    minimal_values = set()
-    pts = [as_vec(x) for x in grid]
-    for x in pts:
-        zx = psi.psi(x)
-        if not any(_dominates(ws.cone, psi.psi(y), zx) for y in pts if y != x):
-            minimal_values.add(ws.translated_cone(zx))
-    eff_values = {ws.translated_cone(psi.psi(x)) for x in eff}
+    """The union of minimal values equals the efficient values plus the cone.
+
+    The minimal values come from the lattice order of the kernel, not from
+    the cone coordinates of efficient_set, so each side checks the other."""
+    tc = psi.workspace.translated_cone
+    values = {tc(psi.psi(x)) for x in map(as_vec, grid)}
+    minimal_values = {v for v in values if not any(w.leq(v) and w != v for w in values)}
+    eff_values = {tc(psi.psi(x)) for x in efficient_set(psi, grid)}
     return minimal_values == eff_values
 
 
@@ -262,11 +262,11 @@ def vector_dini(psi: VectorFunction, x0: Sequence, u: Sequence) -> DiniLimitSet:
     if base is None:
         raise LatticeError("base point is outside the domain")
     if isinstance(psi, PWLVectorFunction):
-        hi = _domain_exit(psi.domain.compose(x0, (uu,)))
-        if hi is not None and hi <= 0:
+        # the first slopes are the _EpiRay record of the shared extension
+        ray = _ray(psi.epi, x0, uu).shape(psi.epi)
+        if ray is None:
             return DiniLimitSet(exact=True, diagnostic={"note": "no admissible t"})
-        slopes = tuple(c.compose(x0, (uu,)).first_piece()[1] for c in psi.components)
-        return DiniLimitSet(finite_points=[slopes], exact=True)
+        return DiniLimitSet(finite_points=[tuple(ray.slopes)], exact=True)
     tol = getattr(psi, "tolerance", Fraction(1, 10**6))
     trail = []
     t = Fraction(1)

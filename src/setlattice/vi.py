@@ -313,6 +313,7 @@ def infimum_at_point_check(
         conds["a"] = False
         wits["a"].append({"inf": "differs"})
     origin = (Fraction(0),) * f.workspace.dim
+    phis0 = [(z, f.scalarize(z, x0)) for z in directions]
     for x in space.points:
         vx = f.eval(x)
         q = v0.residual(vx)
@@ -323,8 +324,7 @@ def infimum_at_point_check(
         if not rec0.leq(qb):
             conds["f"] = False
             wits["f"].append({"x": x})
-        for z in directions:
-            phi0 = f.scalarize(z, x0)
+        for z, phi0 in phis0:
             phix = f.scalarize(z, x)
             if phix < phi0:
                 conds["b"] = False
@@ -354,6 +354,7 @@ def minimal_check(f: SetFunction, x0, space: CandidateSpace, directions) -> Cond
     conds = {k: True for k in "abcde"}
     wits = {k: [] for k in "abcde"}
     origin = (Fraction(0),) * f.workspace.dim
+    phis0 = [(z, f.scalarize(z, x0)) for z in directions]
     for x in space.points:
         vx = f.eval(x)
         if vx == v0:
@@ -362,8 +363,7 @@ def minimal_check(f: SetFunction, x0, space: CandidateSpace, directions) -> Cond
             conds["a"] = False
             wits["a"].append({"x": x})
         found_b = found_c = found_d = False
-        for z in directions:
-            phi0 = f.scalarize(z, x0)
+        for z, phi0 in phis0:
             phix = f.scalarize(z, x)
             if phi0 < phix:
                 found_b = True

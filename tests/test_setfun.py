@@ -322,3 +322,32 @@ def test_hull_rows_need_one_or_two_dimensions():
     f = ParamPolyFunction(orthant_workspace(), 2, [(-1, 0)], [ConcavePWL([((0, 0), 0)])])
     with pytest.raises(LatticeError):
         inf_translate(f, [(0, 0, 5), (1, 1, 5)], convex=True)
+
+
+def test_scalarize_reads_the_value_for_every_direction():
+    """scalarize(z*, x) is inf{-<z*, z> : z in f(x)}, so -inf for z* outside
+    C^- whenever f(x) is nonempty, for every constructor class."""
+    ws = orthant_workspace()
+    line = EpiVectorFunction(ws, 1, [ConvexPWL([((1,), 0)]), ConvexPWL([((-1,), 0)])])
+    # psi(x) = (x, -x), z* = (1, 0) outside C^-: the set psi(1) + C is unbounded
+    # along (1, 0), so the scalarization is -inf, not -<z*, psi(1)> = -1
+    assert line.eval((1,)).neg_support((1, 0)).is_minus_inf
+    assert line.scalarize((1, 0), (1,)).is_minus_inf
+    box = Polyhedron.box([(-2, 2)])
+    epi = EpiVectorFunction(
+        ws, 1, [ConvexPWL([((1,), 0), ((-1,), 0)]), ConvexPWL([((1,), -1)])], box
+    )
+    pp = random_parampoly(random.Random(5), ws, 1, max_normals=3)
+    functions = [
+        line,
+        epi,
+        pp,
+        FiniteInfFunction([epi, pp.shift_arg((1,))]),
+        heyde_b(),
+    ]
+    inside = [(-1, 0), (0, -1), (-1, -1), (-1, -2)]
+    outside = [(1, 0), (0, 1), (1, -1), (-1, 1), (1, 1)]
+    for f in functions:
+        for x in [(F(k, 2),) for k in range(-6, 7)]:
+            for z in inside + outside:
+                assert f.scalarize(z, x) == f.eval(x).neg_support(z), (f, x, z)

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +9,13 @@ from setlattice.instances import (
     infdir_example,
     noncommutation_trail,
     orthant_workspace,
+    random_convex_pwl,
     random_grid,
     random_pwl_vector,
 )
-from setlattice.kernel import Workspace, inf_family
-from setlattice.setfun import ConvexPWL
+from setlattice.calculus import _domain_exit
+from setlattice.kernel import Workspace, as_vec, inf_family
+from setlattice.setfun import ConvexPWL, Polyhedron
 from setlattice.vectoropt import (
     DiniLimitSet,
     EmptyGrid,
@@ -215,3 +219,101 @@ def test_lineality_cone_efficiency():
     grid = [(F(k, 2),) for k in range(-2, 3)]
     assert efficient_set(psi, grid) == [(F(-1),)]
     assert efficiency_minimality_bridge(psi, grid, whp.directions)["agrees"]
+
+
+def _scenario_cones():
+    """The ordering cones of the scenarios benchmark, read from the literal
+    SCENARIO_CONES in perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SCENARIO_CONES"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("SCENARIO_CONES not found")
+
+
+def _lattice_efficient(psi, grid):
+    """Brute force in the lattice order: x is efficient iff no value
+    psi(y) + C is a strict superset of psi(x) + C."""
+    tc = psi.workspace.translated_cone
+    values = [tc(psi.psi(x)) for x in grid]
+    return [
+        as_vec(x)
+        for x, v in zip(grid, values)
+        if not any(w.leq(v) and w != v for w in values)
+    ]
+
+
+def _mirrored_pwl(rng):
+    """A convex component of |x|, so x and -x tie in value."""
+    pieces = []
+    for _ in range(rng.randint(1, 2)):
+        c, k = F(rng.randint(0, 2)), F(rng.randint(-3, 3), rng.randint(1, 2))
+        pieces += [((c,), k), ((-c,), k)]
+    return ConvexPWL(pieces)
+
+
+def test_efficient_set_matches_lattice_order_oracle():
+    rng = random.Random(2718)
+    cones = _scenario_cones() + [[(1, 0), (-1, 0), (0, 1)]]  # the last has a line
+    assert any(not Workspace(2, g).cone.is_pointed for g in cones)
+    checked = 0
+    for gens in cones:
+        ws = Workspace(2, gens)
+        for trial in range(12):
+            xdim = 1 + trial % 2
+            if trial % 4 == 3:
+                psi = PWLVectorFunction(ws, 1, [_mirrored_pwl(rng) for _ in range(2)])
+                grid = [(F(k, 2),) for k in range(-4, 5)]
+            else:
+                psi = random_pwl_vector(rng, ws, xdim, max_pieces=2)
+                grid = random_grid(rng, xdim, 6)
+            # repeated grid points keep their place and multiplicity
+            grid = grid + [grid[0], grid[len(grid) // 2]]
+            eff = efficient_set(psi, grid)
+            assert eff == _lattice_efficient(psi, grid), (gens, trial)
+            assert eff_plus_cone_identity(psi, grid)
+            checked += len(grid) - len(set(eff))
+    # the cases must exercise dominated points, not only all-efficient grids
+    assert checked > 100
+
+
+def _per_component_dini(psi, x0, u):
+    """The first slopes composed component by component: None when the ray
+    leaves the domain at once."""
+    x0, u = as_vec(x0), as_vec(u)
+    hi = _domain_exit(psi.domain.compose(x0, (u,)))
+    if hi is not None and hi <= 0:
+        return None
+    return tuple(c.compose(x0, (u,)).first_piece()[1] for c in psi.components)
+
+
+def test_vector_dini_reads_the_shared_ray_record():
+    rng = random.Random(1618)
+    ws = orthant_workspace()
+    checked = {"exit": 0, "zero": 0, "slopes": 0}
+    for trial in range(40):
+        xdim = 1 + trial % 2
+        comps = [random_convex_pwl(rng, xdim, max_pieces=3) for _ in range(2)]
+        psi = PWLVectorFunction(ws, xdim, comps, Polyhedron.box([(-2, 2)] * xdim))
+        assert epigraphical(psi) is epigraphical(psi)
+        bases = [tuple(F(rng.randint(-4, 4), 2) for _ in range(xdim)) for _ in range(3)]
+        # a corner of the box, with directions that point out of it
+        bases.append((F(2),) * xdim)
+        dirs = [tuple(F(rng.randint(-2, 2)) for _ in range(xdim)) for _ in range(3)]
+        dirs += [(F(1),) * xdim, (F(0),) * xdim]
+        for x0 in bases:
+            for u in dirs:
+                dl = vector_dini(psi, x0, u)
+                want = _per_component_dini(psi, x0, u)
+                assert dl.exact
+                if want is None:
+                    assert dl.is_empty and dl.diagnostic == {"note": "no admissible t"}
+                    checked["exit"] += 1
+                else:
+                    assert dl.finite_points == [want] and not dl.infinite_dirs
+                    checked["zero" if not any(u) else "slopes"] += 1
+                    # set_derivative reads the same ray record
+                    x = tuple(a + b for a, b in zip(x0, u))
+                    rep = classify_dini(psi, x0, x, dl, ws.directions)
+                    assert rep["finite_matches_derivative"] and rep["scalar_dini_matches"]
+    assert min(checked.values()) > 0, checked

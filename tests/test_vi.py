@@ -173,6 +173,51 @@ def test_reports_match_golden(absdiag, grid, ws):
     assert len({w["x"] for w in rep.witnesses}) >= 2
 
 
+# sha256 of the sorted-key JSON of the ConditionReports at every base in the
+# domain, recorded before minimal_check and infimum_at_point_check took each
+# phi(x0) once per direction ahead of their loops over x.
+GOLDEN_CONDITIONS = {
+    "parampoly61": {
+        "minimal_check": "6e2510d4fcf8abb64fb386bb45046b29940be21d7af56285783c65edcddbe013",
+        "infimum_at_point_check": "a6a015a82aa183d740ee674c99177a0ca76eb3baa81752b90ce67d64fa8b2283",
+    },
+    "epivector61": {
+        "minimal_check": "0b4c1b51cd8477ee8bc0b7946ea21b8d43d690bc805018e1d8d68c8f794dc6ba",
+        "infimum_at_point_check": "3e6fc675deeb8d70bf4e278fe3843e8c2b70155a7314e73542104d678c977055",
+    },
+    "heyde_b": {
+        "minimal_check": "0bac1e3ae6e001cc5e9e46516158ab7acef2eff7a277eee01018500aed260f39",
+        "infimum_at_point_check": "ab3116e280b9c05bb05c528ae7f33b1faffdd970e978553411633433402d92ac",
+    },
+}
+
+
+def test_condition_reports_match_golden():
+    rng = random.Random(61)
+    rws = random_workspace(rng)
+    f = random_parampoly(rng, rws, 2, max_normals=2, max_pieces=2)
+    pts = random_grid(rng, 2, 6, span=6)
+    ows = orthant_workspace()
+    epi = EpiVectorFunction(ows, 1, [random_convex_pwl(rng, 1) for _ in range(2)])
+    hb = heyde_b()
+    quarters = [(F(k, 4),) for k in range(-1, 6)]
+    cases = {
+        "parampoly61": (f, CandidateSpace.of(pts), rws.directions),
+        "epivector61": (epi, CandidateSpace.of(quarters), ows.directions),
+        "heyde_b": (hb, CandidateSpace.of(quarters), hb.workspace.directions),
+    }
+    for label, (fn, space, dirs) in cases.items():
+        bases = [x for x in space.points if not fn.eval(x).is_empty]
+        assert len(bases) >= 4, label
+        for check in (minimal_check, infimum_at_point_check):
+            reps = [check(fn, x0, space, dirs).to_json() for x0 in bases]
+            # some base fails a condition, so the witness lists are pinned too
+            assert any(not all(r["conditions"].values()) for r in reps), (label, check)
+            text = json.dumps(reps, sort_keys=True)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == GOLDEN_CONDITIONS[label][check.__name__], (label, check)
+
+
 def test_svi_M_whole_space_guard(ws):
     f = ParamPolyFunction(ws, 1, [], [], name="whole")
     space = CandidateSpace.of([(0,), (1,)])
