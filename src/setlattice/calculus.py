@@ -1,24 +1,33 @@
 """Differential quotients, set-valued directional derivatives, scalar Dini
 derivatives, and the strong/weak regularity checks.
 
-For exact piecewise-linear data the monotone differential quotient is
-analyzed symbolically on a small initial interval (0, t̂) whose endpoint is
-the least positive root of the finitely many affine sign conditions that
-control the quotient's combinatorial structure; the limit is then read off
-exactly.  Oracle functions are sampled on a geometric grid and flagged.
+Exact functions (ParamPoly and epigraphical) share one ray record, the
+first rows of t -> f(x + t u): on (0, t1] the value is
+{z : <n_i, z> <= alpha_i + beta_i t}, read through each class's
+``first_rows`` hook.  The scalar Dini value comes from those rows by LP
+duality, σ(z* | f(x + t u)) = min over the dual bases λ >= 0, Σ λ_i n_i = z*,
+of Σ λ_i (alpha_i + beta_i t), so it is minus the beta-part of the
+lexicographically least (λ·alpha, λ·beta), with no set built.  The set
+derivative keeps the rows tight at the base; one quotient, taken below the
+first root of the affine sign conditions that shape the value family,
+confirms it.
+Oracle functions are sampled on a geometric grid and flagged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .extres import MINUS_INF, PLUS_INF, ExtReal
+from .extres import MINUS_INF, PLUS_INF, ExtReal, residual as ext_residual
 from .kernel import (
     LatticeError,
     UpperSet,
     Vec,
+    _int_dir,
     as_vec,
     inf_family,
     sup_family,
@@ -26,10 +35,11 @@ from .kernel import (
 )
 from .setfun import (
     EpiVectorFunction,
+    FirstRows,
     OracleFunction,
     ParamPolyFunction,
-    Polyhedron,
     SetFunction,
+    _check_lengths,
     level_set,
 )
 
@@ -90,18 +100,12 @@ def _all_crossings(off, window: Fraction):
     return out
 
 
-def _domain_exit(domain: Polyhedron) -> Optional[Fraction]:
-    """The upper end of a one-parameter domain (None = unbounded)."""
-    hi: Optional[Fraction] = None
-    for (a,), r in domain.rows:
-        if a > 0:
-            bound = r / a
-            if hi is None or bound < hi:
-                hi = bound
-    return hi
+def _cross(a, b):
+    """a_0 b_1 - a_1 b_0; 0 for vectors of the line, which are all parallel."""
+    return a[0] * b[-1] - a[-1] * b[0]
 
 
-def _shape_roots(normals, dim: int, offs):
+def _shape_roots(normals, offs):
     """Candidate parameters t at which the system {<N_i, z> <= p_i + q_i t},
     offs = [(p_i, q_i)], changes shape: two parallel rows swap or close the
     set, or a vertex trajectory crosses a third row.  Returns the roots,
@@ -116,7 +120,7 @@ def _shape_roots(normals, dim: int, offs):
         for j in range(i + 1, m):
             nj = normals[j]
             pj, qj = offs[j]
-            D = 0 if dim == 1 else ni[0] * nj[1] - nj[0] * ni[1]
+            D = _cross(ni, nj)
             if D == 0:
                 p, q = (pi - pj, qi - qj) if ni == nj else (pi + pj, qi + qj)
                 if q != 0:
@@ -150,64 +154,35 @@ def _swap_roots(verts, directions) -> List[Fraction]:
     return roots
 
 
-class _RayAnalysis:
-    """Exact structure of t -> f(x + t u) near t = 0+ for a ParamPoly ray:
-    on (0, t0] the offsets are alpha_i + beta_i t; sigma_i is the support of
-    f(x) in the normal N_i."""
+def _pinched(rows: FirstRows) -> bool:
+    """Whether the rows' values are empty for small t > 0; they are not at 0.
 
-    __slots__ = ("ws", "normals", "alpha", "beta", "sigma", "verts", "t0")
-
-    def __init__(self, g: ParamPolyFunction, exit_t: Optional[Fraction], value_at_base: UpperSet):
-        self.ws = g.workspace
-        self.normals = g.normals
-        self.alpha = []
-        self.beta = []
-        roots: List[Fraction] = [] if exit_t is None else [exit_t]
-        for off in g.offsets:
-            a, b, t1 = off.first_piece()
-            self.alpha.append(a)
-            self.beta.append(b)
-            if t1 is not None:
-                roots.append(t1)
-        # finite: the normal bounds its own system
-        self.sigma = [value_at_base.support(n).value for n in self.normals]
-        dim = self.ws.dim
-        shape, self.verts = _shape_roots(self.normals, dim, list(zip(self.alpha, self.beta)))
-        roots.extend(shape)
-        rho = [(a - s, b) for a, s, b in zip(self.alpha, self.sigma, self.beta)]
-        roots.extend(_shape_roots(self.normals, dim, rho)[0])
-        self.t0 = min([r for r in roots if r > 0] + [Fraction(1)])
-
-    def threshold(self, directions) -> Fraction:
-        """t0, lowered to the first optimal-basis switch of <z*, v(t)> over directions."""
-        t = self.t0
-        for r in _swap_roots(self.verts, directions):
-            if 0 < r < t:
-                t = r
-        return t
-
-    def value(self, t: Fraction) -> UpperSet:
-        """f(x + t u) for 0 < t <= t0."""
-        return self.ws.upper_set(
-            [(n, a + b * t) for n, a, b in zip(self.normals, self.alpha, self.beta)]
-        )
+    By Farkas the system is empty at t exactly when some positive circuit
+    λ > 0, Σ λ_i n_i = 0 (an opposite pair, or in the plane a triple around
+    the origin) has Σ λ_i (alpha_i + beta_i t) < 0.  These sums are >= 0 at
+    t = 0, so near 0 it takes a circuit with λ·alpha = 0 > λ·beta.  Circuits
+    exist only when C^- holds opposite normals."""
+    n, a, b = rows.normals, rows.alpha, rows.beta
+    for i, j in combinations(range(len(n)), 2):
+        # primitive normals that are parallel and differ are opposite
+        if _cross(n[i], n[j]) == 0 and n[i] != n[j] and a[i] + a[j] == 0 > b[i] + b[j]:
+            return True
+    for ijk in combinations(range(len(n)), 3):
+        i, j, k = ijk
+        lam = (_cross(n[j], n[k]), _cross(n[k], n[i]), _cross(n[i], n[j]))
+        if max(lam) < 0:
+            lam = tuple(-c for c in lam)
+        if min(lam) > 0:
+            la = sum(c * a[r] for c, r in zip(lam, ijk))
+            if la == 0 > sum(c * b[r] for c, r in zip(lam, ijk)):
+                return True
+    return False
 
 
-class _EpiRay:
-    """First slopes of the components of an epivector ray, and a t with every
-    component affine on (0, that]."""
-
-    __slots__ = ("slopes", "that")
-
-    def __init__(self, g: EpiVectorFunction, exit_t: Optional[Fraction]):
-        roots: List[Fraction] = [] if exit_t is None else [exit_t]
-        self.slopes = []
-        for comp in g.components:
-            _, slope, t1 = comp.first_piece()
-            self.slopes.append(slope)
-            if t1 is not None:
-                roots.append(t1)
-        self.that = min(roots + [Fraction(1)])
+def _weighted(basis, values) -> Fraction:
+    """λ·values for a dual basis (((row, λ numerator), ...), λ denominator)."""
+    lam, d = basis
+    return Fraction(sum(l * values[i] for i, l in lam), d)
 
 
 _UNSET = object()
@@ -217,32 +192,87 @@ _EXACT_RAYS = (ParamPolyFunction, EpiVectorFunction)
 class _Ray:
     """The memo record of one ray t -> f(x + t u), kept in ``f._rays``.
 
-    ``set_derivative``, ``scalar_dini`` and ``first_linear_sample`` fill it
-    lazily: the ray's first-order shape, the derivative, and the Dini value
-    per z*.  Cached results are shared; callers must not mutate them.
+    For exact f it holds the ray's ``setfun.FirstRows``, read once from the
+    ray function's ``first_rows`` hook (an epigraphical ray psi + C has the
+    facet normals of C as rows), and what is built from them on demand: the
+    emptiness near 0, the shape, the derivative and the Dini value per z*.
+    Callers must not mutate them.
     """
 
-    __slots__ = ("x", "u", "_shape", "derivative", "dini")
+    __slots__ = ("x", "u", "_rows", "_pinched", "_shape", "derivative", "dini")
 
     def __init__(self, x: Vec, u: Vec):
         self.x = x
         self.u = u
-        self._shape = _UNSET
+        self._rows = _UNSET
+        self._pinched = None
+        self._shape = None
         self.derivative: Optional[DerivativeResult] = None
         self.dini = {}
 
+    def rows(self, f: SetFunction) -> Optional[FirstRows]:
+        """The first rows; None when the ray leaves the domain at once.
+        f is one of _EXACT_RAYS."""
+        if self._rows is _UNSET:
+            self._rows = f.ray_restrict(self.x, self.u).first_rows()
+        return self._rows
+
+    def dual_dini(self, z: tuple) -> ExtReal:
+        """The scalar Dini value at z* by LP duality; rows(f) is not None and
+        f(x) is nonempty.
+
+        For small t, σ(z* | f(x + t u)) is the least Σ λ_i (alpha_i + beta_i t)
+        over the dual bases λ >= 0, Σ λ_i n_i = z*: singletons, and
+        independent pairs with both λ > 0 (a zero λ repeats a singleton).
+        So the Dini value is minus the beta-part of the lexicographically
+        least (λ·alpha, λ·beta); with no basis, σ = +∞ and it is -∞.  Where
+        a basis exists, values empty for small t read +∞.
+        """
+        rows = self._rows
+        normals = rows.normals
+        if self._pinched is None:
+            self._pinched = _pinched(rows)
+        k, den = _int_dir(z)  # z* = k/den: the λ are found for k
+        if not any(k):
+            return PLUS_INF if self._pinched else ExtReal(0)
+        bases = []  # (((row, λ numerator), ...), λ denominator)
+        for i, n in enumerate(normals):
+            if _cross(n, k) == 0:
+                d = sum(map(mul, n, k))
+                if d > 0:
+                    bases.append((((i, d),), sum(map(mul, n, n))))
+        for i, j in combinations(range(len(normals)), 2):
+            d = _cross(normals[i], normals[j])
+            li = _cross(k, normals[j])
+            lj = _cross(normals[i], k)
+            if li * d > 0 and lj * d > 0:
+                bases.append((((i, li), (j, lj)), d))
+        if not bases:
+            return MINUS_INF
+        if self._pinched:
+            return PLUS_INF
+        beta = rows.beta
+        if len(bases) > 1:  # the least λ·alpha, then the least λ·beta
+            bases.sort(key=lambda basis: (_weighted(basis, rows.alpha), _weighted(basis, beta)))
+        lam, d = bases[0]
+        return ExtReal(Fraction(-sum(l * beta[i] for i, l in lam), d * den * rows.den))
+
     def shape(self, f: SetFunction):
-        """A _RayAnalysis or _EpiRay; None when the ray leaves the domain at once.
-        f is one of _EXACT_RAYS; ParamPoly rays need f(x) nonempty."""
-        if self._shape is _UNSET:
-            g = f.ray_restrict(self.x, self.u)
-            exit_t = _domain_exit(g.domain)
-            if exit_t is not None and exit_t <= 0:
-                self._shape = None
-            elif isinstance(g, EpiVectorFunction):
-                self._shape = _EpiRay(g, exit_t)
-            else:
-                self._shape = _RayAnalysis(g, exit_t, f.eval(self.x))
+        """(alpha, beta, sigma, t0, vertex trajectories), alpha and beta as
+        Fractions; rows(f) is not None and f(x) is nonempty, so each
+        sigma_i = σ(n_i | f(x)) is finite."""
+        if self._shape is None:
+            normals, alpha, beta, den, t1, _ = self._rows
+            alpha = [Fraction(a, den) for a in alpha]
+            beta = [Fraction(b, den) for b in beta]
+            vx = f.eval(self.x)
+            sigma = [vx.support(n).value for n in normals]
+            roots, verts = _shape_roots(normals, list(zip(alpha, beta)))
+            roots += _shape_roots(normals, [(a - s, b) for a, s, b in zip(alpha, sigma, beta)])[0]
+            if t1 is not None:
+                roots.append(t1)
+            t0 = min([r for r in roots if r > 0] + [Fraction(1)])
+            self._shape = alpha, beta, sigma, t0, verts
         return self._shape
 
 
@@ -273,7 +303,7 @@ def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
     vx = f.eval(xx)
     if vx.is_empty:
         return DerivativeResult(ws.whole_space(), exact=f.is_exact)
-    if all(c == 0 for c in uu):
+    if not any(uu):
         return DerivativeResult(vx.recession(), exact=f.is_exact)
     if isinstance(f, OracleFunction):
         return _sampled_derivative(f, xx, uu)
@@ -281,49 +311,21 @@ def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
         raise NotDeclaredConvex(
             "exact derivatives are available for parametric and epigraphical functions"
         )
-    ana = rec.shape(f)
-    if ana is None:
+    rows = rec.rows(f)
+    if rows is None:
         return DerivativeResult(ws.empty_set(), exact=True)
-    if isinstance(ana, _EpiRay):
-        teval = ana.that / 2
-        value = ws.translated_cone(ana.slopes)
-        result = DerivativeResult(value, exact=True)
-        q = diff_quotient(f, xx, uu, teval)
-        result.samples.append((teval, q))
-        if q == value:
-            result.stabilization_t = teval
-        return result
-    teval = ana.t0 / 2
-    rho = [
-        (a - s) + b * teval for a, s, b in zip(ana.alpha, ana.sigma, ana.beta)
-    ]
-    probe = [(n, r) for n, r in zip(ana.normals, rho)]
-    probe_set = ws.upper_set(probe)
-    if probe_set.is_empty:
-        return DerivativeResult(
-            ws.empty_set(), exact=True, stabilization_t=teval,
-            samples=[(teval, ws.empty_set())],
-        )
-    limit_cons = [
-        (n, b)
-        for n, a, s, b in zip(ana.normals, ana.alpha, ana.sigma, ana.beta)
-        if a == s
-    ]
-    value = ws.upper_set(limit_cons)
-    result = DerivativeResult(value, exact=True)
+    alpha, beta, sigma, t0, _ = rec.shape(f)
+    # the quotient q_t is {<n_i, w> <= (alpha_i - sigma_i)/t + beta_i}: below
+    # t0 it keeps its shape, so it is its limit, where the slack rows
+    # (alpha_i > sigma_i) have left and the tight ones stay
+    teval = t0 / 2
+    value = ws.upper_set(
+        [(n, b) for n, a, s, b in zip(rows.normals, alpha, sigma, beta) if a == s]
+    )
     q = diff_quotient(f, xx, uu, teval)
-    result.samples.append((teval, q))
-    tprobe = teval
-    for _ in range(3):
-        if q == value:
-            result.stabilization_t = tprobe
-            break
-        tprobe = tprobe / 2
-        q = diff_quotient(f, xx, uu, tprobe)
-    else:
-        if q == value:
-            result.stabilization_t = tprobe
-    return result
+    return DerivativeResult(
+        value, exact=True, stabilization_t=teval if q == value else None, samples=[(teval, q)]
+    )
 
 
 def _sampled_derivative(f: OracleFunction, xx, uu) -> DerivativeResult:
@@ -339,13 +341,9 @@ def _sampled_derivative(f: OracleFunction, xx, uu) -> DerivativeResult:
     converged = True
     last, prev = quotients[-1], quotients[-2]
     for d in ws.directions:
-        a = last.neg_support(d)
-        b = prev.neg_support(d)
-        if a.is_finite and b.is_finite:
-            if abs(a.value - b.value) > f.tolerance:
-                converged = False
-        elif a != b:
-            converged = False
+        a, b = last.neg_support(d), prev.neg_support(d)
+        close = a.is_finite and b.is_finite and abs(a.value - b.value) <= f.tolerance
+        converged = converged and (close or a == b)
     return DerivativeResult(
         value,
         exact=False,
@@ -362,67 +360,40 @@ def _sampled_derivative(f: OracleFunction, xx, uu) -> DerivativeResult:
 def scalar_dini(f: SetFunction, zstar: Sequence, x: Sequence, u: Sequence) -> ExtReal:
     """Dini derivative of the scalarization: inf over t of (phi(x+tu) ÷ phi(x))/t."""
     rec = _ray(f, x, u)
-    z = as_vec(zstar)
+    z = tuple(zstar)  # equal rationals are equal keys; the dual works on _int_dir(z)
     d = rec.dini.get(z)
     if d is None:
+        _check_lengths(f.workspace.dim, (z,), "z*")
         d = rec.dini[z] = _scalar_dini(f, rec, z)
     return d
 
 
-def _scalar_dini(f: SetFunction, rec: _Ray, z: Vec) -> ExtReal:
+def _scalar_dini(f: SetFunction, rec: _Ray, z: tuple) -> ExtReal:
     xx, uu = rec.x, rec.u
     vx = f.eval(xx)
     if vx.is_empty:
         return MINUS_INF
-    if all(c == 0 for c in uu):
-        phi0 = vx.neg_support(z)
-        return MINUS_INF if phi0.is_minus_inf else ExtReal(0)
+    if not any(uu):
+        return MINUS_INF if vx.neg_support(z).is_minus_inf else ExtReal(0)
     if isinstance(f, OracleFunction):
         return _sampled_scalar_dini(f, z, xx, uu)
     if not isinstance(f, _EXACT_RAYS):
         raise NotDeclaredConvex(
             "exact scalar derivatives are available for parametric and epigraphical functions"
         )
-    ana = rec.shape(f)
-    if ana is None:
+    if rec.rows(f) is None:
         return PLUS_INF
-    if isinstance(ana, _EpiRay):
-        return ExtReal(sum((-w * s for w, s in zip(z, ana.slopes)), Fraction(0)))
-    phi0 = vx.neg_support(z)
-    if phi0.is_minus_inf:
-        return MINUS_INF
-    that = ana.threshold((z,))
-    ta = that / 2
-    tb = that / 4
-    pa = ana.value(ta).neg_support(z)
-    pb = ana.value(tb).neg_support(z)
-    if pa.is_minus_inf or pb.is_minus_inf:
-        return MINUS_INF
-    if pa.is_plus_inf or pb.is_plus_inf:
-        return PLUS_INF
-    slope = (pa.value - pb.value) / (ta - tb)
-    if pb.value - slope * tb != phi0.value:
-        raise LatticeError(
-            "internal error: scalarization not affine on the certified interval"
-        )
-    return ExtReal(slope)
+    return rec.dual_dini(z)
 
 
 def _sampled_scalar_dini(f: OracleFunction, z, xx, uu) -> ExtReal:
-    from .extres import residual as ext_residual
-
     phi0 = f.eval(xx).neg_support(z)
     best = PLUS_INF
     t = Fraction(1)
     for _ in range(20):
         xt = tuple(a + t * b for a, b in zip(xx, uu))
-        phit = f.eval(xt).neg_support(z)
-        quotient = ext_residual(phit, phi0)
-        if quotient.is_finite:
-            quotient = ExtReal(quotient.value / t)
-        val = quotient
-        if val < best:
-            best = val
+        quotient = ext_residual(f.eval(xt).neg_support(z), phi0)
+        best = min(best, ExtReal(quotient.value / t) if quotient.is_finite else quotient)
         t = t / 2
     return best
 
@@ -499,16 +470,11 @@ def first_linear_sample(
     if not isinstance(f, _EXACT_RAYS):
         return None
     rec = _ray(f, x, u)
-    if all(c == 0 for c in rec.u):
+    if not any(rec.u) or f.eval(rec.x).is_empty or rec.rows(f) is None:
         return None
-    if f.eval(rec.x).is_empty:
-        return None
-    ana = rec.shape(f)
-    if ana is None:
-        return None
-    if isinstance(ana, _EpiRay):
-        return ana.that / 2
-    return ana.threshold(directions) / 2
+    # t0, lowered to the first optimal-basis switch of <z*, v(t)> over directions
+    *_, t0, verts = rec.shape(f)
+    return min([r for r in _swap_roots(verts, directions) if 0 < r < t0] + [t0]) / 2
 
 
 def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> List[Fraction]:
@@ -540,7 +506,7 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
                 if best is None or val < best[0]:
                     best = (val, (c, s))
             offs.append(best[1])
-        shape, verts = _shape_roots(g.normals, g.workspace.dim, offs)
+        shape, verts = _shape_roots(g.normals, offs)
         for r in shape + _swap_roots(verts, directions):
             if lo < r < hi:
                 roots.add(r)

@@ -13,6 +13,8 @@ from .kernel import LatticeError, UpperSet, Workspace, inf_family, sup_family
 from .scenario import (
     TaskError,
     ValidationError,
+    _list,
+    _vec,
     load_scenario,
     parse_tolerance,
     run_scenario,
@@ -59,17 +61,29 @@ def _cmd_check_vi(args) -> int:
 
 # -- lattice-eval -----------------------------------------------------------
 
-_ALLOWED_CALLS = {
-    "T",       # translated cone T(1, 2)
-    "point",   # singleton (needs C = {0})
-    "H",       # halfspace H(n1, n2, offset)
-    "inf",
-    "sup",
-    "rec",     # recession cone
-    "scale",
-    "sigma",   # support value sigma(d1, d2, A)
-    "leq",
+# argument kinds ("n" a number, "N" one per coordinate, "s" a set, "s*" any
+# number of sets) and value of each call
+_CALLS = {
+    "T": ("N", lambda ws, a: ws.translated_cone(a)),  # translated cone T(1, 2)
+    "point": ("N", lambda ws, a: ws.translated_cone(a)),  # singleton (needs C = {0})
+    "H": ("Nn", lambda ws, a: ws.upper_set([(tuple(a[:-1]), a[-1])])),  # H(n1, n2, offset)
+    "inf": ("s*", inf_family),
+    "sup": ("s*", sup_family),
+    "rec": ("s", lambda ws, a: a[0].recession()),  # recession cone
+    "scale": ("ns", lambda ws, a: a[1].scale(a[0])),
+    "sigma": ("Ns", lambda ws, a: a[-1].support(tuple(a[:-1]))),  # sigma(d1, d2, A)
+    "leq": ("ss", lambda ws, a: a[0].leq(a[1])),
 }
+
+
+def _kind(value) -> str:
+    """'n' for a number, 's' for a set, '?' for a truth or support value."""
+    return "n" if isinstance(value, Fraction) else "s" if isinstance(value, UpperSet) else "?"
+
+
+def _signature(kinds: str) -> str:
+    names = {"n": "number", "s": "set"}
+    return "(" + ", ".join(names.get(k, "truth or support value") for k in kinds) + ")"
 
 
 class _Evaluator(ast.NodeVisitor):
@@ -89,16 +103,18 @@ class _Evaluator(ast.NodeVisitor):
         if isinstance(node, ast.BinOp):
             left = self.visit(node.left)
             right = self.visit(node.right)
-            if isinstance(node.op, ast.Add):
+            kinds = _kind(left) + _kind(right)
+            if isinstance(node.op, ast.Add) and kinds == "ss":
                 return left.add(right)
-            if isinstance(node.op, ast.Div):
+            if isinstance(node.op, ast.Div) and kinds == "ss":
                 return left.residual(right)
-            if isinstance(node.op, ast.Mult):
-                if isinstance(left, Fraction):
-                    return right.scale(left)
-                if isinstance(right, Fraction):
-                    return left.scale(right)
-            raise ValidationError("operator not supported in set expressions")
+            if isinstance(node.op, ast.Mult) and kinds in ("ns", "sn"):
+                t, a = (left, right) if kinds == "ns" else (right, left)
+                return a.scale(t)
+            raise ValidationError(
+                f"operator not supported on {_signature(kinds)}: "
+                "+ and / take two sets, * a number and a set"
+            )
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             v = self.visit(node.operand)
             if isinstance(v, Fraction):
@@ -117,56 +133,45 @@ class _Evaluator(ast.NodeVisitor):
                 return self.ws.empty_set()
             raise ValidationError(f"unknown name {node.id!r}")
         if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
+            if not isinstance(node.func, ast.Name) or node.func.id not in _CALLS:
                 raise ValidationError("unknown function in expression")
-            name = node.func.id
+            if node.keywords:
+                raise ValidationError("keyword arguments are not supported")
             args = [self.visit(a) for a in node.args]
-            return self._call(name, args)
+            want, call = _CALLS[node.func.id]
+            want = "s" * len(args) if want == "s*" else want.replace("N", "n" * self.ws.dim)
+            got = "".join(map(_kind, args))
+            if got != want:
+                raise ValidationError(
+                    f"{node.func.id} takes {_signature(want)}, got {_signature(got)}"
+                )
+            return call(self.ws, args)
         raise ValidationError(f"unsupported syntax {type(node).__name__}")
 
-    def _call(self, name, args):
-        if name == "T":
-            return self.ws.translated_cone(args)
-        if name == "point":
-            return self.ws.translated_cone(args)
-        if name == "H":
-            *normal, offset = args
-            return self.ws.upper_set([(tuple(normal), offset)])
-        if name == "inf":
-            return inf_family(self.ws, args)
-        if name == "sup":
-            return sup_family(self.ws, args)
-        if name == "rec":
-            (a,) = args
-            return a.recession()
-        if name == "scale":
-            t, a = args
-            return a.scale(t)
-        if name == "sigma":
-            *d, a = args
-            return a.support(tuple(d))
-        if name == "leq":
-            a, b = args
-            return a.leq(b)
-        raise ValidationError(f"unknown call {name!r}")
+
+def _points(text: str, dim: int, what: str) -> list:
+    """A JSON list of points of dim rationals, written as in a scenario file."""
+    try:
+        points = [_vec(p) for p in _list(json.loads(text), what)]
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+    if any(len(p) != dim for p in points):
+        raise ValidationError(f"{what} must hold points of {dim} coordinates")
+    return points
 
 
 def _cmd_lattice_eval(args) -> int:
     try:
-        cone = json.loads(args.cone)
-        dirs = json.loads(args.directions) if args.directions else []
+        cone = _points(args.cone, args.dim, "--cone")
+        dirs = _points(args.directions, args.dim, "--directions") if args.directions else []
         ws = Workspace(args.dim, cone, dirs)
         value = _Evaluator(ws).run(args.expr)
-    except (ValidationError, LatticeError, json.JSONDecodeError) as exc:
+    except (ValidationError, LatticeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(value, UpperSet):
-        print(json.dumps(value.to_json(), sort_keys=True))
-    elif isinstance(value, bool):
-        print(json.dumps(value))
-    elif isinstance(value, Fraction):
-        print(json.dumps(str(value)))
-    else:
+    if isinstance(value, (bool, Fraction)):
+        print(json.dumps(value if isinstance(value, bool) else str(value)))
+    else:  # a set or a support value
         print(json.dumps(value.to_json(), sort_keys=True))
     return 0
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .extres import ExtReal, ext_min
 from .kernel import (
@@ -162,6 +163,33 @@ class ConvexPWL(_PWL):
     _what = "a piecewise-linear component"
 
 
+class FirstRows(NamedTuple):
+    """The first linear piece of an exact function of one variable t >= 0:
+    f(t) = {z : <normals_i, z> <= (alpha_i + beta_i t)/den} for 0 <= t <= t1,
+    t1 the first offset bend or domain end (None: neither).  Integers over one
+    den keep the Dini arithmetic off Fractions; ``slopes`` are psi's first
+    slopes over den for an epigraphical extension psi + C."""
+
+    normals: tuple
+    alpha: List[int]
+    beta: List[int]
+    den: int
+    t1: Optional[Fraction]
+    slopes: Optional[List[int]] = None
+
+
+def _first_pieces(pwls, domain: Polyhedron):
+    """The values at 0 and the first slopes of one-variable PWLs as integers
+    over one denominator, that denominator and t1; None if the domain ends at 0."""
+    ends = [r / a for (a,), r in domain.rows if a > 0]
+    if ends and min(ends) <= 0:
+        return None
+    alpha, beta, bends = zip(*(p.first_piece() for p in pwls))
+    den = lcm(*(v.denominator for v in alpha + beta))
+    alpha, beta = ([v.numerator * (den // v.denominator) for v in vs] for vs in (alpha, beta))
+    return alpha, beta, den, min(ends + [t for t in bends if t is not None], default=None)
+
+
 # ---------------------------------------------------------------------------
 # Set-valued functions
 # ---------------------------------------------------------------------------
@@ -276,6 +304,10 @@ class ParamPolyFunction(SetFunction):
             name=self.name,
         )
 
+    def first_rows(self) -> Optional[FirstRows]:
+        first = _first_pieces(self.offsets, self.domain)
+        return None if first is None else FirstRows(self.normals, *first)
+
 
 def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
     """normal = (g/den)*n for the primitive n, so <normal, z> <= offset(x) is
@@ -327,6 +359,18 @@ class EpiVectorFunction(SetFunction):
             name=self.name,
             declared_convex=self.declared_convex,
         )
+
+    def first_rows(self) -> Optional[FirstRows]:
+        """psi(0) + t s + C as rows over the facet normals n of C:
+        alpha_n = <n, psi(0)>, beta_n = <n, s>."""
+        first = _first_pieces(self.components, self.domain)
+        if first is None:
+            return None
+        point, slope, den, t1 = first
+        normals = self.workspace.cone.facet_normals
+        alpha = [sum(map(mul, n, point)) for n in normals]
+        beta = [sum(map(mul, n, slope)) for n in normals]
+        return FirstRows(normals, alpha, beta, den, t1, slope)
 
     def as_parampoly(self) -> ParamPolyFunction:
         """Exact conversion when every cone facet normal is componentwise <= 0."""

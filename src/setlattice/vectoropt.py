@@ -262,11 +262,12 @@ def vector_dini(psi: VectorFunction, x0: Sequence, u: Sequence) -> DiniLimitSet:
     if base is None:
         raise LatticeError("base point is outside the domain")
     if isinstance(psi, PWLVectorFunction):
-        # the first slopes are the _EpiRay record of the shared extension
-        ray = _ray(psi.epi, x0, uu).shape(psi.epi)
-        if ray is None:
+        # the first slopes are in the first rows of the shared extension's ray
+        rows = _ray(psi.epi, x0, uu).rows(psi.epi)
+        if rows is None:
             return DiniLimitSet(exact=True, diagnostic={"note": "no admissible t"})
-        return DiniLimitSet(finite_points=[tuple(ray.slopes)], exact=True)
+        slopes = tuple(Fraction(s, rows.den) for s in rows.slopes)
+        return DiniLimitSet(finite_points=[slopes], exact=True)
     tol = getattr(psi, "tolerance", Fraction(1, 10**6))
     trail = []
     t = Fraction(1)

@@ -422,8 +422,39 @@ def test_cli_entry_point_subprocess():
 def test_lattice_eval():
     assert main(["lattice-eval", "--expr", "inf(T(1,0), T(0,1)) / C"]) == 0
     assert main(["lattice-eval", "--expr", "leq(C, T(1,2))"]) == 0
+    assert main(["lattice-eval", "--expr", "T(1,0)", "--cone", '[["1/2",1],[0,1]]']) == 0
     assert main(["lattice-eval", "--expr", "import os"]) == 1
     assert main(["lattice-eval", "--expr", "__import__('os')"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--expr", "rec(1, 2)"],
+        ["--expr", "H()"],
+        ["--expr", "scale(T(1,0), 2)"],
+        ["--expr", "leq(1, 2)"],
+        ["--expr", "inf(1)"],
+        ["--expr", "T(1,0) + 2"],
+        ["--expr", "C / 0"],
+        ["--expr", "2 * 3"],
+        ["--expr", "T(C)"],
+        ["--expr", "T(1)"],  # one coordinate in 2-D
+        ["--expr", "sigma(T(1,0))"],  # no direction
+        ["--expr", "sigma(C)"],
+        ["--expr", "T(1, 0, x=2)"],
+        ["--expr", "C", "--cone", "5"],
+        ["--expr", "C", "--directions", "5"],
+        ["--expr", "C", "--cone", '[[1,"a"]]'],
+        ["--expr", "C", "--cone", "[[1,0,0]]"],
+        ["--expr", "C", "--cone", "[[0.1,1]]"],  # rationals are written "1/10"
+    ],
+)
+def test_lattice_eval_rejects_bad_input(argv, capsys):
+    assert main(["lattice-eval", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error:")
 
 
 def test_lattice_eval_value(capsys):

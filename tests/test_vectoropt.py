@@ -13,7 +13,6 @@ from setlattice.instances import (
     random_grid,
     random_pwl_vector,
 )
-from setlattice.calculus import _domain_exit
 from setlattice.kernel import Workspace, as_vec, inf_family
 from setlattice.setfun import ConvexPWL, Polyhedron
 from setlattice.vectoropt import (
@@ -281,8 +280,8 @@ def _per_component_dini(psi, x0, u):
     """The first slopes composed component by component: None when the ray
     leaves the domain at once."""
     x0, u = as_vec(x0), as_vec(u)
-    hi = _domain_exit(psi.domain.compose(x0, (u,)))
-    if hi is not None and hi <= 0:
+    ends = [r / a for (a,), r in psi.domain.compose(x0, (u,)).rows if a > 0]
+    if min(ends, default=1) <= 0:
         return None
     return tuple(c.compose(x0, (u,)).first_piece()[1] for c in psi.components)
 
