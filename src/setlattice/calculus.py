@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -84,18 +85,13 @@ def diff_quotient(f: SetFunction, x: Sequence, u: Sequence, t) -> UpperSet:
 # ---------------------------------------------------------------------------
 
 
-def _all_crossings(off, window: Fraction):
-    """All crossing parameters of a 1-var min- or max-of-affine inside (0, window)."""
+def _all_crossings(off):
+    """All crossing parameters of a 1-var min- or max-of-affine inside (0, 1)."""
     out = []
-    pieces = off.pieces
-    for i in range(len(pieces)):
-        (si,), ci = pieces[i]
-        for j in range(i + 1, len(pieces)):
-            (sj,), cj = pieces[j]
-            if si == sj:
-                continue
-            root = (cj - ci) / (si - sj)
-            if 0 < root < window:
+    for ((si,), ci), ((sj,), cj) in combinations(off.rows, 2):
+        if si != sj:
+            root = Fraction(cj - ci, si - sj)
+            if 0 < root < 1:
                 out.append(root)
     return out
 
@@ -105,52 +101,48 @@ def _cross(a, b):
     return a[0] * b[-1] - a[-1] * b[0]
 
 
-def _shape_roots(normals, offs):
-    """Candidate parameters t at which the system {<N_i, z> <= p_i + q_i t},
-    offs = [(p_i, q_i)], changes shape: two parallel rows swap or close the
-    set, or a vertex trajectory crosses a third row.  Returns the roots,
-    unfiltered (callers keep the range they need), and the vertex
-    trajectories v(t) = (x0 + x1 t, y0 + y1 t) as ((x0, x1), (y0, y1))."""
+def _shape_roots(normals, p, q):
+    """The parameters t > 0 at which the system {<n_i, z> <= p_i + q_i t}
+    changes shape: two parallel rows swap or close the set, or a vertex
+    trajectory crosses a third row.  p and q are integers over one
+    denominator, which cancels in every root, so each root is one Fraction
+    of cross-multiplied integers.  Returns the roots and the vertex
+    trajectories as integers (x0, x1, y0, y1, D) over their cross product D:
+    v(t) = ((x0 + x1 t)/D, (y0 + y1 t)/D), in units of that denominator."""
     roots: List[Fraction] = []
-    m = len(normals)
     verts = []
-    for i in range(m):
-        ni = normals[i]
-        pi, qi = offs[i]
-        for j in range(i + 1, m):
-            nj = normals[j]
-            pj, qj = offs[j]
-            D = _cross(ni, nj)
-            if D == 0:
-                p, q = (pi - pj, qi - qj) if ni == nj else (pi + pj, qi + qj)
-                if q != 0:
-                    roots.append(-p / q)
-                continue
-            vx = ((pi * nj[1] - pj * ni[1]) / D, (qi * nj[1] - qj * ni[1]) / D)
-            vy = ((ni[0] * pj - nj[0] * pi) / D, (ni[0] * qj - nj[0] * qi) / D)
-            verts.append((vx, vy))
-            for nk, (pk, qk) in zip(normals, offs):
-                p = nk[0] * vx[0] + nk[1] * vy[0] - pk
-                q = nk[0] * vx[1] + nk[1] * vy[1] - qk
-                if q != 0:
-                    roots.append(-p / q)
+    for i, j in combinations(range(len(normals)), 2):
+        ni, nj = normals[i], normals[j]
+        D = _cross(ni, nj)
+        if D == 0:
+            a, b = (p[i] - p[j], q[i] - q[j]) if ni == nj else (p[i] + p[j], q[i] + q[j])
+            if a * b < 0:
+                roots.append(Fraction(-a, b))
+            continue
+        x0, x1 = p[i] * nj[1] - p[j] * ni[1], q[i] * nj[1] - q[j] * ni[1]
+        y0, y1 = ni[0] * p[j] - nj[0] * p[i], ni[0] * q[j] - nj[0] * q[i]
+        verts.append((x0, x1, y0, y1, D))
+        # <n_k, v(t)> = p_k + q_k t at t = a/b
+        for nk, pk, qk in zip(normals, p, q):
+            a = nk[0] * x0 + nk[1] * y0 - pk * D
+            b = qk * D - nk[0] * x1 - nk[1] * y1
+            if a * b > 0:
+                roots.append(Fraction(a, b))
     return roots, verts
 
 
 def _swap_roots(verts, directions) -> List[Fraction]:
-    """Parameters t at which two vertex trajectories swap in <z*, v(t)>, per
-    z* in directions; unfiltered."""
+    """The parameters t > 0 at which two vertex trajectories swap in
+    <z*, v(t)>, per z* in directions."""
     roots: List[Fraction] = []
-    for z in directions:
-        vals = [
-            (z[0] * vx[0] + z[1] * vy[0], z[0] * vx[1] + z[1] * vy[1])
-            for vx, vy in verts
-        ]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                q = vals[i][1] - vals[j][1]
-                if q != 0:
-                    roots.append((vals[j][0] - vals[i][0]) / q)
+    for z in directions if verts else ():
+        k, _ = _int_dir(z)  # a positive scale of z* moves no root
+        vals = [(k[0] * x0 + k[1] * y0, k[0] * x1 + k[1] * y1, D) for x0, x1, y0, y1, D in verts]
+        for (a0, a1, da), (b0, b1, db) in combinations(vals, 2):
+            # a0/da + a1/da t = b0/db + b1/db t, cross-multiplied by da db
+            a, b = b0 * da - a0 * db, a1 * db - b1 * da
+            if a * b > 0:
+                roots.append(Fraction(a, b))
     return roots
 
 
@@ -214,7 +206,7 @@ class _Ray:
         """The first rows; None when the ray leaves the domain at once.
         f is one of _EXACT_RAYS."""
         if self._rows is _UNSET:
-            self._rows = f.ray_restrict(self.x, self.u).first_rows()
+            self._rows = f.first_rows(self.x, self.u)
         return self._rows
 
     def dual_dini(self, z: tuple) -> ExtReal:
@@ -258,21 +250,19 @@ class _Ray:
         return ExtReal(Fraction(-sum(l * beta[i] for i, l in lam), d * den * rows.den))
 
     def shape(self, f: SetFunction):
-        """(alpha, beta, sigma, t0, vertex trajectories), alpha and beta as
-        Fractions; rows(f) is not None and f(x) is nonempty, so each
-        sigma_i = σ(n_i | f(x)) is finite."""
+        """(slack, t0, vertex trajectories of the rows): slack_i has the sign
+        of alpha_i - σ(n_i | f(x)), zero on the rows tight at the base; rows(f)
+        is not None and f(x) is nonempty, so each σ is finite."""
         if self._shape is None:
             normals, alpha, beta, den, t1, _ = self._rows
-            alpha = [Fraction(a, den) for a in alpha]
-            beta = [Fraction(b, den) for b in beta]
             vx = f.eval(self.x)
             sigma = [vx.support(n).value for n in normals]
-            roots, verts = _shape_roots(normals, list(zip(alpha, beta)))
-            roots += _shape_roots(normals, [(a - s, b) for a, s, b in zip(alpha, sigma, beta)])[0]
-            if t1 is not None:
-                roots.append(t1)
-            t0 = min([r for r in roots if r > 0] + [Fraction(1)])
-            self._shape = alpha, beta, sigma, t0, verts
+            w = lcm(*(s.denominator for s in sigma))
+            # alpha_i/den - sigma_i and beta_i/den over den*w
+            slack = [a * w - s.numerator * (den * w // s.denominator) for a, s in zip(alpha, sigma)]
+            roots, verts = _shape_roots(normals, alpha, beta)
+            roots += _shape_roots(normals, slack, [b * w for b in beta])[0]
+            self._shape = slack, min([*roots, Fraction(1), t1 or Fraction(1)]), verts
         return self._shape
 
 
@@ -314,13 +304,13 @@ def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
     rows = rec.rows(f)
     if rows is None:
         return DerivativeResult(ws.empty_set(), exact=True)
-    alpha, beta, sigma, t0, _ = rec.shape(f)
+    slack, t0, _ = rec.shape(f)
     # the quotient q_t is {<n_i, w> <= (alpha_i - sigma_i)/t + beta_i}: below
     # t0 it keeps its shape, so it is its limit, where the slack rows
     # (alpha_i > sigma_i) have left and the tight ones stay
     teval = t0 / 2
     value = ws.upper_set(
-        [(n, b) for n, a, s, b in zip(rows.normals, alpha, sigma, beta) if a == s]
+        [(n, Fraction(b, rows.den)) for n, s, b in zip(rows.normals, slack, rows.beta) if s == 0]
     )
     q = diff_quotient(f, xx, uu, teval)
     return DerivativeResult(
@@ -473,8 +463,8 @@ def first_linear_sample(
     if not any(rec.u) or f.eval(rec.x).is_empty or rec.rows(f) is None:
         return None
     # t0, lowered to the first optimal-basis switch of <z*, v(t)> over directions
-    *_, t0, verts = rec.shape(f)
-    return min([r for r in _swap_roots(verts, directions) if 0 < r < t0] + [t0]) / 2
+    _, t0, verts = rec.shape(f)
+    return min(_swap_roots(verts, directions) + [t0]) / 2
 
 
 def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> List[Fraction]:
@@ -486,27 +476,24 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
     epi = isinstance(g, EpiVectorFunction)
     roots = set()
     for off in g.components if epi else g.offsets:
-        roots.update(_all_crossings(off, one))
+        roots.update(_all_crossings(off))
     for (a,), rr in g.domain.rows:
         if a != 0 and 0 < rr / a < one:
             roots.add(rr / a)
     if epi:
         return sorted(roots)
-    cuts = sorted(roots)
-    bounds = [Fraction(0)] + cuts + [one]
+    bounds = [Fraction(0)] + sorted(roots) + [one]
+    den = lcm(*(off.den for off in g.offsets))
     for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            continue
         mid = (lo + hi) / 2
-        offs = []
+        mn, md = mid.numerator, mid.denominator
+        # the piece active at mid, as integers over den
+        p, q = [], []
         for off in g.offsets:
-            best = None
-            for (s,), c in off.pieces:
-                val = c + s * mid
-                if best is None or val < best[0]:
-                    best = (val, (c, s))
-            offs.append(best[1])
-        shape, verts = _shape_roots(g.normals, offs)
+            (s,), c = min(off.rows, key=lambda row: row[1] * md + row[0][0] * mn)
+            p.append(c * (den // off.den))
+            q.append(s * (den // off.den))
+        shape, verts = _shape_roots(g.normals, p, q)
         for r in shape + _swap_roots(verts, directions):
             if lo < r < hi:
                 roots.add(r)

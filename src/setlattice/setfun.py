@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -57,7 +58,7 @@ def _components(workspace: Workspace, xdim: int, components) -> tuple:
     comps = tuple(components)
     if len(comps) != workspace.dim:
         raise LatticeError("need one component per image dimension")
-    _check_lengths(xdim, (c for comp in comps for c, _ in comp.pieces), "a component piece")
+    _check_lengths(xdim, (c for comp in comps for c, _ in comp.rows), "a component piece")
     return comps
 
 
@@ -109,38 +110,63 @@ class Polyhedron:
 
 
 class _PWL:
-    """Pointwise best (min or max, per subclass) of finitely many affine forms."""
+    """Pointwise best (min or max, per subclass) of finitely many affine forms,
+    kept as integer rows (c, k) over one denominator den >= 1: the piece value
+    at x is (<c, x> + k)/den."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("rows", "den")
 
     def __init__(self, pieces: Iterable[Tuple[Sequence, object]]):
-        self.pieces = tuple((as_vec(c), to_frac(k)) for c, k in pieces)
-        if not self.pieces:
+        pieces = [(tuple(c), k) for c, k in pieces]
+        if not pieces:
             raise LatticeError(f"{self._what} needs at least one piece")
+        ints, self.den = _int_dir([v for c, k in pieces for v in (*c, k)])
+        it = iter(ints)
+        self.rows = tuple((tuple(islice(it, len(c))), next(it)) for c, _ in pieces)
+
+    @classmethod
+    def _of_rows(cls, rows, den: int):
+        """The trusted path of compose and of the offset scaling: rows as they are."""
+        pwl = object.__new__(cls)
+        pwl.rows, pwl.den = tuple(rows), den
+        return pwl
+
+    @property
+    def pieces(self) -> Tuple[Tuple[Vec, Fraction], ...]:
+        """The pieces (c, k) as Fractions: the value is the best <c, x> + k."""
+        d = self.den
+        return tuple((tuple(Fraction(v, d) for v in c), Fraction(k, d)) for c, k in self.rows)
 
     def value(self, x: Sequence) -> Fraction:
-        xx = as_vec(x)
-        return self._best(_dot(c, xx) + k for c, k in self.pieces)
+        k, d = _int_dir(tuple(x))  # x = k/d, so each piece is (<c, k> + b d)/(den d)
+        return Fraction(self._best(sum(map(mul, c, k)) + b * d for c, b in self.rows), self.den * d)
 
     def compose(self, base: Vec, cols: Sequence[Vec]):
         """The same kind of function of y, at x = base + Σ_j y_j cols_j."""
-        return type(self)(
-            [(tuple(_dot(c, col) for col in cols), _dot(c, base) + k) for c, k in self.pieces]
+        k, d = _int_dir([*base, *chain(*cols)])  # base and cols over one d
+        it = iter(k)
+        kb, *kcols = [tuple(islice(it, len(base))) for _ in range(len(cols) + 1)]
+        return self._of_rows(
+            [
+                (tuple(sum(map(mul, c, col)) for col in kcols), sum(map(mul, c, kb)) + b * d)
+                for c, b in self.rows
+            ],
+            self.den * d,
         )
 
-    def first_piece(self):
-        """For a function of one variable: the value at 0, the active slope on
-        (0, t1] and the first crossing t1 (None when that piece stays active)."""
+    def first_piece(self, x: Sequence[int], u: Sequence[int], d: int):
+        """Along the ray t -> (x + t u)/d, x and u integer and d >= 1: the value
+        at 0 and the active slope on (0, t1], as integers over den*d, and the
+        first crossing t1 (None when that piece stays active)."""
         best = self._best
-        alpha = best(c for _, c in self.pieces)
-        beta = best(s[0] for s, c in self.pieces if c == alpha)
-        t1 = None
-        # a piece behind at 0 with a better slope takes over at its crossing
-        for (s,), c in self.pieces:
-            if c != alpha and s != beta and best(s, beta) == s:
-                root = (c - alpha) / (beta - s)
-                if t1 is None or root < t1:
-                    t1 = root
+        lines = [(sum(map(mul, c, x)) + b * d, sum(map(mul, c, u))) for c, b in self.rows]
+        alpha = best(a for a, _ in lines)
+        beta = best(s for a, s in lines if a == alpha)
+        # a piece with a better slope is behind at 0 and takes over at its crossing
+        t1 = min(
+            (Fraction(a - alpha, beta - s) for a, s in lines if s != beta and best(s, beta) == s),
+            default=None,
+        )
         return alpha, beta, t1
 
     def __repr__(self):
@@ -164,11 +190,11 @@ class ConvexPWL(_PWL):
 
 
 class FirstRows(NamedTuple):
-    """The first linear piece of an exact function of one variable t >= 0:
-    f(t) = {z : <normals_i, z> <= (alpha_i + beta_i t)/den} for 0 <= t <= t1,
-    t1 the first offset bend or domain end (None: neither).  Integers over one
-    den keep the Dini arithmetic off Fractions; ``slopes`` are psi's first
-    slopes over den for an epigraphical extension psi + C."""
+    """The first linear piece of an exact ray t -> f(x + t u), t >= 0:
+    f(x + t u) = {z : <normals_i, z> <= (alpha_i + beta_i t)/den} for
+    0 <= t <= t1, t1 the first offset bend or domain end (None: neither).
+    Integers over one den keep the Dini arithmetic off Fractions; ``slopes``
+    are psi's first slopes over den for an epigraphical extension psi + C."""
 
     normals: tuple
     alpha: List[int]
@@ -178,16 +204,19 @@ class FirstRows(NamedTuple):
     slopes: Optional[List[int]] = None
 
 
-def _first_pieces(pwls, domain: Polyhedron):
-    """The values at 0 and the first slopes of one-variable PWLs as integers
-    over one denominator, that denominator and t1; None if the domain ends at 0."""
-    ends = [r / a for (a,), r in domain.rows if a > 0]
+def _first_pieces(pwls, domain: Polyhedron, x: Vec, u: Vec):
+    """The values at t = 0 and the first slopes of the PWLs along x + t u as
+    integers over one denominator, that denominator and t1; None if the ray
+    leaves the domain at once."""
+    ends = [(r - _dot(a, x)) / au for a, r in domain.rows if (au := _dot(a, u)) > 0]
     if ends and min(ends) <= 0:
         return None
-    alpha, beta, bends = zip(*(p.first_piece() for p in pwls))
-    den = lcm(*(v.denominator for v in alpha + beta))
-    alpha, beta = ([v.numerator * (den // v.denominator) for v in vs] for vs in (alpha, beta))
-    return alpha, beta, den, min(ends + [t for t in bends if t is not None], default=None)
+    k, d = _int_dir((*x, *u))
+    den = lcm(*(p.den for p in pwls))
+    firsts = [(p.first_piece(k[: len(x)], k[len(x) :], d), den // p.den) for p in pwls]
+    alpha, beta = ([first[i] * s for first, s in firsts] for i in (0, 1))
+    bends = [t for (*_, t), _ in firsts if t is not None]
+    return alpha, beta, den * d, min(ends + bends, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +266,14 @@ class SetFunction:
         """The function y -> f(base + Σ_j y_j cols_j), ∅ where a y-row of extra fails."""
         raise NotImplementedError
 
+    def _composed(self, xdim: int, domain: "Polyhedron", **changed) -> "SetFunction":
+        """The trusted constructor path of _compose: a function of this class
+        with this one's fields except those given, and empty memos.  The public
+        constructor's checks are not rerun on what _compose did not change."""
+        g = object.__new__(type(self))
+        g.__dict__.update(self.__dict__, xdim=xdim, domain=domain, _cache={}, _rays={}, **changed)
+        return g
+
     def restrict(self, x0: Sequence, x: Sequence) -> "SetFunction":
         """The segment function t -> f(x0 + t(x - x0)) on [0, 1], ∅ outside."""
         b = as_vec(x0)
@@ -277,7 +314,7 @@ class ParamPolyFunction(SetFunction):
         _check_lengths(workspace.dim, normals, "a normal")
         if len(offsets) != len(normals):
             raise LatticeError("need one offset per normal")
-        _check_lengths(xdim, (c for off in offsets for c, _ in off.pieces), "an offset piece")
+        _check_lengths(xdim, (c for off in offsets for c, _ in off.rows), "an offset piece")
         self.normals = tuple(_primitive_dir(n) for n in normals)
         for n in self.normals:
             if not workspace.cone.in_dual(n):
@@ -295,17 +332,15 @@ class ParamPolyFunction(SetFunction):
         return self.workspace.upper_set(cons)
 
     def _compose(self, base, cols, extra):
-        return ParamPolyFunction(
-            self.workspace,
+        return self._composed(
             len(cols),
-            self.normals,
-            [off.compose(base, cols) for off in self.offsets],
             self.domain.compose(base, cols, extra),
-            name=self.name,
+            offsets=tuple(off.compose(base, cols) for off in self.offsets),
         )
 
-    def first_rows(self) -> Optional[FirstRows]:
-        first = _first_pieces(self.offsets, self.domain)
+    def first_rows(self, x: Vec, u: Vec) -> Optional[FirstRows]:
+        """The first rows of the ray t -> f(x + t u); None if it leaves the domain at once."""
+        first = _first_pieces(self.offsets, self.domain, x, u)
         return None if first is None else FirstRows(self.normals, *first)
 
 
@@ -316,8 +351,9 @@ def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
     g = gcd(*k)
     if g == den:
         return offset
-    s = Fraction(den, g)
-    return ConcavePWL([(tuple(s * c for c in cf), s * b) for cf, b in offset.pieces])
+    return ConcavePWL._of_rows(
+        [(tuple(den * c for c in cf), den * b) for cf, b in offset.rows], offset.den * g
+    )
 
 
 class EpiVectorFunction(SetFunction):
@@ -351,19 +387,16 @@ class EpiVectorFunction(SetFunction):
         return self.workspace.translated_cone(self.psi(x))
 
     def _compose(self, base, cols, extra):
-        return EpiVectorFunction(
-            self.workspace,
+        return self._composed(
             len(cols),
-            [c.compose(base, cols) for c in self.components],
             self.domain.compose(base, cols, extra),
-            name=self.name,
-            declared_convex=self.declared_convex,
+            components=tuple(c.compose(base, cols) for c in self.components),
         )
 
-    def first_rows(self) -> Optional[FirstRows]:
-        """psi(0) + t s + C as rows over the facet normals n of C:
-        alpha_n = <n, psi(0)>, beta_n = <n, s>."""
-        first = _first_pieces(self.components, self.domain)
+    def first_rows(self, x: Vec, u: Vec) -> Optional[FirstRows]:
+        """psi(x) + t s + C as rows over the facet normals n of C:
+        alpha_n = <n, psi(x)>, beta_n = <n, s>, s the first slopes along u."""
+        first = _first_pieces(self.components, self.domain, x, u)
         if first is None:
             return None
         point, slope, den, t1 = first
@@ -378,26 +411,15 @@ class EpiVectorFunction(SetFunction):
         offsets = []
         for n in normals:
             if any(c > 0 for c in n):
-                raise LatticeError(
-                    "conversion requires componentwise nonpositive facet normals"
-                )
-            pieces_per_comp = []
-            for k, comp in enumerate(self.components):
-                w = to_frac(n[k])
-                if w == 0:
-                    pieces_per_comp.append([((Fraction(0),) * self.xdim, Fraction(0))])
-                else:
-                    # w < 0 turns the max-of-affine into a min-of-affine
-                    pieces_per_comp.append(
-                        [(tuple(w * c for c in cf), w * k0) for cf, k0 in comp.pieces]
-                    )
+                raise LatticeError("conversion requires componentwise nonpositive facet normals")
             combos = [((Fraction(0),) * self.xdim, Fraction(0))]
-            for group in pieces_per_comp:
-                combos = [
-                    (tuple(a + b for a, b in zip(c0, c1)), k0 + k1)
-                    for c0, k0 in combos
-                    for c1, k1 in group
-                ]
+            for w, comp in zip(n, self.components):
+                if w:  # w < 0 turns the max-of-affine into a min-of-affine
+                    combos = [
+                        (tuple(a + w * b for a, b in zip(c0, c1)), k0 + w * k1)
+                        for c0, k0 in combos
+                        for c1, k1 in comp.pieces
+                    ]
             offsets.append(ConcavePWL(combos))
         return ParamPolyFunction(
             self.workspace, self.xdim, normals, offsets, self.domain, name=self.name
@@ -640,30 +662,21 @@ def _fm_translate(f: ParamPolyFunction, pts: List[Vec]) -> ParamPolyFunction:
             dom_rows.append((nx, const))
             continue
         n = _primitive_dir(nz)
-        scale = None
-        for raw, prim in zip(nz, n):
-            if prim != 0:
-                scale = to_frac(raw) / prim
-                break
-        piece = (tuple(-c / scale for c in nx), const / scale)
-        groups.setdefault(n, []).append(piece)
+        i = next(i for i, c in enumerate(n) if c)
+        scale = to_frac(nz[i]) / n[i]
+        groups.setdefault(n, []).append((tuple(-c / scale for c in nx), const / scale))
     if infeasible:
         dom_rows = [((Fraction(0),) * xdim, Fraction(-1))]
+    # no normals: every value is the whole space on the domain
     normals = sorted(groups)
-    offsets = [ConcavePWL(groups[n]) for n in normals]
-    if not normals:
-        # every value is the whole space on the domain
-        normals = []
-        offsets = []
-    g = ParamPolyFunction(
+    return ParamPolyFunction(
         f.workspace,
         xdim,
         normals,
-        offsets,
+        [ConcavePWL(groups[n]) for n in normals],
         Polyhedron(xdim, dom_rows),
         name=f"inf-translate({f.name}; co M)",
     )
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,7 @@ class PWLVectorFunction(VectorFunction):
 
     def psi(self, x):
         xx = as_vec(x)
-        if not self.domain.contains(xx):
-            return None
-        return tuple(c.value(xx) for c in self.components)
+        return self.epi.psi(xx) if self.domain.contains(xx) else None
 
     def domain_contains(self, x):
         return self.domain.contains(as_vec(x))

@@ -6,6 +6,8 @@ import pytest
 
 from setlattice.calculus import (
     NotDeclaredConvex,
+    _shape_roots,
+    _swap_roots,
     diff_quotient,
     first_linear_sample,
     regularity_check,
@@ -265,15 +267,15 @@ def test_derivative_against_brute_force_grid():
 
 def test_ray_memo_restricts_once(ws, absdiag, monkeypatch):
     """Derivative, Dini values and the regularity check at one (x, u) share
-    one ray restriction; repeated calls return equal values."""
+    one read of the ray's first rows; repeated calls return equal values."""
     calls = []
-    original = ParamPolyFunction.ray_restrict
+    original = ParamPolyFunction.first_rows
 
     def counting(self, x, u):
         calls.append((x, u))
         return original(self, x, u)
 
-    monkeypatch.setattr(ParamPolyFunction, "ray_restrict", counting)
+    monkeypatch.setattr(ParamPolyFunction, "first_rows", counting)
     x, u = (F(1, 2),), (F(-1),)
     D = set_derivative(absdiag, x, u)
     dini = {z: scalar_dini(absdiag, z, x, u) for z in ws.directions}
@@ -286,6 +288,14 @@ def test_ray_memo_restricts_once(ws, absdiag, monkeypatch):
         rep.strong, rep.weak, rep.intersection
     )
     assert len(calls) == 1
+
+
+def test_rays_of_a_function_without_normals():
+    """A ParamPoly with no normals, as _fm_translate builds when every value
+    is the whole space, has exact rays: f' = Z and every Dini value is -inf."""
+    f = ParamPolyFunction(orthant_workspace(), 1, [], [])
+    assert set_derivative(f, (0,), (1,)).value == f.workspace.whole_space()
+    assert scalar_dini(f, (-1, 0), (0,), (1,)) == MINUS_INF
 
 
 def test_arity_mismatch_raises(absdiag):
@@ -423,10 +433,16 @@ def _cross(a, b):
 
 
 def _first_event(rows, roots, directions):
-    """The least positive root of: the given roots, parallel rows meeting,
-    a vertex trajectory of two rows crossing a third, and two vertex
-    trajectories swapping in <z*, v(t)> for a z* of directions; capped at 1."""
-    roots = list(roots)
+    """The least positive root of the given roots and of the events of rows;
+    capped at 1."""
+    return min([r for r in list(roots) + _event_roots(rows, directions) if r > 0] + [F(1)])
+
+
+def _event_roots(rows, directions):
+    """The roots of: parallel rows meeting, a vertex trajectory of two rows
+    crossing a third, and two vertex trajectories swapping in <z*, v(t)> for
+    a z* of directions."""
+    roots = []
     verts = []
     for (ni, pi, qi), (nj, pj, qj) in combinations(rows, 2):
         D = _cross(ni, nj)
@@ -453,7 +469,31 @@ def _first_event(rows, roots, directions):
         for (p1, q1), (p2, q2) in combinations(vals, 2):
             if q1 != q2:
                 roots.append((p2 - p1) / (q1 - q2))
-    return min([r for r in roots if r > 0] + [F(1)])
+    return roots
+
+
+def test_shape_and_swap_roots_match_the_fraction_events():
+    """The cross-multiplied integer roots of _shape_roots and _swap_roots are
+    the positive event roots of the same rows computed in Fractions."""
+    rng = random.Random(1313)
+    plane = [(-1, 0), (0, -1), (-1, -1), (1, 0), (0, 1), (1, -2), (-2, 1), (-1, 0)]
+    checked = 0
+    for trial in range(200):
+        if trial % 5 == 0:
+            normals = [rng.choice([(1,), (-1,)]) for _ in range(rng.randint(2, 4))]
+        else:
+            normals = rng.sample(plane, rng.randint(2, 5))
+        p = [rng.randint(-6, 6) for _ in normals]
+        q = [rng.randint(-6, 6) for _ in normals]
+        zs = [(F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-3, 3))) for _ in range(3)]
+        roots, verts = _shape_roots(normals, p, q)
+        # p and q share a denominator, which no root depends on
+        den = rng.randint(1, 4)
+        rows = [(n, F(a, den), F(b, den)) for n, a, b in zip(normals, p, q)]
+        want = sorted(r for r in _event_roots(rows, zs) if r > 0)
+        assert sorted(roots + _swap_roots(verts, zs)) == want, (normals, p, q, zs)
+        checked += len(want)
+    assert checked > 500
 
 
 def _oracle_rays(rng):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setlattice import inf_family, sup_family
 from setlattice.extres import PLUS_INF, ext_min
-from setlattice.kernel import LatticeError
+from setlattice.kernel import LatticeError, Workspace
 from setlattice.instances import (
     heyde_a,
     heyde_b,
@@ -351,3 +353,120 @@ def test_scalarize_reads_the_value_for_every_direction():
         for x in [(F(k, 2),) for k in range(-6, 7)]:
             for z in inside + outside:
                 assert f.scalarize(z, x) == f.eval(x).neg_support(z), (f, x, z)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the integer rows of _PWL and the first rows of exact rays against
+# the public Fraction path
+# ---------------------------------------------------------------------------
+
+grid = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+coef = st.one_of(st.integers(-3, 3), grid)
+ARGUMENTS = {
+    "int": st.integers(0, 4),
+    "fraction": st.fractions(min_value=0, max_value=3, max_denominator=6),
+    "negative": st.one_of(st.integers(-4, -1), st.fractions(min_value=-3, max_value=F(-1, 7))),
+    "float": st.sampled_from([0.5, -1.25, 0.1, -3.0, 2.75, 1e-3]),
+}
+NON_PRIMITIVE = [(-2, 0), (0, F(-1, 2)), (-2, -4), (F(-3, 2), -3)]
+NORMALS = [(-1, 0), (0, -1), (-1, -1)] + NON_PRIMITIVE
+CONES = [[(1, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 0)], [(1, 0), (0, 1), (-1, 0)]]
+
+
+@st.composite
+def pwl_pieces(draw, x, tied=False):
+    """1-3 pieces in len(x) variables; tied adds a piece with another slope
+    through the first piece's value at x."""
+    xdim = len(x)
+    pieces = draw(st.lists(st.tuples(st.tuples(*[coef] * xdim), grid), min_size=1, max_size=3))
+    if tied:
+        c, k = pieces[0]
+        c2 = draw(st.tuples(*[coef] * xdim).filter(lambda c2: c2 != c))
+        pieces.insert(draw(st.integers(0, len(pieces))), (c2, k + _frac_dot(c, x) - _frac_dot(c2, x)))
+    return pieces
+
+
+def _frac_dot(c, x):
+    return sum((F(a) * F(b) for a, b in zip(c, x)), F(0))
+
+
+@pytest.mark.parametrize("argument", sorted(ARGUMENTS))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pwl_value_matches_its_fraction_pieces(argument, data):
+    x = data.draw(st.tuples(*[ARGUMENTS[argument]] * data.draw(st.sampled_from([1, 2]))))
+    kind = data.draw(st.sampled_from([ConcavePWL, ConvexPWL]))
+    raw = data.draw(pwl_pieces(x, tied=data.draw(st.booleans())))
+    pwl = kind(raw)
+    assert pwl.pieces == tuple((tuple(map(F, c)), F(k)) for c, k in raw)
+    best = min if kind is ConcavePWL else max
+    want = best(_frac_dot(c, x) + F(k) for c, k in raw)
+    assert pwl.value(x) == pwl.value(iter(x)) == want
+
+
+def _first_by_hand(ray, pwls, best):
+    """(values at 0, first slopes, t1) of the one-variable pieces of a ray
+    function, in Fractions; None when its domain ends at 0."""
+    ends = [r / a for (a,), r in ray.domain.rows if a > 0]
+    if any(e <= 0 for e in ends):
+        return None
+    at0, slopes = [], []
+    for pwl in pwls:
+        a = best(k for _, k in pwl.pieces)
+        b = best(s for (s,), k in pwl.pieces if k == a)
+        at0.append(a)
+        slopes.append(b)
+        # a piece behind at 0 with a better slope takes over where they cross
+        ends += [(k - a) / (b - s) for (s,), k in pwl.pieces if s != b and best(s, b) == s]
+    return at0, slopes, min(ends, default=None)
+
+
+@pytest.mark.parametrize("case", ["plain", "zero_u", "leaves", "tied"])
+@pytest.mark.parametrize("kind", ["parampoly", "epivector"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_first_rows_match_the_ray_restriction(kind, case, data):
+    """f.first_rows(x, u) equals the first piece read from the Fraction
+    pieces of f.ray_restrict(x, u), for non-primitive normals, u = 0, rays
+    that leave the domain at once and pieces tied at x."""
+    xdim = data.draw(st.sampled_from([1, 2]))
+    x = data.draw(st.tuples(*[grid] * xdim))
+    if case == "zero_u":
+        u = (0,) * xdim
+    else:
+        u = data.draw(st.tuples(*[st.one_of(st.integers(-2, 2), grid)] * xdim))
+    # slack 0 puts x on a domain row
+    lean = st.tuples(st.tuples(*[st.integers(-2, 2)] * xdim), st.sampled_from([0, F(1, 2), 1, 3]))
+    rows = [(a, _frac_dot(a, x) + slack) for a, slack in data.draw(st.lists(lean, max_size=3))]
+    if case == "leaves" and any(u):
+        rows.append((u, _frac_dot(u, x)))  # <u, u> > 0: the ray leaves at once
+    domain = Polyhedron(xdim, rows)
+    tied = case == "tied"
+    if kind == "parampoly":
+        ws = orthant_workspace()
+        normals = [data.draw(st.sampled_from(NON_PRIMITIVE))]
+        normals += data.draw(st.lists(st.sampled_from(NORMALS), max_size=2))
+        offsets = [ConcavePWL(data.draw(pwl_pieces(x, tied))) for _ in normals]
+        f = ParamPolyFunction(ws, xdim, normals, offsets, domain)
+        ray = f.ray_restrict(x, u)
+        ref = _first_by_hand(ray, ray.offsets, min)
+        row_normals = f.normals
+    else:
+        ws = Workspace(2, data.draw(st.sampled_from(CONES)))
+        f = EpiVectorFunction(ws, xdim, [ConvexPWL(data.draw(pwl_pieces(x, tied))) for _ in "yz"], domain)
+        ray = f.ray_restrict(x, u)
+        ref = _first_by_hand(ray, ray.components, max)
+        row_normals = ws.cone.facet_normals
+    got = f.first_rows(x, u)
+    if ref is None:
+        assert got is None
+        assert case != "zero_u"
+        return
+    at0, slopes, t1 = ref
+    if kind == "epivector":
+        assert [F(s, got.den) for s in got.slopes] == slopes
+        at0, slopes = ([_frac_dot(n, v) for n in row_normals] for v in (at0, slopes))
+    assert got.normals == row_normals
+    assert [F(a, got.den) for a in got.alpha] == at0
+    assert [F(b, got.den) for b in got.beta] == slopes
+    assert got.t1 == t1

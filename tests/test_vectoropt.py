@@ -283,7 +283,12 @@ def _per_component_dini(psi, x0, u):
     ends = [r / a for (a,), r in psi.domain.compose(x0, (u,)).rows if a > 0]
     if min(ends, default=1) <= 0:
         return None
-    return tuple(c.compose(x0, (u,)).first_piece()[1] for c in psi.components)
+    slopes = []
+    for c in psi.components:
+        pieces = c.compose(x0, (u,)).pieces
+        at_zero = max(k for _, k in pieces)
+        slopes.append(max(s for (s,), k in pieces if k == at_zero))
+    return tuple(slopes)
 
 
 def test_vector_dini_reads_the_shared_ray_record():
