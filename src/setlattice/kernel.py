@@ -51,10 +51,11 @@ def as_vec(v) -> Vec:
     return tuple(to_frac(c) for c in v)
 
 
-def _int_dir(v: Sequence) -> Tuple[Tuple[int, ...], int]:
+def _int_dir(v: Iterable) -> Tuple[Tuple[int, ...], int]:
     """An integer vector k and a denominator den >= 1 with v = k/den."""
+    v = tuple(v)
     if all(type(c) is int for c in v):
-        return tuple(v), 1
+        return v, 1
     fr = [to_frac(c) for c in v]
     den = lcm(*(c.denominator for c in fr))
     return tuple(c.numerator * (den // c.denominator) for c in fr), den

@@ -24,7 +24,6 @@ from .kernel import (
     Workspace,
     _dot,
     _facet_normal,
-    _facet_offset,
     _int_dir,
     _primitive_dir,
     as_vec,
@@ -138,7 +137,7 @@ class _PWL:
         return tuple((tuple(Fraction(v, d) for v in c), Fraction(k, d)) for c, k in self.rows)
 
     def value(self, x: Sequence) -> Fraction:
-        k, d = _int_dir(tuple(x))  # x = k/d, so each piece is (<c, k> + b d)/(den d)
+        k, d = _int_dir(x)  # x = k/d, so each piece is (<c, k> + b d)/(den d)
         return Fraction(self._best(sum(map(mul, c, k)) + b * d for c, b in self.rows), self.den * d)
 
     def compose(self, base: Vec, cols: Sequence[Vec]):
@@ -556,117 +555,90 @@ def inf_translate(f: SetFunction, M: Sequence[Sequence], convex: bool = False) -
 def infimum_over_domain(f: ParamPolyFunction) -> UpperSet:
     """The lattice infimum of f over its whole domain.
 
-    The graph {(x, z) : x in the domain, <N_i, z> <= piece(x) for every
-    piece} is a polyhedron, so the infimum is its projection onto Z: every
-    argument column is eliminated, and a row left with a zero normal and a
-    negative bound means the domain is empty.
+    The graph of f is a polyhedron, so the infimum is its projection onto Z:
+    every argument column is eliminated, and the elimination finds no
+    solution when the domain is empty.
     """
-    zero_z = (Fraction(0),) * f.workspace.dim
+    out = fourier_motzkin([(cx + cz, k) for cx, cz, k in _graph_rows(f)], f.xdim)
+    return f.workspace.empty_set() if out is None else f.workspace.upper_set(out)
+
+
+def _graph_rows(f: ParamPolyFunction):
+    """The graph {(x, z) : x in the domain, <N_i, z> <= piece(x) for every
+    piece} as integer rows (x-coefficients, z-coefficients, bound), sense <=."""
+    zero_z = (0,) * f.workspace.dim
     rows = [
-        (tuple(-c for c in coef) + tuple(map(Fraction, n)), k)
+        (tuple(-c for c in cx), tuple(off.den * c for c in n), k)
         for n, off in zip(f.normals, f.offsets)
-        for coef, k in off.pieces
+        for cx, k in off.rows
     ]
-    rows += [(a + zero_z, r) for a, r in f.domain.rows]
-    cons = []
-    for nz, const in fourier_motzkin(rows, f.xdim):
-        if any(nz):
-            cons.append((nz, const))
-        elif const < 0:
-            return f.workspace.empty_set()
-    return f.workspace.upper_set(cons)
+    for a, r in f.domain.rows:
+        ints, _ = _int_dir((*a, r))
+        rows.append((ints[:-1], zero_z, ints[-1]))
+    return rows
 
 
 def _hull_rows_of_points(xdim: int, pts: List[Vec]):
-    """H-rep rows of the convex hull of finitely many points in X."""
+    """Integer H-rep rows (a, b), <a, x> <= b, of the convex hull of finitely many points in X."""
     geom = GEOMETRY.get(xdim)
     if geom is None:
         raise LatticeError(f"convex hulls need 1 or 2 argument dimensions, got {xdim}")
     facets = geom.hrep_from_vrep([geom.point(p) for p in pts], [])
-    return [(tuple(map(Fraction, _facet_normal(f))), _facet_offset(f)) for f in facets]
+    # a facet <normal, x> <= cn/cd has cd >= 1
+    return [(tuple(c * f[-1] for c in _facet_normal(f)), f[-2]) for f in facets]
 
 
 def fourier_motzkin(rows, k: int):
-    """Eliminate the first k columns from rows (coefs, const) with sense <=."""
+    """Eliminate the first k columns from integer rows (coefs, bound), sense <=.
+
+    Each row with a positive first coefficient is combined with each row with
+    a negative one, by the integer multipliers |c_0| of the other.  Of the rows
+    with one primitive direction coefs/g (g their gcd) only the least bound/g
+    stays.  None when a row 0 <= b < 0 shows the system has no solution.
+    """
     for _ in range(k):
-        pos, neg, zero = [], [], []
-        for coefs, const in rows:
-            c = coefs[0]
-            if c > 0:
-                pos.append((coefs, const))
-            elif c < 0:
-                neg.append((coefs, const))
-            else:
-                zero.append((coefs[1:], const))
-        combined = []
-        for cp, kp in pos:
-            for cn, kn in neg:
-                lam = -cn[0] / cp[0]
-                coefs = tuple(lam * a + b for a, b in zip(cp[1:], cn[1:]))
-                combined.append((coefs, lam * kp + kn))
-        rows = _dedupe_rows(zero + combined)
+        pos = [(coefs, b) for coefs, b in rows if coefs[0] > 0]
+        neg = [(coefs, b) for coefs, b in rows if coefs[0] < 0]
+        out = [(coefs[1:], b) for coefs, b in rows if coefs[0] == 0]
+        for cp, bp in pos:
+            for cn, bn in neg:
+                p, q = -cn[0], cp[0]
+                out.append((tuple(p * a + q * c for a, c in zip(cp[1:], cn[1:])), p * bp + q * bn))
+        least = {}
+        for coefs, b in out:
+            g = gcd(*coefs)
+            if g == 0:
+                if b < 0:
+                    return None
+                continue
+            key = tuple(c // g for c in coefs)
+            kept = least.get(key)
+            if kept is None or b * kept[0] < kept[2] * g:  # b/g < the kept bound/g
+                least[key] = (g, coefs, b)
+        rows = [(coefs, b) for _, coefs, b in least.values()]
     return rows
 
 
-def _dedupe_rows(rows):
-    seen = {}
-    for coefs, const in rows:
-        scale = None
-        for c in coefs:
-            if c != 0:
-                scale = abs(c)
-                break
-        if scale is None:
-            if const < 0:
-                key = (coefs, Fraction(-1))
-                seen.setdefault(key, (coefs, Fraction(-1)))
-            continue
-        norm = (tuple(c / scale for c in coefs), const / scale)
-        key = norm[0]
-        cur = seen.get(key)
-        if cur is None or norm[1] < cur[1]:
-            seen[key] = norm
-    return list(seen.values())
-
-
 def _fm_translate(f: ParamPolyFunction, pts: List[Vec]) -> ParamPolyFunction:
-    """Exact inf-translation by co(pts) via variable elimination."""
-    xdim = f.xdim
-    zdim = f.workspace.dim
-    zero_x = (Fraction(0),) * xdim
-    zero_z = (Fraction(0),) * zdim
-    rows = []
-    # value constraints: <N_i, z> <= piece(m + x) for every piece
-    for n, off in zip(f.normals, f.offsets):
-        nz = tuple(Fraction(c) for c in n)
-        for coef, const in off.pieces:
-            rows.append((tuple(-c for c in coef) + nz + tuple(-c for c in coef), const))
-    # domain rows: <a, m + x> <= r
-    for a, r in f.domain.rows:
-        rows.append((a + zero_z + a, r))
-    # m ranges over the hull of the translation points
-    for a, r in _hull_rows_of_points(xdim, pts):
-        rows.append((a + zero_z + zero_x, r))
+    """Exact inf-translation by co(pts): the translation m is eliminated from
+    <N_i, z> <= piece(m + x), m + x in the domain and m in co(pts)."""
+    xdim, zdim = f.xdim, f.workspace.dim
+    zero_zx = (0,) * (zdim + xdim)
+    rows = [(cx + cz + cx, k) for cx, cz, k in _graph_rows(f)]
+    rows += [(a + zero_zx, r) for a, r in _hull_rows_of_points(xdim, pts)]
     out = fourier_motzkin(rows, xdim)
     groups = {}
     dom_rows = []
-    infeasible = False
-    for coefs, const in out:
-        nz = coefs[:zdim]
-        nx = coefs[zdim:]
-        if all(c == 0 for c in nz):
-            if all(c == 0 for c in nx):
-                if const < 0:
-                    infeasible = True
-                continue
-            dom_rows.append((nx, const))
-            continue
-        n = _primitive_dir(nz)
-        i = next(i for i, c in enumerate(n) if c)
-        scale = to_frac(nz[i]) / n[i]
-        groups.setdefault(n, []).append((tuple(-c / scale for c in nx), const / scale))
-    if infeasible:
-        dom_rows = [((Fraction(0),) * xdim, Fraction(-1))]
+    # no solution: the empty domain 0 <= -1, and no normals
+    for coefs, b in [(zero_zx, -1)] if out is None else out:
+        nz, nx = coefs[:zdim], coefs[zdim:]
+        g = gcd(*nz)
+        if g == 0:
+            dom_rows.append((nx, b))
+        else:
+            # <nz, z> <= b - <nx, x> is <nz/g, z> <= (<-nx, x> + b)/g
+            piece = (tuple(Fraction(-c, g) for c in nx), Fraction(b, g))
+            groups.setdefault(tuple(c // g for c in nz), []).append(piece)
     # no normals: every value is the whole space on the domain
     normals = sorted(groups)
     return ParamPolyFunction(

@@ -13,7 +13,7 @@ from setlattice import (
     sup_family,
 )
 from setlattice.extres import residual as ext_residual
-from setlattice.kernel import feasible_with, mirror_facets
+from setlattice.kernel import _int_dir, feasible_with, mirror_facets
 
 
 @pytest.fixture
@@ -131,6 +131,14 @@ def test_support(orthant, ray_cone):
     assert ray_cone.whole_space().support((-1, 0)) == PLUS_INF
     a = orthant.translated_cone((1, 2))
     assert a.neg_support((-1, -1)).value == 3
+
+
+def test_support_reads_an_iterator_direction_once(orthant):
+    """A direction given as an iterator gives what its tuple gives."""
+    a = orthant.translated_cone((1, 2))
+    z = (Fraction(-1, 2), -1)
+    assert a.support(c for c in z) == a.support(z) == Fraction(-5, 2)
+    assert _int_dir(iter([1, Fraction(1, 2), 3])) == ((2, 1, 6), 2)
 
 
 def test_contains_point(orthant):

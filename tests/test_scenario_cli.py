@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,25 @@ def test_builtin_reports_deterministic(name):
     a = run_builtin(name).dumps()
     b = run_builtin(name).dumps()
     assert a == b
+
+
+# sha256 of each builtin's `check-vi --report` file.  A change that moves a
+# report must say why and record the new digest here.
+BUILTIN_REPORT_SHA256 = {
+    "example23": "fc92e5e3ac0a900368dea30676f55b0346ab50a82707a500a8d935915cba7ec6",
+    "heyde_a": "02721a43acc3be575605f4411decddea91a366b76e7a3a6fd4494cb3f7c6fa7a",
+    "heyde_b": "5c1763826a5bedfbc65200f02ef3e56a0ea50daa7288e689f57814bbe161d731",
+    "circle": "717ba814740f160a66b25d719255112cea532538daa97b65a846e48702115f51",
+    "infdir_example": "701b8d91a270a95b7bb49028e4560dfaa154054285ab3849b442c02201f42a88",
+    "no_solution_line": "e0469cd075363b6dfc869c13b9d249952146ce2761a325856c660c8833ebdbbf",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_report_bytes_pinned(name, tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["check-vi", "--scenario", f"builtin:{name}", "--report", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILTIN_REPORT_SHA256[name]
 
 
 def test_scenario_json_round_trip(tmp_path):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setlattice import inf_family, sup_family
@@ -26,6 +28,7 @@ from setlattice.setfun import (
     Polyhedron,
     _hull_rows_of_points,
     cminus_lsc_probe,
+    fourier_motzkin,
     inf_translate,
     inf_translation,
     lattice_lsc_probe,
@@ -314,9 +317,10 @@ def test_non_primitive_normals_scale_their_offsets():
 
 
 def test_hull_rows_need_one_or_two_dimensions():
+    # integer rows: -2x <= 1 and x <= 2
     assert sorted(_hull_rows_of_points(1, [(Fraction(2),), (Fraction(-1, 2),)])) == [
-        ((Fraction(-1),), Fraction(1, 2)),
-        ((Fraction(1),), Fraction(2)),
+        ((-2,), 1),
+        ((1,), 2),
     ]
     with pytest.raises(LatticeError):
         _hull_rows_of_points(3, [(Fraction(0),) * 3, (Fraction(1),) * 3])
@@ -324,6 +328,39 @@ def test_hull_rows_need_one_or_two_dimensions():
     f = ParamPolyFunction(orthant_workspace(), 2, [(-1, 0)], [ConcavePWL([((0, 0), 0)])])
     with pytest.raises(LatticeError):
         inf_translate(f, [(0, 0, 5), (1, 1, 5)], convex=True)
+
+
+@st.composite
+def _integer_systems(draw):
+    width = draw(st.integers(2, 3))
+    coefs = st.tuples(*[st.integers(-2, 2)] * width)
+    return draw(st.lists(st.tuples(coefs, st.integers(-3, 3)), min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_systems())
+@example([((1, 0), -1), ((-1, 0), -1)])  # x <= -1 and x >= 1: no solution
+@example([((1, 1), 1), ((-2, 1), 0)])  # y/2 <= x <= 1 - y: y <= 2/3
+@example([((0, 1), 1), ((0, 2), 3)])  # y <= 1 and 2y <= 3: y <= 1
+def test_fourier_motzkin_step_projects_exactly(rows):
+    """One elimination step against the interval it projects: y satisfies the
+    rows left exactly when the x-interval [max lower, min upper] of the rows
+    with c_0 != 0 is nonempty and every row with c_0 = 0 holds at y."""
+    out = fourier_motzkin(rows, 1)
+    grid = [F(k, 2) for k in range(-4, 5)]
+    for y in product(grid, repeat=len(rows[0][0]) - 1):
+        lower, upper, rest_hold = [], [], True
+        for (c, *a), b in rows:
+            slack = b - sum(map(mul, a, y))
+            if c > 0:
+                upper.append(slack / c)
+            elif c < 0:
+                lower.append(slack / c)
+            else:
+                rest_hold = rest_hold and slack >= 0
+        solvable = rest_hold and (not lower or not upper or max(lower) <= min(upper))
+        projected = out is not None and all(sum(map(mul, a, y)) <= b for a, b in out)
+        assert projected == solvable, (rows, y, out)
 
 
 def test_scalarize_reads_the_value_for_every_direction():

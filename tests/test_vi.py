@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from setlattice.calculus import segment_criticals
 from setlattice.instances import (
     heyde_a,
     heyde_b,
@@ -410,6 +411,11 @@ def test_segment_infimum_matches_whole_function_translation():
         step = tuple(q - p for p, q in zip(x0, x))
         oracle = inf_translate(f, [(F(0),) * f.xdim, step], convex=True).eval(x0)
         assert _segment_infimum(f, x0, x) == (oracle, True), (f, x0, x)
+        # an oracle that eliminates nothing: f is affine between the segment's
+        # critical parameters, so the infimum is spanned by the values there
+        ts = [F(0), F(1)] + segment_criticals(f, x0, x, f.workspace.directions)
+        values = [f.eval(tuple(p + t * d for p, d in zip(x0, step))) for t in ts]
+        assert oracle == inf_family(f.workspace, values), (f, x0, x)
         seen.add((f.workspace.dim, f.xdim, isinstance(f, EpiVectorFunction)))
     assert len(seen) == 8
 
