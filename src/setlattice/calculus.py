@@ -1,12 +1,12 @@
 """Differential quotients, set-valued directional derivatives, scalar Dini
 derivatives, and the strong/weak regularity checks.
 
-Exact functions (ParamPoly and epigraphical) share one ray record, the
-first rows of t -> f(x + t u): on (0, t1] the value is
-{z : <n_i, z> <= alpha_i + beta_i t}, read through each class's
-``first_rows`` hook.  The scalar Dini value comes from those rows by LP
-duality, σ(z* | f(x + t u)) = min over the dual bases λ >= 0, Σ λ_i n_i = z*,
-of Σ λ_i (alpha_i + beta_i t), so it is minus the beta-part of the
+Exact functions (``setfun.RowFunction``: ParamPoly and epigraphical) share
+one ray record, the first rows of t -> f(x + t u): on (0, t1] the value is
+{z : <n_i, z> <= alpha_i + beta_i t}, read through ``first_rows``.  The
+scalar Dini value comes from those rows by LP duality,
+σ(z* | f(x + t u)) = min over the dual bases λ >= 0, Σ λ_i n_i = z*, of
+Σ λ_i (alpha_i + beta_i t), so it is minus the beta-part of the
 lexicographically least (λ·alpha, λ·beta), with no set built.  The set
 derivative keeps the rows tight at the base; one quotient, taken below the
 first root of the affine sign conditions that shape the value family,
@@ -31,18 +31,9 @@ from .kernel import (
     _int_dir,
     as_vec,
     inf_family,
-    sup_family,
     to_frac,
 )
-from .setfun import (
-    EpiVectorFunction,
-    FirstRows,
-    OracleFunction,
-    ParamPolyFunction,
-    SetFunction,
-    _check_lengths,
-    level_set,
-)
+from .setfun import FirstRows, OracleFunction, RowFunction, SetFunction, _check_lengths
 
 
 class NotDeclaredConvex(LatticeError):
@@ -178,16 +169,15 @@ def _weighted(basis, values) -> Fraction:
 
 
 _UNSET = object()
-_EXACT_RAYS = (ParamPolyFunction, EpiVectorFunction)
 
 
 class _Ray:
     """The memo record of one ray t -> f(x + t u), kept in ``f._rays``.
 
-    For exact f it holds the ray's ``setfun.FirstRows``, read once from the
-    ray function's ``first_rows`` hook (an epigraphical ray psi + C has the
-    facet normals of C as rows), and what is built from them on demand: the
-    emptiness near 0, the shape, the derivative and the Dini value per z*.
+    For exact f it holds the ray's ``setfun.FirstRows``, read once through
+    ``f.first_rows`` (an epigraphical ray psi + C has the facet normals of C
+    as rows), and what is built from them on demand: the emptiness near 0,
+    the shape, the derivative and the Dini value per z*.
     Callers must not mutate them.
     """
 
@@ -204,7 +194,7 @@ class _Ray:
 
     def rows(self, f: SetFunction) -> Optional[FirstRows]:
         """The first rows; None when the ray leaves the domain at once.
-        f is one of _EXACT_RAYS."""
+        f is a RowFunction."""
         if self._rows is _UNSET:
             self._rows = f.first_rows(self.x, self.u)
         return self._rows
@@ -297,7 +287,7 @@ def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
         return DerivativeResult(vx.recession(), exact=f.is_exact)
     if isinstance(f, OracleFunction):
         return _sampled_derivative(f, xx, uu)
-    if not isinstance(f, _EXACT_RAYS):
+    if not isinstance(f, RowFunction):
         raise NotDeclaredConvex(
             "exact derivatives are available for parametric and epigraphical functions"
         )
@@ -367,7 +357,7 @@ def _scalar_dini(f: SetFunction, rec: _Ray, z: tuple) -> ExtReal:
         return MINUS_INF if vx.neg_support(z).is_minus_inf else ExtReal(0)
     if isinstance(f, OracleFunction):
         return _sampled_scalar_dini(f, z, xx, uu)
-    if not isinstance(f, _EXACT_RAYS):
+    if not isinstance(f, RowFunction):
         raise NotDeclaredConvex(
             "exact scalar derivatives are available for parametric and epigraphical functions"
         )
@@ -399,13 +389,11 @@ def scalarized_derivative_intersection(
     """
     ws = f.workspace
     margin = Fraction(0) if f.is_exact else getattr(f, "tolerance", Fraction(0))
-    pieces = []
-    for z in directions:
-        d = scalar_dini(f, z, x, u)
-        if d.is_finite and margin:
-            d = ExtReal(d.value - margin)
-        pieces.append(level_set(ws, z, d))
-    return sup_family(ws, pieces)
+    dinis = [(z, scalar_dini(f, z, x, u)) for z in directions]
+    if any(d.is_plus_inf for _, d in dinis):
+        return ws.empty_set()
+    # each finite d gives the level halfspace <z*, w> <= -(d - margin); -inf gives Z
+    return ws.upper_set([(z, margin - d.value) for z, d in dinis if d.is_finite])
 
 
 @dataclass
@@ -457,7 +445,7 @@ def first_linear_sample(
 ) -> Optional[Fraction]:
     """A parameter t with every scalarization affine on (0, t]; None when the
     data is inexact or the base lies outside the domain."""
-    if not isinstance(f, _EXACT_RAYS):
+    if not isinstance(f, RowFunction):
         return None
     rec = _ray(f, x, u)
     if not any(rec.u) or f.eval(rec.x).is_empty or rec.rows(f) is None:
@@ -469,32 +457,19 @@ def first_linear_sample(
 
 def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> List[Fraction]:
     """Parameters in (0,1) where the value family along [x0, x] changes shape."""
-    one = Fraction(1)
-    if not isinstance(f, _EXACT_RAYS):
+    if not isinstance(f, RowFunction):
         return []
     g = f.restrict(x0, x)
-    epi = isinstance(g, EpiVectorFunction)
     roots = set()
-    for off in g.components if epi else g.offsets:
-        roots.update(_all_crossings(off))
+    for pwl in g.pwls:
+        roots.update(_all_crossings(pwl))
     for (a,), rr in g.domain.rows:
-        if a != 0 and 0 < rr / a < one:
+        if a != 0 and 0 < rr / a < 1:
             roots.add(rr / a)
-    if epi:
-        return sorted(roots)
-    bounds = [Fraction(0)] + sorted(roots) + [one]
-    den = lcm(*(off.den for off in g.offsets))
+    bounds = [Fraction(0), *sorted(roots), Fraction(1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        mid = (lo + hi) / 2
-        mn, md = mid.numerator, mid.denominator
-        # the piece active at mid, as integers over den
-        p, q = [], []
-        for off in g.offsets:
-            (s,), c = min(off.rows, key=lambda row: row[1] * md + row[0][0] * mn)
-            p.append(c * (den // off.den))
-            q.append(s * (den // off.den))
-        shape, verts = _shape_roots(g.normals, p, q)
-        for r in shape + _swap_roots(verts, directions):
-            if lo < r < hi:
-                roots.add(r)
+        # every PWL is affine on (lo, hi), so the ray from lo has fixed rows there
+        rows = g._rows_along((lo,), (1,))
+        shape, verts = _shape_roots(rows.normals, rows.alpha, rows.beta)
+        roots.update(lo + r for r in shape + _swap_roots(verts, directions) if lo + r < hi)
     return sorted(roots)

@@ -46,6 +46,7 @@ from .vectoropt import (
     classify_dini,
     efficient_set,
     efficiency_minimality_bridge,
+    epigraphical,
     infdir_plus_cone,
     vector_dini,
     vector_minty_check,
@@ -306,8 +307,6 @@ def _function_of(scn: Scenario, task: dict):
 def _set_function_of(scn: Scenario, task: dict) -> SetFunction:
     f = _function_of(scn, task)
     if isinstance(f, VectorFunction):
-        from .vectoropt import epigraphical
-
         return epigraphical(f)
     if isinstance(f, tuple):
         raise ValidationError("task needs a set-valued function")

@@ -1,8 +1,9 @@
 """Set-valued functions X -> G(Z, C): constructors, evaluation, scalarization,
 inf-translation, segment restriction and semicontinuity probes.
 
-Three constructor classes: parametric polyhedra (exact), epigraphical vector
-extensions (exact), and numeric oracles (sampled, approximate-flagged).
+Three constructor classes: parametric polyhedra and epigraphical vector
+extensions, the two exact row functions, and numeric oracles (sampled,
+approximate-flagged).
 """
 
 from __future__ import annotations
@@ -203,21 +204,6 @@ class FirstRows(NamedTuple):
     slopes: Optional[List[int]] = None
 
 
-def _first_pieces(pwls, domain: Polyhedron, x: Vec, u: Vec):
-    """The values at t = 0 and the first slopes of the PWLs along x + t u as
-    integers over one denominator, that denominator and t1; None if the ray
-    leaves the domain at once."""
-    ends = [(r - _dot(a, x)) / au for a, r in domain.rows if (au := _dot(a, u)) > 0]
-    if ends and min(ends) <= 0:
-        return None
-    k, d = _int_dir((*x, *u))
-    den = lcm(*(p.den for p in pwls))
-    firsts = [(p.first_piece(k[: len(x)], k[len(x) :], d), den // p.den) for p in pwls]
-    alpha, beta = ([first[i] * s for first, s in firsts] for i in (0, 1))
-    bends = [t for (*_, t), _ in firsts if t is not None]
-    return alpha, beta, den * d, min(ends + bends, default=None)
-
-
 # ---------------------------------------------------------------------------
 # Set-valued functions
 # ---------------------------------------------------------------------------
@@ -265,14 +251,6 @@ class SetFunction:
         """The function y -> f(base + Σ_j y_j cols_j), ∅ where a y-row of extra fails."""
         raise NotImplementedError
 
-    def _composed(self, xdim: int, domain: "Polyhedron", **changed) -> "SetFunction":
-        """The trusted constructor path of _compose: a function of this class
-        with this one's fields except those given, and empty memos.  The public
-        constructor's checks are not rerun on what _compose did not change."""
-        g = object.__new__(type(self))
-        g.__dict__.update(self.__dict__, xdim=xdim, domain=domain, _cache={}, _rays={}, **changed)
-        return g
-
     def restrict(self, x0: Sequence, x: Sequence) -> "SetFunction":
         """The segment function t -> f(x0 + t(x - x0)) on [0, 1], ∅ outside."""
         b = as_vec(x0)
@@ -289,7 +267,69 @@ class SetFunction:
         return self._compose(as_vec(m), units, ())
 
 
-class ParamPolyFunction(SetFunction):
+class RowFunction(SetFunction):
+    """An exact function whose value is a system of rows over piecewise-linear
+    functions ``pwls`` of x, ∅ outside a domain polyhedron.  A subclass reads
+    the rows off the PWL values and slopes through one hook, ``_rows``."""
+
+    def __init__(
+        self, workspace: Workspace, xdim: int, pwls: tuple, domain: Optional[Polyhedron], name: str
+    ):
+        super().__init__()
+        self.workspace = workspace
+        self.xdim = xdim
+        self.pwls = pwls
+        self.domain = domain if domain is not None else Polyhedron.whole(xdim)
+        self.name = name
+
+    def _rows(self, values: List[int], slopes: List[int], den: int, t1) -> FirstRows:
+        """The rows of f(x + t u) from the PWL values at x and their first
+        slopes along u, integers over den, and t1."""
+        raise NotImplementedError
+
+    def _rows_along(self, x: Vec, u: Vec, ends=()) -> FirstRows:
+        """The first rows of the ray t -> f(x + t u), the domain aside: t1 is
+        the first PWL bend or the least of ends."""
+        k, d = _int_dir((*x, *u))
+        den = lcm(*(p.den for p in self.pwls))
+        firsts = [(p.first_piece(k[: len(x)], k[len(x) :], d), den // p.den) for p in self.pwls]
+        values, slopes = ([first[i] * s for first, s in firsts] for i in (0, 1))
+        bends = [t for (*_, t), _ in firsts if t is not None]
+        return self._rows(values, slopes, den * d, min([*ends, *bends], default=None))
+
+    def first_rows(self, x: Vec, u: Vec) -> Optional[FirstRows]:
+        """The first rows of the ray t -> f(x + t u); None if it leaves the domain at once."""
+        ends = [(r - _dot(a, x)) / au for a, r in self.domain.rows if (au := _dot(a, u)) > 0]
+        if ends and min(ends) <= 0:
+            return None
+        return self._rows_along(x, u, ends)
+
+    def _eval(self, x: Vec) -> UpperSet:
+        ws = self.workspace
+        if not self.domain.contains(x):
+            return ws.empty_set()
+        # the normals are primitive and in C^- by construction, so the rows
+        # skip the checks of Workspace.upper_set
+        rows = self._rows_along(x, (0,) * len(x))
+        facet = ws.geom.facet
+        return UpperSet(ws, [facet(n, a, rows.den) for n, a in zip(rows.normals, rows.alpha)])
+
+    def _compose(self, base, cols, extra):
+        # the trusted path: this function's fields with the composed PWLs and
+        # domain, and empty memos; the constructor's checks are not rerun
+        g = object.__new__(type(self))
+        g.__dict__.update(
+            self.__dict__,
+            xdim=len(cols),
+            domain=self.domain.compose(base, cols, extra),
+            pwls=tuple(p.compose(base, cols) for p in self.pwls),
+            _cache={},
+            _rays={},
+        )
+        return g
+
+
+class ParamPolyFunction(RowFunction):
     """f(x) = {z : <N_i, z> <= b_i(x)} on a domain polyhedron, ∅ outside.
 
     Offsets are concave piecewise-linear, which makes the function convex
@@ -305,9 +345,6 @@ class ParamPolyFunction(SetFunction):
         domain: Optional[Polyhedron] = None,
         name: str = "",
     ):
-        super().__init__()
-        self.workspace = workspace
-        self.xdim = xdim
         normals = tuple(normals)
         offsets = tuple(offsets)
         _check_lengths(workspace.dim, normals, "a normal")
@@ -318,29 +355,16 @@ class ParamPolyFunction(SetFunction):
         for n in self.normals:
             if not workspace.cone.in_dual(n):
                 raise NormalOutsideDualCone(f"normal {n} is not in C^-")
-        self.offsets = tuple(map(_primitive_offset, normals, offsets))
-        self.domain = domain if domain is not None else Polyhedron.whole(xdim)
-        self.is_exact = True
-        self.declared_convex = True
-        self.name = name
+        offsets = tuple(map(_primitive_offset, normals, offsets))
+        super().__init__(workspace, xdim, offsets, domain, name)
 
-    def _eval(self, x: Vec) -> UpperSet:
-        if not self.domain.contains(x):
-            return self.workspace.empty_set()
-        cons = [(n, off.value(x)) for n, off in zip(self.normals, self.offsets)]
-        return self.workspace.upper_set(cons)
+    @property
+    def offsets(self) -> Tuple[ConcavePWL, ...]:
+        return self.pwls
 
-    def _compose(self, base, cols, extra):
-        return self._composed(
-            len(cols),
-            self.domain.compose(base, cols, extra),
-            offsets=tuple(off.compose(base, cols) for off in self.offsets),
-        )
-
-    def first_rows(self, x: Vec, u: Vec) -> Optional[FirstRows]:
-        """The first rows of the ray t -> f(x + t u); None if it leaves the domain at once."""
-        first = _first_pieces(self.offsets, self.domain, x, u)
-        return None if first is None else FirstRows(self.normals, *first)
+    def _rows(self, values, slopes, den, t1):
+        """The normals N_i, with the offset values and slopes."""
+        return FirstRows(self.normals, values, slopes, den, t1)
 
 
 def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
@@ -355,7 +379,7 @@ def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
     )
 
 
-class EpiVectorFunction(SetFunction):
+class EpiVectorFunction(RowFunction):
     """Epigraphical extension of a vector function: f(x) = psi(x) + C on S."""
 
     def __init__(
@@ -367,42 +391,24 @@ class EpiVectorFunction(SetFunction):
         name: str = "",
         declared_convex: bool = True,
     ):
-        super().__init__()
-        self.workspace = workspace
-        self.xdim = xdim
-        self.components = _components(workspace, xdim, components)
-        self.domain = domain if domain is not None else Polyhedron.whole(xdim)
-        self.is_exact = True
+        super().__init__(workspace, xdim, _components(workspace, xdim, components), domain, name)
         self.declared_convex = declared_convex
-        self.name = name
+
+    @property
+    def components(self) -> Tuple[ConvexPWL, ...]:
+        return self.pwls
 
     def psi(self, x: Sequence) -> Vec:
         xx = as_vec(x)
-        return tuple(c.value(xx) for c in self.components)
+        return tuple(c.value(xx) for c in self.pwls)
 
-    def _eval(self, x: Vec) -> UpperSet:
-        if not self.domain.contains(x):
-            return self.workspace.empty_set()
-        return self.workspace.translated_cone(self.psi(x))
-
-    def _compose(self, base, cols, extra):
-        return self._composed(
-            len(cols),
-            self.domain.compose(base, cols, extra),
-            components=tuple(c.compose(base, cols) for c in self.components),
-        )
-
-    def first_rows(self, x: Vec, u: Vec) -> Optional[FirstRows]:
-        """psi(x) + t s + C as rows over the facet normals n of C:
-        alpha_n = <n, psi(x)>, beta_n = <n, s>, s the first slopes along u."""
-        first = _first_pieces(self.components, self.domain, x, u)
-        if first is None:
-            return None
-        point, slope, den, t1 = first
+    def _rows(self, values, slopes, den, t1):
+        """psi + t s + C as rows over the facet normals n of C:
+        alpha_n = <n, psi>, beta_n = <n, s>; s is kept for vector_dini."""
         normals = self.workspace.cone.facet_normals
-        alpha = [sum(map(mul, n, point)) for n in normals]
-        beta = [sum(map(mul, n, slope)) for n in normals]
-        return FirstRows(normals, alpha, beta, den, t1, slope)
+        alpha = [sum(map(mul, n, values)) for n in normals]
+        beta = [sum(map(mul, n, slopes)) for n in normals]
+        return FirstRows(normals, alpha, beta, den, t1, slopes)
 
     def as_parampoly(self) -> ParamPolyFunction:
         """Exact conversion when every cone facet normal is componentwise <= 0."""

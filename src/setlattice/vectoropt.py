@@ -9,7 +9,7 @@ from fractions import Fraction
 from operator import le
 from typing import Callable, List, Optional, Sequence
 
-from .calculus import _ray, scalar_dini, set_derivative
+from .calculus import _ray, scalar_dini, segment_criticals, set_derivative
 from .extres import ExtReal
 from .kernel import (
     LatticeError,
@@ -430,8 +430,6 @@ def vector_minty_check(
         if psi.is_exact and x != x0:
             # close the sample under the segment's kinks, where off-grid
             # dominators of piecewise-linear data live, and the endpoint
-            from .calculus import segment_criticals
-
             for t in segment_criticals(f, x0, x, directions):
                 if t not in ts:
                     ts.append(t)

@@ -64,16 +64,10 @@ class CandidateSpace:
 
     @staticmethod
     def of(points: Iterable[Sequence], base: Optional[Sequence] = None) -> "CandidateSpace":
-        pts = []
-        for p in points:
-            v = as_vec(p)
-            if v not in pts:
-                pts.append(v)
+        pts = [as_vec(p) for p in points]
         if base is not None:
-            b = as_vec(base)
-            if b not in pts:
-                pts.append(b)
-        return CandidateSpace(tuple(sorted(pts)))
+            pts.append(as_vec(base))
+        return CandidateSpace(tuple(sorted(dict.fromkeys(pts))))
 
     def with_base(self, base: Sequence) -> "CandidateSpace":
         return CandidateSpace.of(self.points, base)

@@ -399,8 +399,8 @@ def test_scalar_dini_refuses_wrong_length_directions():
 # ---------------------------------------------------------------------------
 # Oracles for exact rays.  The first event along a ray is bounded from below
 # by every root any piece could produce, all pieces taken, not only the
-# active ones; the values come from f.eval, which builds each set from its
-# raw rows through ws.upper_set.
+# active ones; the values come from f.eval, whose sets
+# tests/test_setfun.py checks against ws.upper_set of the raw rows.
 # ---------------------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setlattice import inf_family, sup_family
+from setlattice.calculus import segment_criticals
 from setlattice.extres import PLUS_INF, ext_min
 from setlattice.kernel import LatticeError, Workspace
 from setlattice.instances import (
@@ -507,3 +508,101 @@ def test_first_rows_match_the_ray_restriction(kind, case, data):
     assert [F(a, got.den) for a in got.alpha] == at0
     assert [F(b, got.den) for b in got.beta] == slopes
     assert got.t1 == t1
+
+
+# ---------------------------------------------------------------------------
+# Oracle: exact evaluation, which builds its rows without the checks of
+# Workspace.upper_set, against the checked path
+# ---------------------------------------------------------------------------
+
+EIGHT_CONES = {
+    "orthant": (2, [(1, 0), (0, 1)]),
+    "wedge": (2, [(1, 0), (1, 1)]),
+    "ray": (2, [(1, -1)]),
+    "zero-1d": (1, []),
+    "zero-2d": (2, []),
+    "line": (2, [(1, 0), (-1, 0)]),
+    "half-plane": (2, [(1, 0), (0, 1), (-1, 0)]),
+    "half-line": (1, [(1,)]),
+}
+
+
+def _domain_around(data, x, slacks):
+    """A domain polyhedron of up to two rows, each at a slack from x."""
+    lean = st.tuples(st.tuples(*[st.integers(-2, 2)] * len(x)), st.sampled_from(slacks))
+    rows = data.draw(st.lists(lean, max_size=2))
+    return Polyhedron(len(x), [(a, _frac_dot(a, x) + s) for a, s in rows])
+
+
+@pytest.mark.parametrize("case", ["plain", "no_normals", "outside"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_parampoly_eval_matches_the_checked_path(case, data):
+    """f.eval(x) equals ws.upper_set of the raw normals and offset values, for
+    non-primitive normals, no normals and x outside the domain."""
+    xdim = data.draw(st.sampled_from([1, 2]))
+    x = data.draw(st.tuples(*[grid] * xdim))
+    normals = data.draw(st.lists(st.sampled_from(NORMALS), min_size=1, max_size=3))
+    if case == "no_normals":
+        normals = []
+    offsets = [ConcavePWL(data.draw(pwl_pieces(x, data.draw(st.booleans())))) for _ in normals]
+    domain = _domain_around(data, x, [0, F(1, 2), 2])
+    if case == "outside":
+        a = data.draw(st.tuples(*[st.integers(-2, 2)] * xdim).filter(any))
+        domain = Polyhedron(xdim, domain.rows + ((a, _frac_dot(a, x) - F(1, 3)),))
+    ws = orthant_workspace()
+    f = ParamPolyFunction(ws, xdim, normals, offsets, domain)
+    if case == "outside":
+        want = ws.empty_set()
+    else:
+        want = ws.upper_set([(n, off.value(x)) for n, off in zip(normals, offsets)])
+    assert f.eval(x) == want
+
+
+@pytest.mark.parametrize("cone", sorted(EIGHT_CONES))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_epivector_eval_matches_the_translated_cone(cone, data):
+    """f.eval(x) equals ws.translated_cone(psi(x)) inside the domain and ∅ outside."""
+    dim, gens = EIGHT_CONES[cone]
+    ws = Workspace(dim, gens)
+    xdim = data.draw(st.sampled_from([1, 2]))
+    x = data.draw(st.tuples(*[grid] * xdim))
+    comps = [ConvexPWL(data.draw(pwl_pieces(x, data.draw(st.booleans())))) for _ in range(dim)]
+    domain = _domain_around(data, x, [-1, 0, 2])
+    f = EpiVectorFunction(ws, xdim, comps, domain)
+    want = ws.translated_cone(f.psi(x)) if domain.contains(x) else ws.empty_set()
+    assert f.eval(x) == want
+
+
+@pytest.mark.parametrize("cone", sorted(EIGHT_CONES))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_epivector_segment_criticals_are_crossings_and_domain_roots(cone, data):
+    """Every row of psi(t) + C passes through psi(t), so the shape pass over
+    the facet normals of C adds no root: the critical parameters of an
+    epigraphical segment are where two pieces of a component cross or the
+    segment meets a domain row, in Fractions from f's own pieces."""
+    dim, gens = EIGHT_CONES[cone]
+    ws = Workspace(dim, gens)
+    xdim = data.draw(st.sampled_from([1, 2]))
+    x0 = data.draw(st.tuples(*[grid] * xdim))
+    x1 = data.draw(st.tuples(*[grid] * xdim))
+    comps = [ConvexPWL(data.draw(pwl_pieces(x0, data.draw(st.booleans())))) for _ in range(dim)]
+    domain = _domain_around(data, x0, [-1, 0, F(1, 2), 2])
+    f = EpiVectorFunction(ws, xdim, comps, domain)
+    normals = ws.cone.facet_normals
+    # the facet normals and their pairwise sums, so that vertex swaps are probed
+    directions = set(normals) | {tuple(map(sum, zip(m, n))) for m in normals for n in normals}
+    u = tuple(b - a for a, b in zip(x0, x1))
+    roots = set()
+    for comp in comps:
+        lines = [(k + _frac_dot(c, x0), _frac_dot(c, u)) for c, k in comp.pieces]
+        for (p1, q1), (p2, q2) in combinations(lines, 2):
+            if q1 != q2:
+                roots.add((p2 - p1) / (q1 - q2))
+    for a, r in domain.rows:
+        if _frac_dot(a, u):
+            roots.add((r - _frac_dot(a, x0)) / _frac_dot(a, u))
+    want = sorted(t for t in roots if 0 < t < 1)
+    assert segment_criticals(f, x0, x1, sorted(d for d in directions if any(d))) == want
