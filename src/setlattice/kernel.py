@@ -414,16 +414,33 @@ class UpperSet:
             return self.workspace.whole_space()
         if self.is_empty:
             return self.workspace.empty_set()
+        rows = self._residual_rows(other)
+        return self.workspace.empty_set() if rows is None else UpperSet(self.workspace, rows)
+
+    def residual_contains_origin(self, other: "UpperSet") -> bool:
+        """0 ∈ A ÷ B, read off the raw rows of the residual: every offset is
+        nonnegative.  No canonicalisation."""
+        self._check(other)
+        if other.is_empty:
+            return True
+        if self.is_empty:
+            return False
+        rows = self._residual_rows(other)
+        return rows is not None and all(r[-2] >= 0 for r in rows)
+
+    def _residual_rows(self, other: "UpperSet"):
+        """The raw rows <n, z> <= c - σ(n | B) of A ÷ B over the facets of A,
+        for nonempty A and B; None when some σ(n | B) is +∞."""
         facet = self.workspace.geom.facet
-        facets = []
+        rows = []
         for f in self.facets:
             n = _facet_normal(f)
             s = other._sup(n)
             if s is None:
-                return self.workspace.empty_set()
+                return None
             # cn/cd - sn/sd over the common denominator
-            facets.append(facet(n, f[-2] * s[1] - s[0] * f[-1], f[-1] * s[1]))
-        return UpperSet(self.workspace, facets)
+            rows.append(facet(n, f[-2] * s[1] - s[0] * f[-1], f[-1] * s[1]))
+        return rows
 
     def recession(self) -> "UpperSet":
         """Recession cone 0+A; 0+∅ = ∅ by convention."""

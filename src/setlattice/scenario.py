@@ -44,7 +44,6 @@ from .vectoropt import (
     PWLVectorFunction,
     VectorFunction,
     classify_dini,
-    efficient_set,
     efficiency_minimality_bridge,
     epigraphical,
     infdir_plus_cone,
@@ -56,7 +55,7 @@ from .vi import (
     CandidateSpace,
     implication_audit,
     infimizer_check,
-    minimal_check,
+    minimal_scan,
     run_checker,
     solution_check,
 )
@@ -399,15 +398,11 @@ def run_task(scn: Scenario, task: dict) -> dict:
         probe = CandidateSpace.of(
             _space_of(scn, task, f, "probe_space") if "probe_space" in task else pts
         )
-        dirs = _dirs_for(f)
-        minimal = []
-        for x in pts:
-            if f.eval(x).is_empty:
-                continue
-            rep = minimal_check(f, x, probe, dirs)
-            if rep.conditions["a"]:
-                minimal.append([frac_str(c) for c in x])
-        out["minimal"] = minimal
+        bases = [x for x in pts if not f.eval(x).is_empty]
+        reports = minimal_scan(f, bases, probe, _dirs_for(f))
+        out["minimal"] = [
+            [frac_str(c) for c in x] for x, rep in zip(bases, reports) if rep.conditions["a"]
+        ]
     elif op == "infimizer":
         f = _set_function_of(scn, task)
         space = CandidateSpace.of(_space_of(scn, task, f))
@@ -423,10 +418,8 @@ def run_task(scn: Scenario, task: dict) -> dict:
     elif op == "efficient_set":
         psi = _vector_function_of(scn, task)
         grid = _space_of(scn, task, psi, "grid" if "grid" in task else "space")
-        out["efficient"] = [
-            [frac_str(c) for c in p] for p in efficient_set(psi, grid)
-        ]
         bridge = efficiency_minimality_bridge(psi, grid, _dirs_for(psi))
+        out["efficient"] = [[frac_str(c) for c in p] for p in bridge["efficient"]]
         out["bridge_agrees"] = bridge["agrees"]
     elif op == "vector_dini":
         psi = _vector_function_of(scn, task)

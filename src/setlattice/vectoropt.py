@@ -22,7 +22,7 @@ from .kernel import (
     to_frac,
 )
 from .setfun import ConvexPWL, EpiVectorFunction, OracleFunction, Polyhedron, SetFunction
-from .vi import CandidateSpace, minimal_check, run_checker
+from .vi import CandidateSpace, minimal_scan, run_checker
 
 class EmptyGrid(LatticeError):
     pass
@@ -214,20 +214,16 @@ def efficient_set(psi: VectorFunction, grid: Sequence[Sequence]) -> List[Vec]:
 def efficiency_minimality_bridge(
     psi: VectorFunction, grid: Sequence[Sequence], directions
 ) -> dict:
-    """Cross-check: a grid point is efficient iff it is a minimizer of psi + C."""
-    f = epigraphical(psi)
+    """Cross-check: a grid point is efficient iff it is a minimizer of psi + C.
+
+    "efficient" is the efficient_set list, in grid order."""
+    eff = efficient_set(psi, grid)
     space = CandidateSpace.of(grid)
-    eff = set(efficient_set(psi, grid))
-    mismatches = []
-    for x in space.points:
-        rep = minimal_check(f, x, space, directions)
-        if rep.conditions["a"] != (x in eff):
-            mismatches.append(x)
-    return {
-        "efficient": sorted(eff),
-        "agrees": not mismatches,
-        "mismatches": mismatches,
-    }
+    reports = minimal_scan(epigraphical(psi), space.points, space, directions)
+    mismatches = [
+        x for x, rep in zip(space.points, reports) if rep.conditions["a"] != (x in eff)
+    ]
+    return {"efficient": eff, "agrees": not mismatches, "mismatches": mismatches}
 
 
 def eff_plus_cone_identity(psi: VectorFunction, grid: Sequence[Sequence]) -> bool:

@@ -306,12 +306,10 @@ def infimum_at_point_check(
     if v0 != inf_all:
         conds["a"] = False
         wits["a"].append({"inf": "differs"})
-    origin = (Fraction(0),) * f.workspace.dim
     phis0 = [(z, f.scalarize(z, x0)) for z in directions]
     for x in space.points:
         vx = f.eval(x)
-        q = v0.residual(vx)
-        if not q.contains_point(origin):
+        if not v0.residual_contains_origin(vx):
             conds["d"] = False
             wits["d"].append({"x": x})
         qb = vx.residual(v0)
@@ -342,51 +340,48 @@ def infimum_at_point_check(
 
 def minimal_check(f: SetFunction, x0, space: CandidateSpace, directions) -> ConditionReport:
     """The equivalent characterizations (a)-(e) of minimality of f(x0) in f[space]."""
-    x0 = as_vec(x0)
-    _require_base(f, x0)
-    v0 = f.eval(x0)
-    conds = {k: True for k in "abcde"}
-    wits = {k: [] for k in "abcde"}
-    origin = (Fraction(0),) * f.workspace.dim
-    phis0 = [(z, f.scalarize(z, x0)) for z in directions]
-    for x in space.points:
-        vx = f.eval(x)
-        if vx == v0:
-            continue
-        if vx.leq(v0):
-            conds["a"] = False
-            wits["a"].append({"x": x})
-        found_b = found_c = found_d = False
-        for z, phi0 in phis0:
-            phix = f.scalarize(z, x)
-            if phi0 < phix:
-                found_b = True
-            if not phix.is_minus_inf and ext_residual(phi0, phix) < _ZERO:
-                found_c = True
-            if _ZERO < ext_residual(phix, phi0):
-                found_d = True
-        if not found_b:
-            conds["b"] = False
-            wits["b"].append({"x": x})
-        if not found_c:
-            conds["c"] = False
-            wits["c"].append({"x": x})
-        if not found_d:
-            conds["d"] = False
-            wits["d"].append({"x": x})
-        if vx.residual(v0).contains_point(origin):
-            conds["e"] = False
-            wits["e"].append({"x": x})
-    consistent = (
-        conds["a"] == conds["b"] == conds["c"] == conds["d"] == conds["e"]
-    )
-    return ConditionReport(
-        kind="minimal",
-        conditions=conds,
-        witnesses=wits,
-        consistent=consistent,
-        exact=f.is_exact,
-    )
+    return minimal_scan(f, [x0], space, directions)[0]
+
+
+def minimal_scan(
+    f: SetFunction, bases: Iterable[Sequence], space: CandidateSpace, directions
+) -> List[ConditionReport]:
+    """minimal_check at every base over one space: each value and its
+    scalarizations over the directions are read once."""
+    bases = [as_vec(x0) for x0 in bases]
+    for x0 in bases:
+        _require_base(f, x0)
+    table = {
+        x: (f.eval(x), [f.scalarize(z, x) for z in directions])
+        for x in dict.fromkeys(bases + list(space.points))
+    }
+    reports = []
+    for x0 in bases:
+        v0, phis0 = table[x0]
+        conds = {k: True for k in "abcde"}
+        wits = {k: [] for k in "abcde"}
+        for x in space.points:
+            vx, phis = table[x]
+            if vx == v0:
+                continue
+            pairs = list(zip(phis0, phis))
+            failed = {
+                "a": vx.leq(v0),
+                "b": not any(phi0 < phix for phi0, phix in pairs),
+                "c": not any(
+                    not phix.is_minus_inf and ext_residual(phi0, phix) < _ZERO
+                    for phi0, phix in pairs
+                ),
+                "d": not any(_ZERO < ext_residual(phix, phi0) for phi0, phix in pairs),
+                "e": vx.residual_contains_origin(v0),
+            }
+            for k, fails in failed.items():
+                if fails:
+                    conds[k] = False
+                    wits[k].append({"x": x})
+        consistent = conds["a"] == conds["b"] == conds["c"] == conds["d"] == conds["e"]
+        reports.append(ConditionReport("minimal", conds, wits, consistent, f.is_exact))
+    return reports
 
 
 @dataclass
@@ -500,22 +495,15 @@ def solution_check(
 ) -> SolutionReport:
     """An infimizer consisting of only minimizers."""
     inf_rep = infimizer_check(f, M, space, directions)
-    failures = []
-    exact = inf_rep.exact
-    for m in M:
-        mm = as_vec(m)
-        if f.eval(mm).is_empty:
-            failures.append(mm)
-            continue
-        rep = minimal_check(f, mm, space, directions)
-        exact = exact and rep.exact
-        if not rep.conditions["a"]:
-            failures.append(mm)
+    pts = [as_vec(m) for m in M]
+    bases = [m for m in pts if not f.eval(m).is_empty]
+    minimal = dict(zip(bases, minimal_scan(f, bases, space, directions)))
+    failures = [m for m in pts if m not in minimal or not minimal[m].conditions["a"]]
     return SolutionReport(
         is_solution=inf_rep.is_infimizer and not failures,
         infimizer=inf_rep,
         minimal_failures=failures,
-        exact=exact,
+        exact=inf_rep.exact and all(rep.exact for rep in minimal.values()),
     )
 
 

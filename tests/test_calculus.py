@@ -6,6 +6,7 @@ import pytest
 
 from setlattice.calculus import (
     NotDeclaredConvex,
+    _ray,
     _shape_roots,
     _swap_roots,
     diff_quotient,
@@ -617,4 +618,40 @@ def test_derivative_equals_quotient_beyond_event_bound():
             assert D.value == diff_quotient(f, x, u, F(1, 2**j)), (x, u, j)
         seen["epi" if isinstance(f, EpiVectorFunction) else "parampoly"] += 1
         seen["empty"] += D.value.is_empty
+    assert min(seen.values()) > 5, seen
+
+
+def _structure(u):
+    """The facet normals, vertex count and rays of an upper set (None if empty)."""
+    return None if u.is_empty else (tuple(f[:-2] for f in u.facets), len(u.points), u.rayset)
+
+
+def test_ray_shape_is_fixed_below_t0():
+    """t0 of a ray's shape is a true bound: at random points of (0, t0) the
+    values f(x + t u) and the quotients keep one facet structure, and below
+    twice first_linear_sample every scalarisation is affine in t."""
+    rng = random.Random(7331)
+    seen = {"rays": 0, "moving": 0, "swaps": 0}
+    for f, x, u, zs in _oracle_rays(rng):
+        if not any(u) or _ray(f, x, u).rows(f) is None:
+            continue
+        _, t0, verts = _ray(f, x, u).shape(f)
+        assert 0 < t0 <= 1, (x, u, t0)
+        ts = sorted({t0 * F(k, 8) for k in range(1, 8)} | {t0 * F(rng.randint(1, 999), 1000)})
+        assert len({_structure(f.eval(_at(x, u, t))) for t in ts}) == 1, (x, u, t0)
+        assert len({_structure(diff_quotient(f, x, u, t)) for t in ts}) == 1, (x, u, t0)
+        seen["rays"] += 1
+        seen["moving"] += f.eval(_at(x, u, ts[0])) != f.eval(_at(x, u, ts[-1]))
+        t_lin = 2 * first_linear_sample(f, x, u, zs)
+        assert 0 < t_lin <= t0, (x, u, t_lin, t0)
+        seen["swaps"] += bool(_swap_roots(verts, zs))
+        ts = sorted({t_lin * F(k, 8) for k in range(1, 8)} | {t_lin * F(rng.randint(1, 999), 1000)})
+        for z in zs:
+            phis = [f.eval(_at(x, u, t)).neg_support(z) for t in ts]
+            if not phis[0].is_finite:
+                assert len(set(phis)) == 1, (x, u, z)
+                continue
+            steps = zip(phis, phis[1:], ts, ts[1:])
+            slopes = {(b.value - a.value) / (t2 - t1) for a, b, t1, t2 in steps}
+            assert len(slopes) == 1, (x, u, z, t_lin)
     assert min(seen.values()) > 5, seen

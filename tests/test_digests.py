@@ -2,8 +2,10 @@
 
 Each digest is the sha256 of the deterministic JSON of one seeded item,
 drawn with the ``instances`` generators: 40 criterion-5-shaped implication
-audits (matrix text and audit JSON) and 40 epigraphical rays (set
-derivative, scalar Dini values per direction, segment critical parameters).
+audits (matrix text and audit JSON), 40 epigraphical rays (set
+derivative, scalar Dini values per direction, segment critical parameters),
+and the minimal and infimum condition reports at every domain point of 40
+ParamPoly, EpiVector and FiniteInf functions.
 A change that is meant to keep every result keeps these bytes; a change
 that moves one on purpose re-records the tables with ``python
 tests/test_digests.py`` and says which items moved and why.
@@ -21,8 +23,13 @@ from setlattice.instances import (
     random_pwl_vector,
     random_workspace,
 )
-from setlattice.setfun import EpiVectorFunction, Polyhedron
-from setlattice.vi import CandidateSpace, implication_audit
+from setlattice.setfun import EpiVectorFunction, FiniteInfFunction, Polyhedron
+from setlattice.vi import (
+    CandidateSpace,
+    implication_audit,
+    infimum_at_point_check,
+    minimal_check,
+)
 
 COUNT = 40
 
@@ -62,6 +69,34 @@ def ray_digest(seed: int) -> str:
             "criticals": [str(t) for t in segment_criticals(f, x, y, ws.directions)],
         }
     )
+
+
+def optimality_digest(seed: int, check) -> str:
+    """The reports of check (minimal_check or infimum_at_point_check) at every
+    domain point of the space."""
+    rng = random.Random(f"pinned-optimality/{seed}")
+    while True:
+        ws = random_workspace(rng, rng.choice([1, 2]))
+        xdim = rng.choice([1, 2])
+        if seed % 3 == 0:
+            f = random_parampoly(rng, ws, xdim, max_normals=rng.choice([2, 3]), max_pieces=2)
+        elif seed % 3 == 1:
+            f = EpiVectorFunction(ws, xdim, random_pwl_vector(rng, ws, xdim).components)
+        else:
+            f = FiniteInfFunction([random_parampoly(rng, ws, xdim, max_normals=2) for _ in "ab"])
+        space = CandidateSpace.of(random_grid(rng, xdim, rng.randint(3, 6)))
+        bases = [x for x in space.points if not f.eval(x).is_empty]
+        if bases:
+            break
+    return _sha([check(f, x, space, ws.directions).to_json() for x in bases])
+
+
+def minimal_digest(seed: int) -> str:
+    return optimality_digest(seed, minimal_check)
+
+
+def infimum_digest(seed: int) -> str:
+    return optimality_digest(seed, infimum_at_point_check)
 
 
 AUDIT_SHA256 = [
@@ -151,6 +186,93 @@ RAY_SHA256 = [
 ]
 
 
+MINIMAL_SHA256 = [
+    "4ce10213d24de24fbad92bc1381ee57b2e1d2ccb3664e6e4f73edf45bd0653cf",
+    "b00238fa38719cc851a9adecb3186a00b124fe71da4278e2039ebf51c4cba049",
+    "38ef60fb8e1a0c32acfa8cb17f548da1602e53e89d1a339769f42a56ebafc760",
+    "f9e7c0293edecb96696e491725ba796278c3a7844e89c27acc8240a4fe01e628",
+    "ba849950d289bea5eda754ddd18ea8be4092a8f41c799f399387e140f5b860b5",
+    "ba5b2dad35166ef25263477c6a8d1864ab7b9bac36d4b1fc8c7d26d7d10e579f",
+    "4040f90e51de5bd146ea00eddbc8754c169a068155843ac32d4a36498b4d4724",
+    "c130758fc74e24ea63f9c22f5a6b440189c9ea6fbbf8fd670f96c78b0e3ebf56",
+    "01b8af0551286c287531e3adef1b41dbf7ac766472711d8b9fe67ad41b3e9826",
+    "d3e50ede3969d117552012fe6923aa170ea7fe48f3944e65c07aba5525e9d590",
+    "c774246c816d209786544e281c069ba86d25e2dff77c3193bde66e7fe17e1311",
+    "05b1950f821812748e1d81bb7c75f6ffb1455d5b166c4e53afc222d1f9a2f8b8",
+    "ba849950d289bea5eda754ddd18ea8be4092a8f41c799f399387e140f5b860b5",
+    "81bee184605f41ea1e87723a69b17a6066cd4045a37470db5bde26fbc49cd2bc",
+    "ca72024a76deeca967f82edce0d8456ad0f9087609181435391a8fc136e26b2f",
+    "cbd2e68ce9da08c71e06ffe8821f18fa97b1e9530fc7d7c0e5319a6f1726a576",
+    "99b0057619285a645d4a0ea6a1bf357fc52c1e7441965399fc55eaaeeec1ad31",
+    "c322b540fb8bcc1540e74e95368f91c3b0585a89c9cea32ddef4e4e2cd05121c",
+    "e3a6b7e933be5c8b20489cf3edeffba0ec1b21104cfa0d42bdd4524f0691be31",
+    "60110d8342a4c021f8bf17a5bf53fb49fe8f54f5616fe6796c4b925592e38f77",
+    "c774246c816d209786544e281c069ba86d25e2dff77c3193bde66e7fe17e1311",
+    "e354986a1cf8f7bb5d92650982f7585f7297d55fdee49587fd5777343e16f2a8",
+    "1fc5309b23922f5d30d0657af761441ef71031e8edc375a46f53252f46d937d0",
+    "5aa91aa30ffc5a26c23d2c9d72fee0f5c4f02969670b032376e144851eb63cbd",
+    "0ac799980f65d26497cecaedadc286cca75ba51523117aedf015163e52b4486f",
+    "edfe82d976379a38427829995f319e0642ac2f7ebbea540f760ecad606f160f9",
+    "81bee184605f41ea1e87723a69b17a6066cd4045a37470db5bde26fbc49cd2bc",
+    "4b7eb96d202c265bf3683c1b798fd8e1c49867df2b1134ee3ba2a1be8ed84f31",
+    "c774246c816d209786544e281c069ba86d25e2dff77c3193bde66e7fe17e1311",
+    "99b0057619285a645d4a0ea6a1bf357fc52c1e7441965399fc55eaaeeec1ad31",
+    "fadc702af1e3c718c80e4b1c4d77c4c6620efdcd8f9ea75b26717eaddbd76c8a",
+    "82cc0ee2419a7de30439ec132c07c042281cf08ea1f9676b4845f3eb34f11003",
+    "713c68042af604c2499127ddf7190ee637f60e174a5c9737842351799485ffd3",
+    "ba849950d289bea5eda754ddd18ea8be4092a8f41c799f399387e140f5b860b5",
+    "b0cabcad68600e8e98c06581ae6aa9bf213077f26578261a63c51f9bed12592a",
+    "81bee184605f41ea1e87723a69b17a6066cd4045a37470db5bde26fbc49cd2bc",
+    "1b8feb4f5c5073e108e3f56e32b1f5a4d1e8552f1424d62b1658c5f802888341",
+    "fc0c71a86e2c6d7964790b7db3ceb1defe648425db543765c2978f709527c951",
+    "610645d43da7d81e3ab9feff3f5c59f26c255d3ab01034a37653e3e126345185",
+    "ba849950d289bea5eda754ddd18ea8be4092a8f41c799f399387e140f5b860b5",
+]
+
+INFIMUM_SHA256 = [
+    "18a37eb33370ac37a54de784ac2f5d2ac169197a4cb41fae901318105dd2964b",
+    "0873efc17745ccb5d44746a4947c86645fc4f7e91eb4f7bcc381e36ba2a3d843",
+    "7e5301efa66b774f0c6e6881fa84882d58de1ef7dd04f4d0f14b55bd1a0cc035",
+    "2141e2ab98f7ab6c61cafd498d1c98ff7c78de0158ffe41aa1af3e5ab087fc43",
+    "e1d29e5112b574d3b96ddb556c6a8298cfe14b3533c0810cf885f6437af27df6",
+    "97be85196c202d22a7a57773a1f806100ca79301e51d7113d835d05efdf99502",
+    "0982165e2f95e17db9709c49b41ac878d2520ed35f0ddc9e56595914a41a0b8d",
+    "79e2f029ba81b4be1fdd30f09218293c1ac943b850d7f552442a5658a24ae12f",
+    "1ba16876e5a7da91b54751e34bf0b75ef85b4501a8831e6497473ee04203604c",
+    "38a61b543d24f1a57fc188f7b97d14e345bc859db64b2289c813311f1231f868",
+    "beedca893b40f165006ce8f815ffd47c98eb20fb3c40774257d29a5b1ef6334e",
+    "3e8266b9afa9121141dd7a4699813927dd55d2efc527bfa2a37640b065474079",
+    "6e885c1d36fc64bf7640a430b3d590c767f30aae5b1d11bb795c17b152316d28",
+    "5540f3b5c5e97c043c49dcbcccfcdfeffd6f3cdae119d8abd479c2ffee499fcc",
+    "e3c669f772dfdca01244197441b5cbce3dda7c34dd65820c4ee3d6eab2e706d2",
+    "37c405612b4259d95b5416faabf7dfa6cac7262b6b3448e26a9a9c3574d4ab45",
+    "f75428bb492e14eed66159a4ea8a4f6f3877e08df40fa09858cd270d6ef58b44",
+    "b9fca9ccd31d63b0ef71c72441f77a57004af67e5b9e3bdce5a0644b27663596",
+    "24c9790bd7662963ea2a0aaba52421b3b981bbfb2346c2cfcbc52c78c205660e",
+    "6a2774e15ec78212a0e31910b5a4fa8599012f7e92143343ed192e29c6a75b47",
+    "0bf28d48bcd1a1a0857cea5aca4ff381f420dbb484833617224405df5a9bf3f8",
+    "5406411d84f7c5447b653334384ad2e223221b25cfffe01d6aec23dda21eaf63",
+    "7324d5c539cf1d0415487beb2a04e79e6cb89f1cb7ca0794e5f89a1b1f7df871",
+    "40f3a048163098ba42b7ab143413776d2f2c03bf35ce2e427f92626129d19067",
+    "009e1e5f81014fc15107f7b8f3cc38011016c6a27ac6e5c797f84d0f0d3cbcab",
+    "10c0dd7a2d70cb84e07e2f291d34d9ef3936fc0444403d509b5ae43ed2583e17",
+    "009c5055e7f31fb2162488480509a172de0a74d5e0dad1063e4091162512d18d",
+    "3dd5d8bdb11160c4dbb4f83c8556af1b31e1817c0718b457d4b71bdc91f4cac7",
+    "6872726558db2099411b539015c4453cc0998fb781d05037cfe356a52b85577d",
+    "2c273664c274b066997d12755599faf6216c1cdea50e2f778e175fc5231e9c2d",
+    "ea5f40fb541f3366a3706fe898b5c28abd7f7ddcc5e60f38ba6667f0a6b085b0",
+    "880ebbd4d2bd1717b26bf1524af554e1167dc30b7ab9126f606bac6b659afc6e",
+    "89b84ff862edd42f2b52be85ca9a1a6b34ef0f0517f413b9e9449057fa959fa5",
+    "6e885c1d36fc64bf7640a430b3d590c767f30aae5b1d11bb795c17b152316d28",
+    "e95bfd425804a6138d14a18fe9f21dc6743bb35c57bdfec63a22449ae40e87a9",
+    "009c5055e7f31fb2162488480509a172de0a74d5e0dad1063e4091162512d18d",
+    "a3df4d0dc86bdba867426aa4d4d0746fa8155d8a9850ec9b0b35d00df5db46c3",
+    "aa0dc56ad006ded6880a2beb319e685c391200ca415cf6454e8311a92d68c9ed",
+    "8f11f7847af683f8eab6f070d396f7ce51b4947c29469d3122d1a1dae50f695b",
+    "c74e25ac78b2741e1cb2137329fc2264c9fe346c36beb12c52c13d6a73a6d5f3",
+]
+
+
 def _moved(digest, pinned):
     return [seed for seed in range(COUNT) if digest(seed) != pinned[seed]]
 
@@ -163,8 +285,23 @@ def test_pinned_epivector_ray_digests():
     assert _moved(ray_digest, RAY_SHA256) == []
 
 
+def test_pinned_minimal_digests():
+    assert _moved(minimal_digest, MINIMAL_SHA256) == []
+
+
+def test_pinned_infimum_digests():
+    assert _moved(infimum_digest, INFIMUM_SHA256) == []
+
+
+TABLES = (
+    ("AUDIT_SHA256", audit_digest),
+    ("RAY_SHA256", ray_digest),
+    ("MINIMAL_SHA256", minimal_digest),
+    ("INFIMUM_SHA256", infimum_digest),
+)
+
 if __name__ == "__main__":
-    for table, digest in (("AUDIT_SHA256", audit_digest), ("RAY_SHA256", ray_digest)):
+    for table, digest in TABLES:
         print(f"{table} = [")
         for seed in range(COUNT):
             print(f'    "{digest(seed)}",')

@@ -3,7 +3,8 @@
 The support oracle works from the raw constraint rows a set was built from,
 never from its canonical form: it enumerates every pairwise crossing of the
 rows and every row's foot point by brute force in Fractions, keeps the
-feasible ones, and tests recession directions row by row.
+feasible ones, and tests recession directions row by row.  The residual
+oracle builds A ÷ B in Fractions from A's constraints and B's generators.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setlattice.extres import MINUS_INF, PLUS_INF, ExtReal
-from setlattice.kernel import Workspace, _dot
+from setlattice.kernel import UpperSet, Workspace, _dot, sup_family
 
 # The trivial cone C = {0} admits every normal, so raw systems can be any
 # polyhedron: points, segments, lines, half-planes, strips, wedges.
@@ -143,6 +144,94 @@ def test_one_enumeration_is_the_canonical_one(data):
     ok, pts, rays = u.workspace.geom.vrep_from_hrep(list(u.facets))
     assert ok
     assert (u.points, u.rayset) == (tuple(pts), tuple(rays))
+
+
+# one workspace per cone kind: C = {0}, a half-line, a pointed wedge, a ray,
+# a line and a half-plane
+CONES = [
+    Workspace(1, []),
+    Workspace(1, [(1,)]),
+    Workspace(1, [(-1,)]),
+    Workspace(2, []),
+    ORTHANT,
+    Workspace(2, [(2, -1), (-1, 3)]),
+    Workspace(2, [(1, 1)]),
+    Workspace(2, [(1, -1), (-1, 1)]),
+    Workspace(2, [(0, 1), (1, 0), (-1, 0)]),
+]
+
+
+@st.composite
+def upper_sets(draw, ws):
+    """∅, the whole space, or raw rows whose normals are nonnegative and
+    non-primitive combinations of the facet normals of C, so they lie in C^-."""
+    kind = draw(st.sampled_from(["rows", "rows", "rows", "empty", "whole"]))
+    if kind == "empty":
+        return ws.empty_set()
+    if kind == "whole":
+        return ws.whole_space()
+    if not ws.cone.generators:
+        return ws.upper_set(draw(raw_rows(ws.dim)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = [draw(st.integers(0, 3)) for _ in ws.cone.facet_normals]
+        n = [sum(w * c[i] for w, c in zip(weights, ws.cone.facet_normals)) for i in range(ws.dim)]
+        if any(n):
+            rows.append((tuple(n), draw(offsets)))
+    return ws.upper_set(rows)
+
+
+def residual_oracle(a, b):
+    """A ÷ B = {z : <n, z> <= c - σ(n | B)} over the constraints (n, c) of A,
+    with σ read off B's vertices and rays in Fractions."""
+    ws = a.workspace
+    if b.is_empty:
+        return ws.whole_space()
+    if a.is_empty:
+        return ws.empty_set()
+    rows = []
+    for n, c in a.constraints:
+        s = vertex_support(b, n)
+        if s.is_plus_inf:
+            return ws.empty_set()
+        rows.append((n, c - s.value))
+    return ws.upper_set(rows)
+
+
+def contained(b, a) -> bool:
+    """B ⊆ A, that is 0 ∈ A ÷ B: B's vertices meet A's rows, and its rays
+    point into A's recession cone."""
+    if b.is_empty:
+        return True
+    if a.is_empty:
+        return False
+    return all(
+        all(_frac_dot(n, v) <= c for v in b.vertices) and all(_frac_dot(n, r) <= 0 for r in b.rays)
+        for n, c in a.constraints
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_residual_raw_rows_match_the_oracle(data):
+    """The raw rows of A ÷ B build the canonical residual, and 0 ∈ A ÷ B read
+    off them is the canonical membership and B ⊆ A."""
+    ws = data.draw(st.sampled_from(CONES))
+    a = data.draw(upper_sets(ws))
+    b = data.draw(
+        st.one_of(
+            upper_sets(ws),
+            st.just(a),
+            upper_sets(ws).map(lambda c: sup_family(ws, [a, c])),  # B ⊆ A, often touching
+        )
+    )
+    q = a.residual(b)
+    assert q == residual_oracle(a, b)
+    origin = (Fraction(0),) * ws.dim
+    assert a.residual_contains_origin(b) == q.contains_point(origin) == contained(b, a)
+    if not (a.is_empty or b.is_empty):
+        rows = a._residual_rows(b)
+        assert q.is_empty if rows is None else UpperSet(ws, rows) == q
 
 
 exact_numbers = st.one_of(

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from setlattice.calculus import segment_criticals
+from setlattice.extres import ExtReal, residual as ext_residual
 from setlattice.instances import (
     heyde_a,
     heyde_b,
@@ -22,6 +23,8 @@ from setlattice.kernel import Workspace, inf_family
 from setlattice.setfun import (
     ConcavePWL,
     EpiVectorFunction,
+    FiniteInfFunction,
+    OracleFunction,
     ParamPolyFunction,
     Polyhedron,
     inf_translate,
@@ -30,6 +33,7 @@ from setlattice.setfun import (
 from setlattice.vi import (
     BaseOutsideDomain,
     CandidateSpace,
+    ConditionReport,
     _segment_infimum,
     enrich_directions,
     enrich_space,
@@ -38,6 +42,7 @@ from setlattice.vi import (
     infimum_at_point_check,
     INEQUALITY_IDS,
     minimal_check,
+    minimal_scan,
     run_checker,
     solution_check,
 )
@@ -217,6 +222,93 @@ def test_condition_reports_match_golden():
             text = json.dumps(reps, sort_keys=True)
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == GOLDEN_CONDITIONS[label][check.__name__], (label, check)
+
+
+_ZERO = ExtReal(0)
+
+
+def _reference_minimal(f, x0, space, directions) -> ConditionReport:
+    """minimal_check as a pairwise body: the canonical residual and
+    f.scalarize for every pair (x0, x)."""
+    v0 = f.eval(x0)
+    conds = {k: True for k in "abcde"}
+    wits = {k: [] for k in "abcde"}
+    origin = (F(0),) * f.workspace.dim
+    for x in space.points:
+        vx = f.eval(x)
+        if vx == v0:
+            continue
+        found = dict.fromkeys("bcd", False)
+        for z in directions:
+            phi0, phix = f.scalarize(z, x0), f.scalarize(z, x)
+            found["b"] |= phi0 < phix
+            found["c"] |= not phix.is_minus_inf and ext_residual(phi0, phix) < _ZERO
+            found["d"] |= _ZERO < ext_residual(phix, phi0)
+        failed = {
+            "a": vx.leq(v0),
+            **{k: not v for k, v in found.items()},
+            "e": vx.residual(v0).contains_point(origin),
+        }
+        for k in "abcde":
+            if failed[k]:
+                conds[k] = False
+                wits[k].append({"x": x})
+    consistent = len(set(conds.values())) == 1
+    return ConditionReport("minimal", conds, wits, consistent, f.is_exact)
+
+
+def _reference_infimum_d(f, x0, space):
+    """Condition (d) of infimum_at_point_check with the canonical residual:
+    0 ∈ f(x0) ÷ f(x) for every x, and its witnesses."""
+    v0 = f.eval(x0)
+    origin = (F(0),) * f.workspace.dim
+    return [{"x": x} for x in space.points if not v0.residual(f.eval(x)).contains_point(origin)]
+
+
+def _scan_cases(rng):
+    """ParamPoly, EpiVector, FiniteInf and Oracle functions over random cones,
+    on spaces that repeat points and hold points outside the domain."""
+    for k in range(40):
+        ws = random_workspace(rng, rng.choice([1, 2]))
+        xdim = rng.choice([1, 2])
+        if k % 4 == 0:
+            f = random_parampoly(rng, ws, xdim)
+        elif k % 4 == 1:
+            comps = [random_convex_pwl(rng, xdim) for _ in range(ws.dim)]
+            f = EpiVectorFunction(ws, xdim, comps, Polyhedron.box([(-1, 1)] * xdim))
+        elif k % 4 == 2:
+            f = FiniteInfFunction([random_parampoly(rng, ws, xdim, max_normals=2) for _ in "ab"])
+        else:
+            f = OracleFunction(ws, xdim, random_parampoly(rng, ws, xdim).eval)
+        pts = random_grid(rng, xdim, rng.randint(3, 6))
+        yield f, CandidateSpace(tuple(pts + pts[::2])), ws.directions
+
+
+def test_minimal_scan_matches_the_pairwise_reference():
+    rng = random.Random(1709)
+    seen = dict.fromkeys(("failing", "inf_d_failing", "empty_base", "kinds"), 0)
+    kinds = set()
+    for f, space, dirs in _scan_cases(rng):
+        bases = [x for x in space.points if not f.eval(x).is_empty]
+        reports = [r.to_json() for r in minimal_scan(f, bases, space, dirs)]
+        assert reports == [_reference_minimal(f, x, space, dirs).to_json() for x in bases]
+        seen["failing"] += sum(not all(r["conditions"].values()) for r in reports)
+        for x in bases:
+            rep = infimum_at_point_check(f, x, space, dirs)
+            want = _reference_infimum_d(f, x, space)
+            assert (rep.conditions["d"], rep.witnesses["d"]) == (not want, want)
+            seen["inf_d_failing"] += bool(want)
+        empty = [x for x in space.points if f.eval(x).is_empty]
+        if empty:
+            seen["empty_base"] += 1
+            for check in (minimal_check, infimum_at_point_check):
+                with pytest.raises(BaseOutsideDomain):
+                    check(f, empty[0], space, dirs)
+            with pytest.raises(BaseOutsideDomain):
+                minimal_scan(f, bases + empty[:1], space, dirs)
+        kinds.add(type(f).__name__)
+    seen["kinds"] = len(kinds)
+    assert seen["kinds"] == 4 and min(seen.values()) >= 4, seen
 
 
 def test_svi_M_whole_space_guard(ws):
