@@ -11,8 +11,10 @@ Conventions:
   point  -- (X, W): the point X/W with W >= 1 and gcd(X, W) = 1.
   ray    -- (1,) or (-1,).
 
-The empty set is signalled by the boolean in vrep_from_hrep; the whole
-line is the empty facet list.
+Both passes return (facets, points, rays): the canonical facets (None for
+the empty set, [] for the whole line), the sorted end points (the origin
+alone for the whole line) and the rays.  ``vrep_from_hrep`` reads them off
+rows, ``hrep_from_vrep`` off generators; each is one pass.
 """
 
 from math import gcd, lcm
@@ -61,11 +63,8 @@ def vrep_inside_hrep(points, rays, facets):
 
 
 def vrep_from_hrep(facets):
-    """Generators of the intersection of halflines.
-
-    Returns (nonempty, points, rays); the generated set is
-    conv(points) + cone(rays) and equals the input interval exactly.
-    """
+    """The one pass from rows: (facets, points, rays) of an intersection of
+    halflines, as ``_interval`` gives them, or (None, [], []) when it is empty."""
     # bounds on x as (num, den) with den > 0, compared cross-multiplied
     lo = None
     hi = None
@@ -79,21 +78,28 @@ def vrep_from_hrep(facets):
             if lo is None or v[0] * lo[1] > lo[0] * v[1]:
                 lo = v
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        return False, [], []
-    points = sorted({_ratio(*v) for v in (lo, hi) if v is not None}) or [ORIGIN]
-    # an unbounded end is a ray: lo None gives (-1,), hi None gives (1,)
-    return True, points, [(s,) for s, v in ((-1, lo), (1, hi)) if v is None]
+        return None, [], []
+    return _interval(lo and _ratio(*lo), hi and _ratio(*hi))
 
 
 def hrep_from_vrep(points, rays):
-    """Canonical facets of conv(points) + cone(rays); the whole line is []."""
-    pts = [_ratio(*p) for p in points]
-    den = lcm(*(w for _, w in pts))
+    """The one pass from generators: (facets, points, rays) of
+    conv(points) + cone(rays), as ``_interval`` gives them; the points are
+    in lowest terms."""
+    den = lcm(*(w for _, w in points))
+    lo = None if (-1,) in rays else min(points, key=lambda p: p[0] * (den // p[1]))
+    hi = None if (1,) in rays else max(points, key=lambda p: p[0] * (den // p[1]))
+    return _interval(lo, hi)
+
+
+def _interval(lo, hi):
+    """The canonical facets, the end points (the origin for the whole line)
+    and the rays of [lo, hi] for reduced ends, a None end being unbounded."""
     facets = []
-    if (-1,) not in rays:
-        X, W = min(pts, key=lambda p: p[0] * (den // p[1]))
-        facets.append((-1, -X, W))
-    if (1,) not in rays:
-        X, W = max(pts, key=lambda p: p[0] * (den // p[1]))
-        facets.append((1, X, W))
-    return facets
+    if lo is not None:
+        facets.append((-1, -lo[0], lo[1]))
+    if hi is not None:
+        facets.append((1, hi[0], hi[1]))
+    points = sorted({v for v in (lo, hi) if v is not None}) or [ORIGIN]
+    # an unbounded end is a ray: lo None gives (-1,), hi None gives (1,)
+    return facets, points, [(s,) for s, v in ((-1, lo), (1, hi)) if v is None]

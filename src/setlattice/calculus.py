@@ -207,16 +207,19 @@ class _Ray:
         over the dual bases λ >= 0, Σ λ_i n_i = z*: singletons, and
         independent pairs with both λ > 0 (a zero λ repeats a singleton).
         So the Dini value is minus the beta-part of the lexicographically
-        least (λ·alpha, λ·beta); with no basis, σ = +∞ and it is -∞.  Where
-        a basis exists, values empty for small t read +∞.
+        least (λ·alpha, λ·beta); with no basis, σ = +∞ and it is -∞.  Values
+        empty for small t read +∞ first, for every z*: φ(x + t u) is +∞ there
+        and +∞ ÷ σ(z* | f(x)) is +∞ also where σ = +∞.
         """
         rows = self._rows
         normals = rows.normals
         if self._pinched is None:
             self._pinched = _pinched(rows)
+        if self._pinched:  # values empty for small t > 0: φ is +∞ there
+            return PLUS_INF
         k, den = _int_dir(z)  # z* = k/den: the λ are found for k
         if not any(k):
-            return PLUS_INF if self._pinched else ExtReal(0)
+            return ExtReal(0)
         bases = []  # (((row, λ numerator), ...), λ denominator)
         for i, n in enumerate(normals):
             if _cross(n, k) == 0:
@@ -231,8 +234,6 @@ class _Ray:
                 bases.append((((i, li), (j, lj)), d))
         if not bases:
             return MINUS_INF
-        if self._pinched:
-            return PLUS_INF
         beta = rows.beta
         if len(bases) > 1:  # the least λ·alpha, then the least λ·beta
             bases.sort(key=lambda basis: (_weighted(basis, rows.alpha), _weighted(basis, beta)))
@@ -299,8 +300,9 @@ def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
     # t0 it keeps its shape, so it is its limit, where the slack rows
     # (alpha_i > sigma_i) have left and the tight ones stay
     teval = t0 / 2
-    value = ws.upper_set(
-        [(n, Fraction(b, rows.den)) for n, s, b in zip(rows.normals, slack, rows.beta) if s == 0]
+    facet = ws.geom.facet  # f's normals are primitive and in C^-, as for eval
+    value = UpperSet(
+        ws, [facet(n, b, rows.den) for n, s, b in zip(rows.normals, slack, rows.beta) if s == 0]
     )
     q = diff_quotient(f, xx, uu, teval)
     return DerivativeResult(

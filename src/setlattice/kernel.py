@@ -116,7 +116,7 @@ class OrderCone:
         self.dim = dim
         self.generators = tuple(sorted(gens))
         geom = GEOMETRY[dim]
-        normals = geom.hrep_from_vrep([geom.ORIGIN], list(self.generators))
+        normals, _, _ = geom.hrep_from_vrep([geom.ORIGIN], list(self.generators))
         if not normals:
             raise LatticeError("ordering cone must have a nontrivial dual cone")
         self.facet_normals = tuple(_facet_normal(f) for f in normals)
@@ -272,23 +272,21 @@ class UpperSet:
 
     The whole space is the polyhedron with no constraints.  Instances are
     immutable; the canonical facet tuple is the identity used by __eq__.
-    ``points``/``rayset`` are the one vertex enumeration of ``facets``: the
-    generators of the raw constraints equal those of their canonical facets,
-    so a canonicalisation enumerates vertices once.
+    ``points``/``rayset`` are the vertices and extreme rays of ``facets``.
+    A canonicalisation is one pass of the geometry module: from raw rows
+    (``vrep_from_hrep``) or from generators (``hrep_from_vrep``), and each
+    pass returns the canonical facets and the generators together.
     """
 
     __slots__ = ("workspace", "facets", "points", "rayset")
 
     def __init__(self, workspace: Workspace, facets: Optional[Iterable] = None):
         self.workspace = workspace
-        geom = workspace.geom
-        ok, pts, rays = (False, (), ()) if facets is None else geom.vrep_from_hrep(list(facets))
-        if not ok:
-            self.facets = None
-            self.points = ()
-            self.rayset = ()
-            return
-        self.facets = tuple(geom.hrep_from_vrep(pts, rays))
+        if facets is None:
+            canon, pts, rays = None, (), ()
+        else:
+            canon, pts, rays = workspace.geom.vrep_from_hrep(list(facets))
+        self.facets = None if canon is None else tuple(canon)
         self.points = tuple(pts)
         self.rayset = tuple(rays)
 
@@ -296,14 +294,12 @@ class UpperSet:
     def _from_generators(cls, workspace: Workspace, points, rays) -> "UpperSet":
         if not points:
             return workspace.empty_set()
-        geom = workspace.geom
-        canon = geom.hrep_from_vrep(points, rays)
+        canon, pts, rays = workspace.geom.hrep_from_vrep(points, rays)
         obj = object.__new__(cls)
         obj.workspace = workspace
-        ok, pts2, rays2 = geom.vrep_from_hrep(canon)
         obj.facets = tuple(canon)
-        obj.points = tuple(pts2)
-        obj.rayset = tuple(rays2)
+        obj.points = tuple(pts)
+        obj.rayset = tuple(rays)
         return obj
 
     # -- structure ----------------------------------------------------
@@ -543,8 +539,8 @@ def feasible_with(upper: UpperSet, extra_facets) -> bool:
     if upper.is_empty:
         return False
     combined = list(upper.facets) + [f for f in extra_facets]
-    ok, _, _ = upper.workspace.geom.vrep_from_hrep(combined)
-    return ok
+    canon, _, _ = upper.workspace.geom.vrep_from_hrep(combined)
+    return canon is not None
 
 
 def mirror_facets(upper: UpperSet):

@@ -589,7 +589,7 @@ def _hull_rows_of_points(xdim: int, pts: List[Vec]):
     geom = GEOMETRY.get(xdim)
     if geom is None:
         raise LatticeError(f"convex hulls need 1 or 2 argument dimensions, got {xdim}")
-    facets = geom.hrep_from_vrep([geom.point(p) for p in pts], [])
+    facets, _, _ = geom.hrep_from_vrep([geom.point(p) for p in pts], [])
     # a facet <normal, x> <= cn/cd has cd >= 1
     return [(tuple(c * f[-1] for c in _facet_normal(f)), f[-2]) for f in facets]
 

@@ -24,8 +24,8 @@ def _clip_polygon(upper: UpperSet, lo: Fraction, hi: Fraction):
         (0, -1, -lo.numerator, lo.denominator),
     ]
     facets = list(upper.facets) + box
-    ok, pts, _ = upper.workspace.geom.vrep_from_hrep(facets)
-    if not ok:
+    canon, pts, _ = upper.workspace.geom.vrep_from_hrep(facets)
+    if canon is None:
         return []
     cart = [(Fraction(p[0], p[2]), Fraction(p[1], p[2])) for p in pts]
     if len(cart) <= 2:

@@ -368,11 +368,6 @@ def test_epivector_dini_matches_its_parampoly():
     assert outside > 50
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open fault: with no dual basis the exact Dini reads -inf before "
-    "the values' emptiness; mending it flips strong regularity in seeded audits",
-)
 def test_scalar_dini_on_empty_values():
     """Values empty for small t > 0 read +∞ also where σ(z* | f(x)) = +∞, as
     the sampled residual +∞ ÷ -∞ does."""
@@ -571,8 +566,6 @@ def test_scalar_dini_against_quotient_oracle():
                 want = PLUS_INF  # the ray leaves the domain at once
             elif phi1.is_plus_inf or phi2.is_plus_inf:
                 assert phi1 == phi2 == PLUS_INF
-                if phi0.is_minus_inf:
-                    continue  # open: see test_scalar_dini_on_empty_values
                 want = PLUS_INF
             elif phi0.is_minus_inf:
                 want = MINUS_INF

@@ -199,9 +199,10 @@ def test_big_integer_exactness():
         _geom_py.reduce_facet(-1, 0, -big, 1),
         _geom_py.reduce_facet(0, -1, -(big + 1), 3),
     ]
-    ok, pts, rays = _geom_py.vrep_from_hrep(facets)
-    assert ok
-    assert _geom_py.hrep_from_vrep(pts, rays) == sorted(facets)
+    canon, pts, rays = _geom_py.vrep_from_hrep(facets)
+    assert canon == sorted(facets)
+    assert pts == [_geom_py.reduce_point(3 * big, big + 1, 3)]
+    assert _geom_py.hrep_from_vrep(pts, rays) == (canon, pts, rays)
 
 
 _BIG = 10**40
@@ -242,25 +243,25 @@ _GEOMETRY_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_GEOMETRY_CASES))
 def test_geometry_contract(case):
-    """Both geometry modules: the hull of the enumeration is the canonical
-    facet list, a second round trip is the identity, and the generators
+    """Both geometry modules: the pass from rows gives the canonical facet
+    list with its generators, the pass from those generators and the pass
+    from the canonical facets give the same triple, and the generators
     satisfy their own facets."""
     geom, rows, expected = _GEOMETRY_CASES[case]
     facets = [geom.facet(n, cn, cd) for n, cn, cd in rows]
-    ok, pts, rays = geom.vrep_from_hrep(facets)
-    assert ok
-    canon = geom.hrep_from_vrep(pts, rays)
+    canon, pts, rays = geom.vrep_from_hrep(facets)
     assert canon == sorted(geom.facet(n, cn, cd) for n, cn, cd in expected)
-    assert geom.vrep_from_hrep(canon) == (True, pts, rays)
-    assert geom.hrep_from_vrep(pts, rays) == canon
+    assert geom.vrep_from_hrep(canon) == (canon, pts, rays)
+    assert geom.hrep_from_vrep(pts, rays) == (canon, pts, rays)
     assert geom.vrep_inside_hrep(pts, rays, canon)
     assert geom.vrep_inside_hrep(pts, rays, facets)
 
 
 def test_geometry_empty_and_exact_points():
-    assert _geom1.vrep_from_hrep([(1, 0, 1), (-1, -1, 1)]) == (False, [], [])
+    assert _geom1.vrep_from_hrep([(1, 0, 1), (-1, -1, 1)]) == (None, [], [])
+    assert _geom_py.vrep_from_hrep([(1, 0, 0, 1), (-1, 0, -1, 1)]) == (None, [], [])
     facets = [_geom1.facet((-1,), -_BIG, 1), _geom1.facet((2,), 2 * _BIG + 1, 1)]
-    assert _geom1.vrep_from_hrep(facets) == (True, [(_BIG, 1), (2 * _BIG + 1, 2)], [])
+    assert _geom1.vrep_from_hrep(facets) == (facets, [(_BIG, 1), (2 * _BIG + 1, 2)], [])
     assert _geom1.point((Fraction(-6, 4),)) == (-3, 2)
     assert _geom_py.point((Fraction(1, 6), 2)) == (1, 12, 6)
     for geom in (_geom1, _geom_py):

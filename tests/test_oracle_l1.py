@@ -5,16 +5,21 @@ never from its canonical form: it enumerates every pairwise crossing of the
 rows and every row's foot point by brute force in Fractions, keeps the
 feasible ones, and tests recession directions row by row.  The residual
 oracle builds A ÷ B in Fractions from A's constraints and B's generators.
+Membership (in A, in A ÷ B and in ``sup_family``), the support of
+``inf_family`` and the rebuilding of A from its support function on a fan
+of directions are checked against the raw rows too, and so is the set the
+oracle's own generators build.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setlattice.extres import MINUS_INF, PLUS_INF, ExtReal
-from setlattice.kernel import UpperSet, Workspace, _dot, sup_family
+from setlattice.extres import MINUS_INF, PLUS_INF, ExtReal, ext_max
+from setlattice.kernel import UpperSet, Workspace, _dot, _primitive_dir, inf_family, sup_family
 
 # The trivial cone C = {0} admits every normal, so raw systems can be any
 # polyhedron: points, segments, lines, half-planes, strips, wedges.
@@ -85,10 +90,14 @@ def _recession_candidates(dim, rows):
 
 
 def oracle_support(dim, rows, d) -> ExtReal:
-    points = _candidates(dim, rows)
+    return support_of(_candidates(dim, rows), _recession_candidates(dim, rows), d)
+
+
+def support_of(points, recession, d) -> ExtReal:
+    """sup <d, z> over the oracle's feasible points and recession directions."""
     if not points:
         return MINUS_INF
-    if any(_frac_dot(d, r) > 0 for r in _recession_candidates(dim, rows)):
+    if any(_frac_dot(d, r) > 0 for r in recession):
         return PLUS_INF
     return ExtReal(max(_frac_dot(d, z) for z in points))
 
@@ -136,14 +145,16 @@ def test_support_in_a_pointed_cone_workspace(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_enumeration_is_the_canonical_one(data):
-    """The generators of the raw rows equal those of the canonical facets."""
+    """The pass from the raw rows, the pass from the canonical facets and the
+    pass from the generators give one canonical set."""
     dim = data.draw(st.sampled_from([1, 2]))
     u = FREE[dim].upper_set(data.draw(raw_rows(dim)))
     if u.is_empty:
         return
-    ok, pts, rays = u.workspace.geom.vrep_from_hrep(list(u.facets))
-    assert ok
-    assert (u.points, u.rayset) == (tuple(pts), tuple(rays))
+    geom = u.workspace.geom
+    canon = (list(u.facets), list(u.points), list(u.rayset))
+    assert geom.vrep_from_hrep(list(u.facets)) == canon
+    assert geom.hrep_from_vrep(u.points, u.rayset) == canon
 
 
 # one workspace per cone kind: C = {0}, a half-line, a pointed wedge, a ray,
@@ -232,6 +243,113 @@ def test_residual_raw_rows_match_the_oracle(data):
     if not (a.is_empty or b.is_empty):
         rows = a._residual_rows(b)
         assert q.is_empty if rows is None else UpperSet(ws, rows) == q
+
+
+# ---------------------------------------------------------------------------
+# Membership, the lattice families and the support function, from raw rows
+# ---------------------------------------------------------------------------
+
+EPS = Fraction(1, 7)
+
+
+@st.composite
+def probes(draw, dim, systems):
+    """The oracle's candidate points of each system, each nudged by ±1/7
+    along every axis, and a few random points."""
+    base = [z for rows in systems for z in _candidates(dim, rows)]
+    base += draw(st.lists(st.tuples(*[offsets] * dim), max_size=3))
+    out = []
+    for z in base:
+        out.append(z)
+        for i in range(dim):
+            out += [z[:i] + (z[i] + e,) + z[i + 1 :] for e in (EPS, -EPS)]
+    return out
+
+
+def fan(dim, rows):
+    """Every primitive direction with coordinates in [-3, 3], and the rows'
+    normals, so the halfspaces of the fan cut out the set exactly."""
+    if dim == 1:
+        return [(1,), (-1,)]
+    grid = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if gcd(a, b) == 1]
+    return grid + [n for n, _ in rows]
+
+
+def residual_rows(dim, rows_a, rows_b):
+    """A ÷ B = {z : B + z ⊆ A} as rows <n, z> <= c - σ(n | B) over the raw
+    rows (n, c) of A, with σ from B's raw rows; [] for the whole space and
+    None for ∅."""
+    points_b, recession_b = _candidates(dim, rows_b), _recession_candidates(dim, rows_b)
+    if not points_b:
+        return []
+    if not _candidates(dim, rows_a):
+        return None
+    out = []
+    for n, c in rows_a:
+        s = support_of(points_b, recession_b, n)
+        if s.is_plus_inf:
+            return None
+        out.append((n, c - s.value))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_membership_matches_the_rows(data):
+    """contains_point on A and on A ÷ B against the raw rows of A and B."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    rows_a, rows_b = data.draw(raw_rows(dim)), data.draw(raw_rows(dim))
+    a, b = FREE[dim].upper_set(rows_a), FREE[dim].upper_set(rows_b)
+    q, rows_q = a.residual(b), residual_rows(dim, rows_a, rows_b)
+    for z in data.draw(probes(dim, [rows_a, rows_b])):
+        assert a.contains_point(z) == _feasible(rows_a, z), z
+        assert q.contains_point(z) == (rows_q is not None and _feasible(rows_q, z)), z
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_families_match_the_rows(data):
+    """z ∈ sup_family exactly when z meets every member's raw rows, and the
+    support of inf_family is the largest of the members' oracle supports."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    systems = data.draw(st.lists(raw_rows(dim), min_size=1, max_size=3))
+    sets = [FREE[dim].upper_set(rows) for rows in systems]
+    meet = sup_family(FREE[dim], sets)
+    for z in data.draw(probes(dim, systems)):
+        assert meet.contains_point(z) == all(_feasible(rows, z) for rows in systems), z
+    hull = inf_family(FREE[dim], sets)
+    gens = [(_candidates(dim, rows), _recession_candidates(dim, rows)) for rows in systems]
+    for d in fan(dim, [row for rows in systems for row in rows]):
+        assert hull.support(d) == ext_max(support_of(p, r, d) for p, r in gens), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_support_on_a_fan_rebuilds_the_set(data):
+    """A = ∩ {z : <z*, z> <= σ(z* | A)} over a fan that holds the rows'
+    normals, tested at points around the raw rows' candidates."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    rows = data.draw(raw_rows(dim))
+    u = FREE[dim].upper_set(rows)
+    sigma = [(d, u.support(d)) for d in fan(dim, rows)]
+    for z in data.draw(probes(dim, [rows])):
+        inside = all(not s < ExtReal(_frac_dot(d, z)) for d, s in sigma)
+        assert inside == _feasible(rows, z), z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rows_and_their_oracle_generators_build_one_set(data):
+    """The set of the raw rows equals the set the oracle's feasible points
+    and recession directions generate, facet for facet."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    rows = data.draw(raw_rows(dim))
+    ws = FREE[dim]
+    points = _candidates(dim, rows)
+    rays = [_primitive_dir(r) for r in _recession_candidates(dim, rows)]
+    built = UpperSet._from_generators(ws, [ws.geom.point(z) for z in points], rays)
+    assert built == ws.upper_set(rows)
+    assert (built.points, built.rayset) == (ws.upper_set(rows).points, ws.upper_set(rows).rayset)
 
 
 exact_numbers = st.one_of(
