@@ -383,7 +383,12 @@ def _sampled_scalar_dini(f: OracleFunction, z, xx, uu) -> ExtReal:
 def scalarized_derivative_intersection(
     f: SetFunction, x: Sequence, u: Sequence, directions
 ) -> UpperSet:
-    """Intersection over z* of the level halfspaces of the scalar Dini values.
+    """Intersection over z* of the level halfspaces of the scalar Dini values."""
+    return _level_set(f, directions, [scalar_dini(f, z, x, u) for z in directions])
+
+
+def _level_set(f: SetFunction, directions, dinis: Sequence[ExtReal]) -> UpperSet:
+    """The intersection of the level halfspaces of the Dini values per direction.
 
     Sampled Dini values of oracle functions are upper bounds of the monotone
     limit, so the oracle tolerance is subtracted to keep the intersection an
@@ -391,11 +396,10 @@ def scalarized_derivative_intersection(
     """
     ws = f.workspace
     margin = Fraction(0) if f.is_exact else getattr(f, "tolerance", Fraction(0))
-    dinis = [(z, scalar_dini(f, z, x, u)) for z in directions]
-    if any(d.is_plus_inf for _, d in dinis):
+    if any(d.is_plus_inf for d in dinis):
         return ws.empty_set()
     # each finite d gives the level halfspace <z*, w> <= -(d - margin); -inf gives Z
-    return ws.upper_set([(z, margin - d.value) for z, d in dinis if d.is_finite])
+    return ws.upper_set([(z, margin - d.value) for z, d in zip(directions, dinis) if d.is_finite])
 
 
 @dataclass
@@ -414,27 +418,23 @@ def regularity_check(f: SetFunction, x: Sequence, u: Sequence, directions) -> Re
     per direction; weak regularity: the derivative equals the intersection of
     the scalar level halfspaces.  Strong implies weak on rich direction sets."""
     D = set_derivative(f, x, u)
+    return regularity_of(f, D, directions, [scalar_dini(f, z, x, u) for z in directions])
+
+
+def regularity_of(f: SetFunction, D: DerivativeResult, directions, dinis) -> RegularityReport:
+    """regularity_check from the derivative D and the Dini row over the directions."""
     tol = getattr(f, "tolerance", Fraction(0))
     failing = []
-    for z in directions:
+    for z, rhs in zip(directions, dinis):
         lhs = D.value.neg_support(z)
-        rhs = scalar_dini(f, z, x, u)
         if lhs == rhs:
             continue
         if not D.exact and lhs.is_finite and rhs.is_finite and abs(lhs.value - rhs.value) <= tol:
             continue
         failing.append(tuple(z))
-    inter = scalarized_derivative_intersection(f, x, u, directions)
+    inter = _level_set(f, directions, dinis)
     weak = D.value == inter
-    return RegularityReport(
-        strong=not failing,
-        weak=weak,
-        exact=f.is_exact and D.exact,
-        failing_strong=failing,
-        failing_weak=not weak,
-        derivative=D,
-        intersection=inter,
-    )
+    return RegularityReport(not failing, weak, f.is_exact and D.exact, failing, not weak, D, inter)
 
 
 # ---------------------------------------------------------------------------

@@ -21,30 +21,36 @@ from .scenario import (
 )
 
 
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what}: {exc}") from exc
+
+
 def _cmd_check_vi(args) -> int:
     try:
         tol = None if args.tolerance is None else parse_tolerance(args.tolerance)
         report = run_scenario(load_scenario(args.scenario, tol))
+        payload = report.dumps()
+        if args.report:
+            _write(args.report, payload, "report")
+        if args.plot:
+            svg = None
+            for task in report.tasks:
+                if task.get("op") == "plot":
+                    svg = task.get("svg")
+            if svg is not None:
+                _write(args.plot, svg, "plot")
+            else:
+                print("no plot task in scenario", file=sys.stderr)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except (TaskError, LatticeError) as exc:
         print(f"task error: {exc}", file=sys.stderr)
         return 2
-    payload = report.dumps()
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    if args.plot:
-        svg = None
-        for task in report.tasks:
-            if task.get("op") == "plot":
-                svg = task.get("svg")
-        if svg is not None:
-            with open(args.plot, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        else:
-            print("no plot task in scenario", file=sys.stderr)
     summary = {
         "scenario": report.scenario,
         "tasks": len(report.tasks),

@@ -185,7 +185,8 @@ class DirectionSet:
         return tuple(d) in self.items
 
     def union(self, directions: Iterable[Sequence], cone: OrderCone) -> "DirectionSet":
-        return DirectionSet(cone, list(self.items) + [tuple(d) for d in directions])
+        # each distinct normal is made primitive and checked against C^- once
+        return DirectionSet(cone, dict.fromkeys([*self.items, *map(tuple, directions)]))
 
     def __repr__(self):
         return f"DirectionSet({list(self.items)})"

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .calculus import (
+    DerivativeResult,
     first_linear_sample,
-    regularity_check,
+    regularity_of,
     scalar_dini,
     segment_criticals,
     set_derivative,
@@ -28,6 +29,7 @@ from .extres import ExtReal, residual as ext_residual
 from .kernel import (
     DirectionSet,
     LatticeError,
+    UpperSet,
     Vec,
     as_vec,
     feasible_with,
@@ -118,80 +120,187 @@ def _require_base(f: SetFunction, x0: Vec):
 _ZERO = ExtReal(0)
 
 
-class _Run:
-    """One checker run: what its candidates x share, and the test of each
-    inequality at x, where (base, u) is the ray of the row's orientation."""
+@dataclass
+class _Ray:
+    """A ray (base, u); the table fills in its derivative and Dini row."""
 
-    def __init__(self, f: SetFunction, x0: Vec, directions, report: ViReport):
-        self.f, self.x0, self.directions, self.report = f, x0, directions, report
+    base: Vec
+    u: Vec
+    derivative: Optional[DerivativeResult] = None
+    dini: Dict[int, ExtReal] = field(default_factory=dict)  # per direction index
+
+
+class _Row:
+    """A candidate x: f(x) and its rays (x0, x - x0) and (x, x0 - x), one
+    record when x = x0, built on first use, and its scalarizations."""
+
+    def __init__(self, f: SetFunction, x0: Vec, x: Vec):
+        self.f, self.x0, self.x, self.phis = f, x0, x, {}  # phis: per direction index
+
+    @cached_property
+    def value(self) -> UpperSet:
+        return self.f.eval(self.x)
+
+    @cached_property
+    def stampacchia(self) -> _Ray:
+        return _Ray(self.x0, _vsub(self.x, self.x0))
+
+    @cached_property
+    def minty(self) -> _Ray:
+        return self.stampacchia if self.x == self.x0 else _Ray(self.x, _vsub(self.x0, self.x))
+
+
+class _Table:
+    """One row per candidate x for (f, x0, directions), read by the checks, the
+    regularity loop and enrichment; with enrich, the directions are enriched
+    before any Dini value is read.  A derivative is inexact only where f is."""
+
+    def __init__(self, f: SetFunction, x0: Vec, space: CandidateSpace, directions, enrich=False):
+        self.f, self.x0 = f, x0
         self.v0 = f.eval(x0)
         self.origin = (Fraction(0),) * f.workspace.dim
+        self.rows = [_Row(f, x0, x) for x in space.points]
+        self.directions = self.enriched(directions) if enrich else directions
+        self.dirs = tuple(self.directions)
 
     @cached_property
     def rec0(self):
         return self.v0.recession()
 
     @cached_property
-    def bounded_dirs(self):
-        """The directions z* with phi(x0) > -inf."""
-        return [z for z in self.directions if not self.f.scalarize(z, self.x0).is_minus_inf]
+    def bounded(self):  # the indices of the directions z* with phi(x0) > -inf
+        return [k for k, z in enumerate(self.dirs) if not self.f.scalarize(z, self.x0).is_minus_inf]
 
-    def derivative(self, base: Vec, u: Vec):
-        """The set derivative f'(base, u); an inexact one makes the report inexact."""
-        D = set_derivative(self.f, base, u)
-        self.report.exact = self.report.exact and D.exact
-        return D
+    def derivative(self, ray: _Ray) -> DerivativeResult:
+        if ray.derivative is None:
+            ray.derivative = set_derivative(self.f, ray.base, ray.u)
+        return ray.derivative
 
-    def dini_witnesses(self, x, base, u, directions, fails) -> List[dict]:
-        dinis = ((z, scalar_dini(self.f, z, base, u)) for z in directions)
-        return [{"x": x, "zstar": tuple(z), "dini": d} for z, d in dinis if fails(d)]
+    def dini(self, ray: _Ray, k: int) -> ExtReal:
+        d = ray.dini.get(k)
+        if d is None:
+            d = ray.dini[k] = scalar_dini(self.f, self.dirs[k], ray.base, ray.u)
+        return d
 
-    def svi_I(self, x, base, u):
+    def phi(self, row: _Row, k: int) -> ExtReal:
+        p = row.phis.get(k)
+        if p is None:
+            p = row.phis[k] = self.f.scalarize(self.dirs[k], row.x)
+        return p
+
+    def check(self, name: str) -> ViReport:
+        ineq = _INEQUALITIES[name]
+        report = ViReport(name, True, exact=self.f.is_exact, space_size=len(self.rows))
+        if ineq.guard and self.v0.is_whole:
+            report.notes["guard"] = "f(x0) = Z"
+            return report
+        agreement = True
+        for row in self.rows:
+            if ineq.form == "M" and (row.value == self.v0 or row.value.is_empty and not ineq.minty):
+                continue
+            verdict = ineq.test(self, row, row.minty if ineq.minty else row.stampacchia)
+            if ineq.note:
+                verdict, other = verdict
+                agreement = agreement and other in (None, verdict)
+            if isinstance(verdict, list):
+                report.witnesses.extend(verdict)
+            elif not verdict:
+                report.witnesses.append({"x": row.x})
+        if ineq.by_direction:
+            rank = {tuple(z): k for k, z in enumerate(self.dirs)}
+            report.witnesses.sort(key=lambda w: rank[w["zstar"]])
+        if ineq.note:
+            report.notes[ineq.note] = agreement
+        report.holds = not report.witnesses
+        return report
+
+    def regularity(self) -> dict:
+        """SR and WR along the Stampacchia rays from x0 toward every other x
+        and the Minty rays from every x toward x0."""
+        flags = dict.fromkeys(("SR_stampacchia", "WR_stampacchia", "SR_minty", "WR_minty"), True)
+        for row in self.rows:
+            rays = (("stampacchia", row.stampacchia),) if row.minty is not row.stampacchia else ()
+            for side, ray in rays + (("minty", row.minty),):
+                dinis = [self.dini(ray, k) for k in range(len(self.dirs))]
+                rep = regularity_of(self.f, self.derivative(ray), self.dirs, dinis)
+                flags[f"SR_{side}"] = flags[f"SR_{side}"] and rep.strong
+                flags[f"WR_{side}"] = flags[f"WR_{side}"] and rep.weak
+        return flags
+
+    def segment_monotone(self):
+        """For each differing candidate: inf of f over the segment stays below the
+        endpoint value and differs from it.  Returns (holds, exact)."""
+        holds = exact = True
+        for row in self.rows:
+            if row.value == self.v0 or row.value.is_empty:
+                continue
+            seg_inf, seg_exact = _segment_infimum(self.f, self.x0, row.x)
+            exact = exact and seg_exact
+            holds = holds and seg_inf.leq(row.value) and seg_inf != row.value
+        return holds, exact
+
+    def enriched(self, directions: DirectionSet) -> DirectionSet:
+        """The directions plus the facet normals of every value and derivative met."""
+        extra = []
+        for row in self.rows:
+            extra.extend(n for n, _ in row.value.constraints)
+            for ray in (row.stampacchia, row.minty) if row.minty is not row.stampacchia else ():
+                try:
+                    D = self.derivative(ray)
+                except LatticeError:
+                    continue
+                extra.extend(n for n, _ in D.value.constraints)
+        extra = [n for n in extra if any(c != 0 for c in n)]
+        return directions.union(extra, self.f.workspace.cone)
+
+    def dini_witnesses(self, row, ray, ks, fails) -> List[dict]:
+        dinis = ((k, self.dini(ray, k)) for k in ks)
+        return [{"x": row.x, "zstar": tuple(self.dirs[k]), "dini": d} for k, d in dinis if fails(d)]
+
+    def svi_I(self, row, ray):
         """phi(x0) = -inf or 0 <= phi'(x0, x - x0), for every z*."""
-        return self.dini_witnesses(x, base, u, self.bounded_dirs, lambda d: d < _ZERO)
+        return self.dini_witnesses(row, ray, self.bounded, lambda d: d < _ZERO)
 
-    def SVI_I(self, x, base, u):
+    def SVI_I(self, row, ray):
         """0+f(x0) ≼ f'(x0, x - x0)."""
-        return self.rec0.leq(self.derivative(base, u).value)
+        return self.rec0.leq(self.derivative(ray).value)
 
-    def mvi_I(self, x, base, u):
+    def mvi_I(self, row, ray):
         """phi'(x, x0 - x) <= 0, for every z*."""
-        return self.dini_witnesses(x, base, u, self.directions, lambda d: _ZERO < d)
+        return self.dini_witnesses(row, ray, range(len(self.dirs)), lambda d: _ZERO < d)
 
-    def MVI_I(self, x, base, u):
+    def MVI_I(self, row, ray):
         """f'(x, x0 - x) ≼ 0+f(x0); the equivalent form is 0 ∈ f'(x, x0 - x)."""
-        D = self.derivative(base, u)
-        comparable = D.exact and not self.f.eval(x).is_empty
+        D = self.derivative(ray)
+        comparable = D.exact and not row.value.is_empty
         return D.value.leq(self.rec0), D.value.contains_point(self.origin) if comparable else None
 
-    def svi_M(self, x, base, u):
+    def svi_M(self, row, ray):
         """phi'(x0, x - x0) > 0 for some z*."""
-        return any(_ZERO < scalar_dini(self.f, z, base, u) for z in self.directions)
+        return any(_ZERO < self.dini(ray, k) for k in range(len(self.dirs)))
 
-    def SVI_M(self, x, base, u):
+    def SVI_M(self, row, ray):
         """0 ∉ f'(x0, x - x0); the equivalent form is f'(x0, x - x0) ∩ -0+f(x0) = ∅."""
-        D = self.derivative(base, u)
+        D = self.derivative(ray)
         meets = feasible_with(D.value, mirror_facets(self.rec0))
         return not D.value.contains_point(self.origin), not meets if D.exact else None
 
-    def svi_M2(self, x, base, u):
+    def svi_M2(self, row, ray):
         """-inf = phi(x0) < phi(x) or phi'(x0, x - x0) > 0, for some z*."""
         return any(
-            (z not in self.bounded_dirs and not self.f.scalarize(z, x).is_minus_inf)
-            or _ZERO < scalar_dini(self.f, z, base, u)
-            for z in self.directions
+            (k not in self.bounded and not self.phi(row, k).is_minus_inf)
+            or _ZERO < self.dini(ray, k)
+            for k in range(len(self.dirs))
         )
 
-    def mvi_M(self, x, base, u):
+    def mvi_M(self, row, ray):
         """phi(x) > -inf and phi'(x, x0 - x) < 0, for some z*."""
-        return any(
-            not self.f.scalarize(z, x).is_minus_inf and scalar_dini(self.f, z, base, u) < _ZERO
-            for z in self.directions
-        )
+        ks = range(len(self.dirs))
+        return any(not self.phi(row, k).is_minus_inf and self.dini(ray, k) < _ZERO for k in ks)
 
-    def MVI_M(self, x, base, u):
+    def MVI_M(self, row, ray):
         """0+f(x) ⋠ f'(x, x0 - x)."""
-        return not self.f.eval(x).recession().leq(self.derivative(base, u).value)
+        return not row.value.recession().leq(self.derivative(ray).value)
 
 
 @dataclass(frozen=True)
@@ -201,7 +310,7 @@ class _Inequality:
     minty: derivatives at x toward x0 (Minty), else at x0 toward x
     (Stampacchia).  form: "I" (infimizer) or "M" (minimality); M rows skip
     every x with f(x) = f(x0), Stampacchia M rows also every f(x) = ∅.
-    guard: f(x0) = Z passes.  test(run, x, base, u): the witnesses at x, or
+    guard: f(x0) = Z passes.  test(table, row, ray): the witnesses at x, or
     whether x passes, and with a note also the verdict of an equivalent form
     (None if not comparable); the note says if both agreed at every x.
     by_direction: witnesses are listed z*-major."""
@@ -215,17 +324,17 @@ class _Inequality:
 
 
 _INEQUALITIES = {
-    "SVI_I": _Inequality(False, "I", False, _Run.SVI_I),
-    "svi_I": _Inequality(False, "I", False, _Run.svi_I, by_direction=True),
-    "MVI_I": _Inequality(True, "I", False, _Run.MVI_I, "membership_form_agrees"),
-    "mvi_I": _Inequality(True, "I", False, _Run.mvi_I),
-    "SVI_M": _Inequality(False, "M", True, _Run.SVI_M, "intersection_form_agrees"),
-    "svi_M": _Inequality(False, "M", True, _Run.svi_M),
-    "svi_M2": _Inequality(False, "M", False, _Run.svi_M2),
-    "MVI_M": _Inequality(True, "M", False, _Run.MVI_M),
-    "mvi_M": _Inequality(True, "M", False, _Run.mvi_M),
+    "SVI_I": _Inequality(False, "I", False, _Table.SVI_I),
+    "svi_I": _Inequality(False, "I", False, _Table.svi_I, by_direction=True),
+    "MVI_I": _Inequality(True, "I", False, _Table.MVI_I, "membership_form_agrees"),
+    "mvi_I": _Inequality(True, "I", False, _Table.mvi_I),
+    "SVI_M": _Inequality(False, "M", True, _Table.SVI_M, "intersection_form_agrees"),
+    "svi_M": _Inequality(False, "M", True, _Table.svi_M),
+    "svi_M2": _Inequality(False, "M", False, _Table.svi_M2),
+    "MVI_M": _Inequality(True, "M", False, _Table.MVI_M),
+    "mvi_M": _Inequality(True, "M", False, _Table.mvi_M),
     # mvi_M over the finite direction sample the caller passes
-    "mvi_M_finite": _Inequality(True, "M", False, _Run.mvi_M),
+    "mvi_M_finite": _Inequality(True, "M", False, _Table.mvi_M),
 }
 
 INEQUALITY_IDS = tuple(_INEQUALITIES)
@@ -234,38 +343,11 @@ INEQUALITY_IDS = tuple(_INEQUALITIES)
 def run_checker(name: str, f: SetFunction, x0, space: CandidateSpace, directions) -> ViReport:
     """Check the inequality `name` (one of INEQUALITY_IDS) at x0 against every
     x of the space; the scalarized forms range over the directions."""
-    ineq = _INEQUALITIES.get(name)
-    if ineq is None:
+    if name not in _INEQUALITIES:
         raise LatticeError(f"unknown inequality id {name!r}")
     x0 = as_vec(x0)
     _require_base(f, x0)
-    report = ViReport(name, True, exact=f.is_exact, space_size=len(space))
-    run = _Run(f, x0, directions, report)
-    if ineq.guard and run.v0.is_whole:
-        report.notes["guard"] = "f(x0) = Z"
-        return report
-    agreement = True
-    for x in space.points:
-        if ineq.form == "M":
-            vx = f.eval(x)
-            if vx == run.v0 or (vx.is_empty and not ineq.minty):
-                continue
-        base, u = (x, _vsub(x0, x)) if ineq.minty else (x0, _vsub(x, x0))
-        verdict = ineq.test(run, x, base, u)
-        if ineq.note:
-            verdict, other = verdict
-            agreement = agreement and other in (None, verdict)
-        if isinstance(verdict, list):
-            report.witnesses.extend(verdict)
-        elif not verdict:
-            report.witnesses.append({"x": x})
-    if ineq.by_direction:
-        rank = {tuple(z): k for k, z in enumerate(directions)}
-        report.witnesses.sort(key=lambda w: rank[w["zstar"]])
-    if ineq.note:
-        report.notes[ineq.note] = agreement
-    report.holds = not report.witnesses
-    return report
+    return _Table(f, x0, space, directions).check(name)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +394,7 @@ def infimum_at_point_check(
         if not v0.residual_contains_origin(vx):
             conds["d"] = False
             wits["d"].append({"x": x})
-        qb = vx.residual(v0)
-        if not rec0.leq(qb):
+        if not rec0.leq(vx.residual(v0)):
             conds["f"] = False
             wits["f"].append({"x": x})
         for z, phi0 in phis0:
@@ -438,14 +519,8 @@ def infimizer_check(
                     t = first_linear_sample(fhat, origin, x, directions)
                     if t is not None and 0 < t < 1:
                         extra_pts.append(tuple(t * c for c in x))
-                probe = CandidateSpace.of(
-                    list(probe.points) + extra_pts, base=origin
-                )
-                facet_dirs = []
-                for x in probe.points:
-                    v = fhat.eval(x)
-                    if not v.is_empty:
-                        facet_dirs.extend(n for n, _ in v.constraints)
+                probe = CandidateSpace.of(list(probe.points) + extra_pts, base=origin)
+                facet_dirs = [n for x in probe.points for n, _ in fhat.eval(x).constraints]
                 probe_dirs = directions.union(facet_dirs, f.workspace.cone)
             svi_zero = run_checker("svi_I", fhat, origin, probe, probe_dirs)
             # the faithful form of the corollary compares against the
@@ -518,22 +593,14 @@ def enrich_space(
     """Add the critical segment parameters between the base and every candidate."""
     x0 = as_vec(x0)
     pts = list(space.points)
-    if not f.is_exact:
-        return CandidateSpace.of(pts, base=x0)
-    for x in space.points:
-        if x == x0:
-            continue
-        crits = segment_criticals(f, x0, x, directions)
+    for x in space.points if f.is_exact else ():
+        crits = segment_criticals(f, x0, x, directions) if x != x0 else None
         if not crits:
             continue
         partition = [Fraction(0)] + list(crits) + [Fraction(1)]
-        ts = set(crits)
-        for lo, hi in zip(partition, partition[1:]):
-            if hi > lo:
-                ts.add((lo + hi) / 2)
-        for t in ts:
-            if 0 < t < 1:
-                pts.append(tuple(a + t * (b - a) for a, b in zip(x0, x)))
+        mids = [(lo + hi) / 2 for lo, hi in zip(partition, partition[1:]) if hi > lo]
+        ts = set(crits).union(mids)
+        pts.extend(tuple(a + t * (b - a) for a, b in zip(x0, x)) for t in ts if 0 < t < 1)
     return CandidateSpace.of(pts, base=x0)
 
 
@@ -541,24 +608,7 @@ def enrich_directions(
     f: SetFunction, x0, space: CandidateSpace, directions: DirectionSet
 ) -> DirectionSet:
     """Add facet normals of every value and derivative met over the space."""
-    cone = f.workspace.cone
-    x0 = as_vec(x0)
-    extra = []
-    for x in space.points:
-        v = f.eval(x)
-        if not v.is_empty:
-            extra.extend(n for n, _ in v.constraints)
-        for base, other in ((x0, x), (x, x0)):
-            if base == other:
-                continue
-            try:
-                D = set_derivative(f, base, _vsub(other, base))
-            except LatticeError:
-                continue
-            if not D.value.is_empty:
-                extra.extend(n for n, _ in D.value.constraints)
-    extra = [n for n in extra if any(c != 0 for c in n)]
-    return directions.union(extra, cone)
+    return _Table(f, as_vec(x0), space, directions, enrich=True).directions
 
 
 # ---------------------------------------------------------------------------
@@ -673,24 +723,15 @@ def implication_audit(
     space = space.with_base(x0)
     if enrich:
         space = enrich_space(f, x0, space, directions)
-        directions = enrich_directions(f, x0, space, directions)
+    table = _Table(f, x0, space, directions, enrich)
+    directions = table.directions
 
-    reports = {name: run_checker(name, f, x0, space, directions) for name in INEQUALITY_IDS}
+    reports = {name: table.check(name) for name in INEQUALITY_IDS}
 
     infimum = infimum_at_point_check(f, x0, space, directions)
     minimal = minimal_check(f, x0, space, directions)
 
-    # strong (SR) and weak (WR) regularity along the Stampacchia rays from x0
-    # toward every other x and the Minty rays from every x toward x0
-    regularity = dict.fromkeys(("SR_stampacchia", "WR_stampacchia", "SR_minty", "WR_minty"), True)
-    reg_exact = True
-    for x in space.points:
-        rays = (("stampacchia", x0, x), ("minty", x, x0)) if x != x0 else (("minty", x, x0),)
-        for side, base, other in rays:
-            rep = regularity_check(f, base, _vsub(other, base), directions)
-            regularity[f"SR_{side}"] = regularity[f"SR_{side}"] and rep.strong
-            regularity[f"WR_{side}"] = regularity[f"WR_{side}"] and rep.weak
-            reg_exact = reg_exact and rep.exact
+    regularity = table.regularity()
 
     lsc = {"lattice": True, "cminus": True, "certified": True}
     for x in space.points:
@@ -703,15 +744,9 @@ def implication_audit(
             lsc["cminus"] = lsc["cminus"] and res.holds
             lsc["certified"] = lsc["certified"] and res.certified
 
-    monotone, monotone_exact = _monotone_segment_characterization(f, x0, space)
+    monotone, monotone_exact = table.segment_monotone()
 
-    exact = (
-        f.is_exact
-        and all(r.exact for r in reports.values())
-        and infimum.exact
-        and minimal.exact
-        and reg_exact
-    )
+    exact = f.is_exact  # so are the reports, the oracles and the derivatives
     holds = {
         **{name: rep.holds for name, rep in reports.items()},
         "infimum": infimum.conditions["a"],
@@ -776,23 +811,6 @@ def implication_audit_for_set(
     probe_points = [_vsub(x, m) for x in space.points for m in pts]
     probe_space = CandidateSpace.of(probe_points, base=origin)
     return implication_audit(fhat, origin, probe_space, directions, enrich, probe)
-
-
-def _monotone_segment_characterization(f: SetFunction, x0: Vec, space: CandidateSpace):
-    """For each differing candidate: inf of f over the segment stays below the
-    endpoint value and differs from it.  Returns (holds, exact)."""
-    v0 = f.eval(x0)
-    holds = True
-    exact = True
-    for x in space.points:
-        vx = f.eval(x)
-        if vx == v0 or vx.is_empty:
-            continue
-        seg_inf, seg_exact = _segment_infimum(f, x0, x)
-        exact = exact and seg_exact
-        if not (seg_inf.leq(vx) and seg_inf != vx):
-            holds = False
-    return holds, exact
 
 
 def _segment_infimum(f: SetFunction, x0: Vec, x: Vec):

@@ -425,6 +425,16 @@ def test_cli_report_and_plot_files(tmp_path):
     assert plot.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("flag, what", [("--report", "report"), ("--plot", "plot")])
+def test_cli_write_failure_is_a_validation_error(flag, what, tmp_path, capsys):
+    # the scenario runs; writing into a directory that does not exist must fail cleanly
+    target = tmp_path / "missing" / "out"
+    assert main(["check-vi", "--scenario", "builtin:example23", flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write {what}: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_cli_entry_point_subprocess():
     # the child imports the same setlattice as this process, installed or not
     src = os.path.dirname(os.path.dirname(setlattice.__file__))

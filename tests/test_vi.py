@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from setlattice.calculus import segment_criticals
+from setlattice.calculus import regularity_check, scalar_dini, segment_criticals, set_derivative
 from setlattice.extres import ExtReal, residual as ext_residual
 from setlattice.instances import (
     heyde_a,
@@ -19,7 +19,14 @@ from setlattice.instances import (
     random_parampoly,
     random_workspace,
 )
-from setlattice.kernel import Workspace, inf_family
+from setlattice.kernel import (
+    DirectionSet,
+    LatticeError,
+    Workspace,
+    feasible_with,
+    inf_family,
+    mirror_facets,
+)
 from setlattice.setfun import (
     ConcavePWL,
     EpiVectorFunction,
@@ -45,6 +52,7 @@ from setlattice.vi import (
     minimal_scan,
     run_checker,
     solution_check,
+    ViReport,
 )
 
 F = Fraction
@@ -533,3 +541,210 @@ def test_infimum_over_domain_empty_and_whole():
     assert infimum_over_domain(ParamPolyFunction(w1, 1, [(-1,)], [tent])) == peak
     ramp = ConcavePWL([((1,), 0)])
     assert infimum_over_domain(ParamPolyFunction(w1, 1, [(-1,)], [ramp])).is_whole
+
+
+# The per-inequality checker loop as it was before the audit shared one table:
+# every test re-derives its ray and reads set_derivative, scalar_dini, f.eval
+# and f.scalarize afresh.  It is the reference for run_checker, the audit's
+# reports, its regularity flags and direction enrichment.
+
+
+class _ReferenceRun:
+    def __init__(self, f, x0, directions, report):
+        self.f, self.x0, self.directions, self.report = f, x0, directions, report
+        self.v0 = f.eval(x0)
+        self.rec0 = self.v0.recession()
+        self.origin = (F(0),) * f.workspace.dim
+        self.bounded_dirs = [z for z in directions if not f.scalarize(z, x0).is_minus_inf]
+
+    def derivative(self, base, u):
+        D = set_derivative(self.f, base, u)
+        self.report.exact = self.report.exact and D.exact
+        return D
+
+    def dini_witnesses(self, x, base, u, directions, fails):
+        dinis = ((z, scalar_dini(self.f, z, base, u)) for z in directions)
+        return [{"x": x, "zstar": tuple(z), "dini": d} for z, d in dinis if fails(d)]
+
+    def svi_I(self, x, base, u):
+        return self.dini_witnesses(x, base, u, self.bounded_dirs, lambda d: d < _ZERO)
+
+    def SVI_I(self, x, base, u):
+        return self.rec0.leq(self.derivative(base, u).value)
+
+    def mvi_I(self, x, base, u):
+        return self.dini_witnesses(x, base, u, self.directions, lambda d: _ZERO < d)
+
+    def MVI_I(self, x, base, u):
+        D = self.derivative(base, u)
+        comparable = D.exact and not self.f.eval(x).is_empty
+        return D.value.leq(self.rec0), D.value.contains_point(self.origin) if comparable else None
+
+    def svi_M(self, x, base, u):
+        return any(_ZERO < scalar_dini(self.f, z, base, u) for z in self.directions)
+
+    def SVI_M(self, x, base, u):
+        D = self.derivative(base, u)
+        meets = feasible_with(D.value, mirror_facets(self.rec0))
+        return not D.value.contains_point(self.origin), not meets if D.exact else None
+
+    def svi_M2(self, x, base, u):
+        return any(
+            (z not in self.bounded_dirs and not self.f.scalarize(z, x).is_minus_inf)
+            or _ZERO < scalar_dini(self.f, z, base, u)
+            for z in self.directions
+        )
+
+    def mvi_M(self, x, base, u):
+        return any(
+            not self.f.scalarize(z, x).is_minus_inf and scalar_dini(self.f, z, base, u) < _ZERO
+            for z in self.directions
+        )
+
+    def MVI_M(self, x, base, u):
+        return not self.f.eval(x).recession().leq(self.derivative(base, u).value)
+
+
+# name: (minty, form, guard, test, note, by_direction)
+_REFERENCE_ROWS = {
+    "SVI_I": (False, "I", False, _ReferenceRun.SVI_I, None, False),
+    "svi_I": (False, "I", False, _ReferenceRun.svi_I, None, True),
+    "MVI_I": (True, "I", False, _ReferenceRun.MVI_I, "membership_form_agrees", False),
+    "mvi_I": (True, "I", False, _ReferenceRun.mvi_I, None, False),
+    "SVI_M": (False, "M", True, _ReferenceRun.SVI_M, "intersection_form_agrees", False),
+    "svi_M": (False, "M", True, _ReferenceRun.svi_M, None, False),
+    "svi_M2": (False, "M", False, _ReferenceRun.svi_M2, None, False),
+    "MVI_M": (True, "M", False, _ReferenceRun.MVI_M, None, False),
+    "mvi_M": (True, "M", False, _ReferenceRun.mvi_M, None, False),
+    "mvi_M_finite": (True, "M", False, _ReferenceRun.mvi_M, None, False),
+}
+
+
+def _vsub(a, b):
+    return tuple(p - q for p, q in zip(a, b))
+
+
+def _reference_checker(name, f, x0, space, directions):
+    minty, form, guard, test, note, by_direction = _REFERENCE_ROWS[name]
+    report = ViReport(name, True, exact=f.is_exact, space_size=len(space))
+    run = _ReferenceRun(f, x0, directions, report)
+    if guard and run.v0.is_whole:
+        report.notes["guard"] = "f(x0) = Z"
+        return report
+    agreement = True
+    for x in space.points:
+        if form == "M":
+            vx = f.eval(x)
+            if vx == run.v0 or (vx.is_empty and not minty):
+                continue
+        base, u = (x, _vsub(x0, x)) if minty else (x0, _vsub(x, x0))
+        verdict = test(run, x, base, u)
+        if note:
+            verdict, other = verdict
+            agreement = agreement and other in (None, verdict)
+        if isinstance(verdict, list):
+            report.witnesses.extend(verdict)
+        elif not verdict:
+            report.witnesses.append({"x": x})
+    if by_direction:
+        rank = {tuple(z): k for k, z in enumerate(directions)}
+        report.witnesses.sort(key=lambda w: rank[w["zstar"]])
+    if note:
+        report.notes[note] = agreement
+    report.holds = not report.witnesses
+    return report
+
+
+def _reference_enrich_directions(f, x0, space, directions):
+    extra = []
+    for x in space.points:
+        v = f.eval(x)
+        if not v.is_empty:
+            extra.extend(n for n, _ in v.constraints)
+        for base, other in ((x0, x), (x, x0)):
+            if base == other:
+                continue
+            try:
+                D = set_derivative(f, base, _vsub(other, base))
+            except LatticeError:
+                continue
+            if not D.value.is_empty:
+                extra.extend(n for n, _ in D.value.constraints)
+    extra = [n for n in extra if any(c != 0 for c in n)]
+    return directions.union(extra, f.workspace.cone)
+
+
+def _reference_regularity(f, x0, space, directions):
+    flags = dict.fromkeys(("SR_stampacchia", "WR_stampacchia", "SR_minty", "WR_minty"), True)
+    for x in space.points:
+        rays = (("stampacchia", x0, x), ("minty", x, x0)) if x != x0 else (("minty", x, x0),)
+        for side, base, other in rays:
+            rep = regularity_check(f, base, _vsub(other, base), directions)
+            flags[f"SR_{side}"] = flags[f"SR_{side}"] and rep.strong
+            flags[f"WR_{side}"] = flags[f"WR_{side}"] and rep.weak
+    return flags
+
+
+def _outcome(call):
+    """What a call returns, as JSON, or the type and message of what it raises."""
+    try:
+        out = call()
+    except LatticeError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    return out.to_json() if hasattr(out, "to_json") else out
+
+
+def _reference_audit(f, x0, space, directions):
+    space = enrich_space(f, x0, space.with_base(x0), directions)
+    dirs = _reference_enrich_directions(f, x0, space, directions)
+    try:
+        reports = {n: _reference_checker(n, f, x0, space, dirs).to_json() for n in INEQUALITY_IDS}
+    except LatticeError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    return reports, _reference_regularity(f, x0, space, dirs), tuple(dirs)
+
+
+def _audit_outcome(f, x0, space, directions):
+    try:
+        audit = implication_audit(f, x0, space, directions)
+    except LatticeError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    reports = {name: rep.to_json() for name, rep in audit.reports.items()}
+    return reports, audit.regularity, audit.directions
+
+
+def test_audit_table_matches_per_inequality_reference():
+    rng = random.Random(1931)
+    seen = dict.fromkeys(("repeats", "empty", "raises", "inexact", "inexact_notes", "grown"), 0)
+    for k, (f, space, dirs) in enumerate(_scan_cases(rng)):
+        if k % 8 == 1:  # an epigraphical function that is not declared convex
+            f = EpiVectorFunction(
+                f.workspace, f.xdim, f.components, f.domain, declared_convex=False
+            )
+        bases = [x for x in space.points if not f.eval(x).is_empty]
+        if not bases:
+            continue
+        x0 = bases[len(bases) // 2]
+        seen["repeats"] += len(set(space.points)) < len(space.points)
+        seen["empty"] += len(bases) < len(space.points)
+        # the one-name case over a space with repeated points, base directions first
+        for name in INEQUALITY_IDS:
+            got = _outcome(lambda: run_checker(name, f, x0, space, dirs))
+            assert got == _outcome(lambda: _reference_checker(name, f, x0, space, dirs)), (k, name)
+            if isinstance(got, dict) and not got["exact"]:
+                seen["inexact"] += 1
+                seen["inexact_notes"] += bool(got["notes"])
+        want = _reference_enrich_directions(f, x0, space, dirs)
+        assert enrich_directions(f, x0, space, dirs).items == want.items, k
+        # then the audit on the same function object, from the cone's facet normals
+        # alone (so that enrichment adds directions) or from the workspace's
+        adirs = dirs if k % 2 else DirectionSet(f.workspace.cone, [])
+        got, ref = _audit_outcome(f, x0, space, adirs), _reference_audit(f, x0, space, adirs)
+        assert got == ref, k
+        if ref[0] == "raises":
+            seen["raises"] += 1
+        else:
+            seen["grown"] += len(ref[2]) > len(adirs)
+            # the audit's exact flag is f's: so is every report's
+            assert all(rep["exact"] == f.is_exact for rep in ref[0].values()), k
+    assert min(seen.values()) >= 4, seen
