@@ -37,10 +37,7 @@ def _cmd_check_vi(args) -> int:
         if args.report:
             _write(args.report, payload, "report")
         if args.plot:
-            svg = None
-            for task in report.tasks:
-                if task.get("op") == "plot":
-                    svg = task.get("svg")
+            svg = next((t.get("svg") for t in report.tasks if t.get("op") == "plot"), None)
             if svg is not None:
                 _write(args.plot, svg, "plot")
             else:

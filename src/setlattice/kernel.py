@@ -128,7 +128,8 @@ class OrderCone:
         self._lineality = tuple(lin)
 
     def contains(self, v: Sequence) -> bool:
-        return all(_dot(n, v) <= 0 for n in self.facet_normals)
+        k, _ = _int_dir(v)  # the normals are integers: test <n, k> <= 0 on ints
+        return all(sum(map(mul, n, k)) <= 0 for n in self.facet_normals)
 
     def in_dual(self, z: Sequence) -> bool:
         """Membership of z in the negative dual cone C^-."""

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from math import lcm
+from operator import le, mul
 from typing import Callable, List, Optional, Sequence
 
 from .calculus import _ray, scalar_dini, segment_criticals, set_derivative
@@ -17,6 +18,7 @@ from .kernel import (
     Vec,
     Workspace,
     _dot,
+    _int_dir,
     _primitive_dir,
     as_vec,
     to_frac,
@@ -186,29 +188,35 @@ def epigraphical(psi: VectorFunction) -> SetFunction:
 
 
 def efficient_set(psi: VectorFunction, grid: Sequence[Sequence]) -> List[Vec]:
-    """Grid points whose value is efficient in psi[grid], in grid order.
-
-    Each value v is read once in cone coordinates, key(v) = (<n, v>) over the
-    facet normals n of C = {d : <n, d> <= 0}.  Then psi(x) lies in psi(y) + C
-    off y + (C ∩ -C) exactly when key(x) <= key(y) componentwise and the keys
-    differ, so x is efficient iff no key lies strictly above its own.
-    """
-    if not grid:
-        raise EmptyGrid("efficiency scan needs a nonempty grid")
-    normals = psi.workspace.cone.facet_normals
-    keys = []
-    for x in map(as_vec, grid):
-        v = psi.psi(x)
+    """Grid points whose value is efficient in psi[grid], in grid order."""
+    pairs = [(x, psi.psi(x)) for x in map(as_vec, grid)]
+    for x, v in pairs:
         if v is None:
             raise EmptyGrid(f"grid point {x} is outside the domain")
-        keys.append((x, tuple(_dot(n, v) for n in normals)))
-    distinct = {kx for _, kx in keys}
-    dominated = {
-        kx
-        for kx in distinct
-        if any(ky != kx and all(map(le, kx, ky)) for ky in distinct)
-    }
-    return [x for x, kx in keys if kx not in dominated]
+    return _efficient(psi.workspace, pairs)
+
+
+def _efficient(ws: Workspace, pairs: Sequence) -> List[Vec]:
+    """The points x of the (x, psi(x)) pairs whose value is efficient, in order.
+
+    Each value v is read once in cone coordinates, key(v) = (<n, v>) over the
+    facet normals n of C = {d : <n, d> <= 0}, as integers over one common
+    denominator of all values.  Then psi(x) lies in psi(y) + C
+    off y + (C ∩ -C) exactly when key(x) <= key(y) componentwise and the keys
+    differ, so x is efficient iff its key is maximal.  A key above another is
+    lexicographically larger, so one descending pass finds the maximal keys.
+    """
+    if not pairs:
+        raise EmptyGrid("efficiency scan needs a nonempty grid")
+    normals = ws.cone.facet_normals
+    scaled = [(x, _int_dir(v)) for x, v in pairs]
+    den = lcm(*(d for _, (_, d) in scaled))
+    keys = [(x, tuple(sum(map(mul, n, k)) * (den // d) for n in normals)) for x, (k, d) in scaled]
+    maximal = set()
+    for kx in sorted({kx for _, kx in keys}, reverse=True):
+        if not any(all(map(le, kx, m)) for m in maximal):
+            maximal.add(kx)
+    return [x for x, kx in keys if kx in maximal]
 
 
 def efficiency_minimality_bridge(
@@ -252,16 +260,18 @@ def vector_dini(psi: VectorFunction, x0: Sequence, u: Sequence) -> DiniLimitSet:
     """
     x0 = as_vec(x0)
     uu = as_vec(u)
-    base = psi.psi(x0)
-    if base is None:
-        raise LatticeError("base point is outside the domain")
     if isinstance(psi, PWLVectorFunction):
-        # the first slopes are in the first rows of the shared extension's ray
+        # the first rows of the shared extension's ray hold the first slopes
+        if not psi.domain_contains(x0):
+            raise LatticeError("base point is outside the domain")
         rows = _ray(psi.epi, x0, uu).rows(psi.epi)
         if rows is None:
             return DiniLimitSet(exact=True, diagnostic={"note": "no admissible t"})
         slopes = tuple(Fraction(s, rows.den) for s in rows.slopes)
         return DiniLimitSet(finite_points=[slopes], exact=True)
+    base = psi.psi(x0)
+    if base is None:
+        raise LatticeError("base point is outside the domain")
     tol = getattr(psi, "tolerance", Fraction(1, 10**6))
     trail = []
     t = Fraction(1)
@@ -410,10 +420,11 @@ def vector_minty_check(
     ws = psi.workspace
     f = epigraphical(psi)
     x0 = as_vec(x0)
-    base_val = psi.psi(x0)
+    pts = [as_vec(x) for x in grid]
+    values = {x: psi.psi(x) for x in dict.fromkeys([x0, *pts])}  # psi per point, read once
+    base_val = values[x0]
     if base_val is None:
         raise LatticeError("base point is outside the domain")
-    pts = [as_vec(x) for x in grid]
     base_ts = [to_frac(t) for t in t_params]
     scalar_ok = True
     inner_ok = True
@@ -430,19 +441,24 @@ def vector_minty_check(
                 if t not in ts:
                     ts.append(t)
             ts.append(Fraction(1))
+        u_back = tuple(a - b for a, b in zip(x0, x))
         for t in ts:
             xt = tuple(a + t * (b - a) for a, b in zip(x0, x))
-            vt = psi.psi(xt)
+            if xt not in values:
+                values[xt] = psi.psi(xt)
+            vt = values[xt]
             if vt is None:
                 continue
             seg_points.append(xt)
             if vt == base_val:
                 continue
-            u_back = tuple(a - b for a, b in zip(x0, x))
-            if not any(scalar_dini(f, z, xt, u_back) < zero for z in directions):
+            # exact psi reads mvi_M_finite's ray (xt, x0 - xt) = (xt, t u_back): t > 0 moves
+            # no sign and no membership in C; oracle psi samples other points under t u_back
+            u = tuple(a - b for a, b in zip(x0, xt)) if psi.is_exact else u_back
+            if not any(scalar_dini(f, z, xt, u) < zero for z in directions):
                 scalar_ok = False
                 witnesses.append({"form": "scalar", "x": x, "t": t})
-            dl = vector_dini(psi, xt, u_back)
+            dl = vector_dini(psi, xt, u)
             if len(dl.finite_points) + len(dl.infinite_dirs) != 1 or dl.infinite_dirs:
                 single_valued = False
             bad = False
@@ -458,7 +474,7 @@ def vector_minty_check(
     space = CandidateSpace.of(list(pts) + seg_points + [x0], base=x0)
     finite_dirs = list(ws.cone.facet_normals)
     mvi = run_checker("mvi_M_finite", f, x0, space, finite_dirs)
-    eff = efficient_set(psi, [p for p in space.points if psi.domain_contains(p)])
+    eff = _efficient(ws, [(p, values[p]) for p in space.points if values[p] is not None])
     is_efficient = x0 in eff
     pointed = ws.cone.is_pointed
     return {

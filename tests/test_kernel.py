@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setlattice import (
     MINUS_INF,
@@ -13,7 +15,7 @@ from setlattice import (
     sup_family,
 )
 from setlattice.extres import residual as ext_residual
-from setlattice.kernel import _int_dir, feasible_with, mirror_facets
+from setlattice.kernel import OrderCone, _int_dir, feasible_with, mirror_facets
 
 
 @pytest.fixture
@@ -266,3 +268,42 @@ def test_geometry_empty_and_exact_points():
     assert _geom_py.point((Fraction(1, 6), 2)) == (1, 12, 6)
     for geom in (_geom1, _geom_py):
         assert geom.vrep_from_hrep([])[1] == [geom.ORIGIN]
+
+
+# the ordering cones of the membership oracle, by dimension: 1-D has only the
+# pointed half-lines; 2-D a pointed wedge, a half-plane, a line and the orthant
+_ORACLE_CONES = {
+    1: [OrderCone(1, [(1,)]), OrderCone(1, [(-3,)])],
+    2: [
+        OrderCone(2, [(1, -2), (0, 1)]),
+        OrderCone(2, [(1, 0), (-1, 0), (0, 1)]),
+        OrderCone(2, [(1, 1), (-1, -1)]),
+        OrderCone(2, [(1, 0), (0, 1)]),
+    ],
+}
+_COORD = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+    st.sampled_from([0.5, -0.25, 1e-300, -1e-300, 0.1]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_cone_contains_matches_fraction_oracle(data):
+    dim = data.draw(st.sampled_from([1, 2]))
+    cone = data.draw(st.sampled_from(_ORACLE_CONES[dim]))
+    v = tuple(data.draw(st.lists(_COORD, min_size=dim, max_size=dim)))
+    want = all(sum(Fraction(a) * Fraction(b) for a, b in zip(n, v)) <= 0 for n in cone.facet_normals)
+    assert cone.contains(v) == want
+    # a generator lies in the cone and a positive scale keeps membership
+    assert all(cone.contains(g) for g in cone.generators)
+    assert cone.contains(tuple(3 * Fraction(c) for c in v)) == want
+
+
+def test_cone_shapes_of_the_membership_oracle():
+    assert [c.is_pointed for c in _ORACLE_CONES[2]] == [True, False, False, True]
+    line = _ORACLE_CONES[2][2]
+    assert line.contains((Fraction(-1, 2), -0.5)) and not line.contains((1, 0))
+    assert line.in_lineality((2, 2)) and not _ORACLE_CONES[2][3].in_lineality((1, 0))

@@ -425,6 +425,26 @@ def test_cli_report_and_plot_files(tmp_path):
     assert plot.read_text().startswith("<svg")
 
 
+def test_cli_plot_writes_the_first_plot_task(tmp_path):
+    doc = {
+        "schema": 1,
+        "name": "two_plots",
+        "workspace": {"dim": 2, "cone": [[1, 0], [0, 1]]},
+        "sets": {
+            "A": {"constraints": [{"n": [-1, 0], "b": "1"}, {"n": [0, -1], "b": "0"}]},
+            "B": {"constraints": [{"n": [-1, -1], "b": "2"}]},
+        },
+        "tasks": [{"op": "plot", "sets": ["A"]}, {"op": "plot", "sets": ["B"]}],
+    }
+    scenario = tmp_path / "two_plots.json"
+    scenario.write_text(json.dumps(doc))
+    plot = tmp_path / "p.svg"
+    assert main(["check-vi", "--scenario", str(scenario), "--plot", str(plot)]) == 0
+    first, second = task_by_op(run_scenario(load_scenario(str(scenario))), "plot")
+    assert first["svg"] != second["svg"]
+    assert plot.read_text() == first["svg"]
+
+
 @pytest.mark.parametrize("flag, what", [("--report", "report"), ("--plot", "plot")])
 def test_cli_write_failure_is_a_validation_error(flag, what, tmp_path, capsys):
     # the scenario runs; writing into a directory that does not exist must fail cleanly

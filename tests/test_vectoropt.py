@@ -2,24 +2,33 @@ import ast
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from setlattice.calculus import scalar_dini, segment_criticals
+from setlattice.extres import ExtReal
 from setlattice.instances import (
     infdir_example,
     noncommutation_trail,
     orthant_workspace,
     random_convex_pwl,
     random_grid,
+    random_dual_direction,
     random_pwl_vector,
 )
 from setlattice.kernel import Workspace, as_vec, inf_family
 from setlattice.setfun import ConvexPWL, Polyhedron
 from setlattice.vectoropt import (
+    DEFAULT_T_PARAMS,
     DiniLimitSet,
     EmptyGrid,
     ExtendedPoint,
+    OracleVectorFunction,
     PWLVectorFunction,
+    _efficient,
     classify_dini,
     eff_plus_cone_identity,
     efficiency_minimality_bridge,
@@ -29,7 +38,7 @@ from setlattice.vectoropt import (
     vector_dini,
     vector_minty_check,
 )
-from setlattice.vi import CandidateSpace, minimal_check
+from setlattice.vi import CandidateSpace, minimal_check, run_checker
 
 F = Fraction
 
@@ -321,3 +330,156 @@ def test_vector_dini_reads_the_shared_ray_record():
                     rep = classify_dini(psi, x0, x, dl, ws.directions)
                     assert rep["finite_matches_derivative"] and rep["scalar_dini_matches"]
     assert min(checked.values()) > 0, checked
+
+
+def _all_pairs_efficient(psi, grid):
+    """Efficiency by the pairwise definition on cone coordinates."""
+    normals = psi.workspace.cone.facet_normals
+    keys = [(as_vec(x), tuple(sum(a * b for a, b in zip(n, psi.psi(x))) for n in normals)) for x in grid]
+    return [
+        x
+        for x, kx in keys
+        if not any(ky != kx and all(a <= b for a, b in zip(kx, ky)) for _, ky in keys)
+    ]
+
+
+def _reference_vector_minty(psi, x0, grid, directions, t_params=DEFAULT_T_PARAMS):
+    """vector_minty_check as a plain loop: every segment point xt reads the ray
+    (xt, x0 - x) and psi anew, and efficiency is the all-pairs scan."""
+    ws = psi.workspace
+    f = epigraphical(psi)
+    x0 = as_vec(x0)
+    base_val = psi.psi(x0)
+    pts = [as_vec(x) for x in grid]
+    scalar_ok = inner_ok = single_valued = True
+    witnesses, seg_points = [], []
+    for x in pts:
+        ts = [F(t) for t in t_params]
+        if psi.is_exact and x != x0:
+            ts += [t for t in segment_criticals(f, x0, x, directions) if t not in ts] + [F(1)]
+        for t in ts:
+            xt = tuple(a + t * (b - a) for a, b in zip(x0, x))
+            vt = psi.psi(xt)
+            if vt is None:
+                continue
+            seg_points.append(xt)
+            if vt == base_val:
+                continue
+            u_back = tuple(a - b for a, b in zip(x0, x))
+            if not any(scalar_dini(f, z, xt, u_back) < ExtReal(0) for z in directions):
+                scalar_ok = False
+                witnesses.append({"form": "scalar", "x": x, "t": t})
+            dl = vector_dini(psi, xt, u_back)
+            if len(dl.finite_points) + len(dl.infinite_dirs) != 1 or dl.infinite_dirs:
+                single_valued = False
+            points = list(dl.finite_points) + [d.vector for d in dl.infinite_dirs]
+            if any(ws.cone.contains(p) for p in points):
+                inner_ok = False
+                witnesses.append({"form": "inner", "x": x, "t": t})
+    space = CandidateSpace.of(pts + seg_points + [x0], base=x0)
+    mvi = run_checker("mvi_M_finite", f, x0, space, list(ws.cone.facet_normals))
+    eff = _all_pairs_efficient(psi, [p for p in space.points if psi.domain_contains(p)])
+    efficient = x0 in eff
+    return {
+        "scalar_form": scalar_ok,
+        "inner_form": inner_ok,
+        "mvi_M_finite": mvi.holds,
+        "efficient": efficient,
+        "pointed_cone": ws.cone.is_pointed,
+        "single_valued_quotients": single_valued,
+        "agrees_with_efficiency": scalar_ok == efficient and mvi.holds == efficient,
+        "witnesses": witnesses,
+        "exact": psi.is_exact,
+    }
+
+
+def _square_oracle(ws):
+    """psi(s) = (s^2, (s - 1)^2) as an oracle: its quotient trail settles to
+    the tolerance only for steps |u| <= 1, so a scaled ray reads other values."""
+    return OracleVectorFunction(ws, 1, lambda x: (x[0] ** 2, (x[0] - 1) ** 2), name="square")
+
+
+def _minty_cases():
+    """(make psi, x0, grid, directions); make builds a fresh psi, so the check
+    and the reference share no memo."""
+    rng = random.Random(2020)
+    cases = []
+    for gens in _scenario_cones() + [[(1, 0), (-1, 0), (0, 1)]]:
+        ws = Workspace(2, gens)
+        extra = [random_dual_direction(rng, ws) for _ in range(2)]
+        ws = Workspace(2, gens, list(ws.cone.facet_normals) + [e for e in extra if e])
+        for trial in range(4):
+            xdim = 1 + trial % 2
+            comps = [random_convex_pwl(rng, xdim, max_pieces=3) for _ in range(2)]
+            box = Polyhedron.box([(-1, 1)] * xdim) if trial >= 2 else None
+            grid = random_grid(rng, xdim, 5)
+            inside = [x for x in grid if box is None or box.contains(as_vec(x))]
+            if not inside:
+                continue
+            # x0 from the grid, repeated grid points, and points off a box
+            grid = grid + [grid[0], inside[-1]]
+            make = (lambda ws=ws, xdim=xdim, comps=comps, box=box:
+                    PWLVectorFunction(ws, xdim, comps, box))
+            cases += [(make, inside[0], grid, ws.directions), (make, inside[-1], grid, ws.directions)]
+    orthant = orthant_workspace()
+    pwl = random_pwl_vector(rng, orthant, 1, max_pieces=3)
+    wrap = lambda: OracleVectorFunction(orthant, 1, pwl.psi, name="wrapped")
+    grid = [(F(k, 2),) for k in range(-4, 5)]
+    cases += [(wrap, (F(0),), grid, orthant.directions), (wrap, (F(1),), grid, orthant.directions)]
+    cases.append((infdir_example, (F(0),), [(F(k, 4),) for k in range(-1, 6)], orthant.directions))
+    cases.append((infdir_example, (F(1, 2),), [(F(k, 4),) for k in range(0, 5)], orthant.directions))
+    square = [(F(k, 4),) for k in range(-3, 8)]
+    cases.append((lambda: _square_oracle(orthant), (F(1, 2),), square, orthant.directions))
+    cases.append((lambda: _square_oracle(orthant), (F(-1, 4),), square, orthant.directions))
+    return cases
+
+
+def test_vector_minty_matches_reference():
+    seen = {"exact": 0, "oracle": 0, "witnesses": 0, "efficient": 0, "not_single": 0}
+    for make, x0, grid, directions in _minty_cases():
+        got = vector_minty_check(make(), x0, grid, directions)
+        want = _reference_vector_minty(make(), x0, grid, directions)
+        assert got == want, (x0, grid)
+        seen["exact" if got["exact"] else "oracle"] += 1
+        seen["witnesses"] += bool(got["witnesses"])
+        seen["efficient"] += got["efficient"]
+        seen["not_single"] += not got["single_valued_quotients"]
+    # the cases must reach both kinds of psi and both verdicts
+    assert min(seen.values()) > 0 and seen["efficient"] < seen["exact"] + seen["oracle"], seen
+
+
+_KEY = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def _coordinates(dim):
+    """A stand-in workspace whose cone has the unit facet normals, so a value
+    is its own key, in any number of components."""
+    unit = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return SimpleNamespace(cone=SimpleNamespace(facet_normals=unit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_efficient_matches_pairwise_definition(data):
+    dim = data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(st.tuples(*[_KEY] * dim), min_size=1, max_size=6))
+    # values drawn from a small pool repeat: duplicate keys, equal keys at
+    # different points and ties in one coordinate
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    pairs = [((F(i),), v) for i, v in enumerate(values)]
+    want = [
+        x
+        for x, v in pairs
+        if not any(w != v and all(a <= b for a, b in zip(v, w)) for _, w in pairs)
+    ]
+    assert _efficient(_coordinates(dim), pairs) == want
+
+
+def test_efficient_on_a_cone_with_a_line():
+    # C = {z2 >= 0}: values that differ along the line z1 have one key
+    ws = Workspace(2, [(1, 0), (-1, 0), (0, 1)])
+    pairs = [((F(0),), (F(5), F(1))), ((F(1),), (F(-3), F(1))), ((F(2),), (F(0), F(2)))]
+    pairs += [((F(3),), (F(7), F(1))), ((F(4),), (F(0), F(2)))]
+    assert _efficient(ws, pairs) == [(F(0),), (F(1),), (F(3),)]
+    with pytest.raises(EmptyGrid):
+        _efficient(ws, [])
