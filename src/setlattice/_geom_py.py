@@ -312,21 +312,6 @@ def _support_facet(n, points):
     return reduce_facet(n[0], n[1], bv, bw)
 
 
-def _facet_at(n, p):
-    """The facet with normal n through the homogeneous point p."""
-    return reduce_facet(n[0], n[1], n[0] * p[0] + n[1] * p[1], p[2])
-
-
-def _support_facet(n, points):
-    """The facet with normal n through the points' maximiser of <n, .>."""
-    bv = None
-    for p in points:
-        v = n[0] * p[0] + n[1] * p[1]
-        if bv is None or v * bw > bv * p[2]:
-            bv, bw = v, p[2]
-    return reduce_facet(n[0], n[1], bv, bw)
-
-
 def hrep_from_vrep(points, rays):
     """The one pass from generators: the canonical facets, vertices and
     extreme rays of conv(points) + cone(rays), as (facets, points, rays) in

@@ -177,8 +177,9 @@ class _Ray:
     For exact f it holds the ray's ``setfun.FirstRows``, read once through
     ``f.first_rows`` (an epigraphical ray psi + C has the facet normals of C
     as rows), and what is built from them on demand: the emptiness near 0,
-    the shape, the derivative and the Dini value per z*.
-    Callers must not mutate them.
+    the shape, the derivative and the Dini value per z*.  Other modules read
+    the last two through ``read_derivative`` and ``read_dini``, and must not
+    mutate them.
     """
 
     __slots__ = ("x", "u", "_rows", "_pinched", "_shape", "derivative", "dini")
@@ -198,6 +199,15 @@ class _Ray:
         if self._rows is _UNSET:
             self._rows = f.first_rows(self.x, self.u)
         return self._rows
+
+    def read_derivative(self, f: SetFunction) -> DerivativeResult:
+        """The derivative, through ``set_derivative`` only on a miss."""
+        return set_derivative(f, self.x, self.u) if self.derivative is None else self.derivative
+
+    def read_dini(self, f: SetFunction, z) -> ExtReal:
+        """The Dini value at z*, through ``scalar_dini`` only on a miss."""
+        d = self.dini.get(tuple(z))
+        return scalar_dini(f, z, self.x, self.u) if d is None else d
 
     def dual_dini(self, z: tuple) -> ExtReal:
         """The scalar Dini value at z* by LP duality; rows(f) is not None and
@@ -350,6 +360,14 @@ def scalar_dini(f: SetFunction, zstar: Sequence, x: Sequence, u: Sequence) -> Ex
     return d
 
 
+def _require_dini(f: SetFunction):
+    """Raise unless f has scalar Dini derivatives: exact rows or an oracle to sample."""
+    if not isinstance(f, (RowFunction, OracleFunction)):
+        raise NotDeclaredConvex(
+            "exact scalar derivatives are available for parametric and epigraphical functions"
+        )
+
+
 def _scalar_dini(f: SetFunction, rec: _Ray, z: tuple) -> ExtReal:
     xx, uu = rec.x, rec.u
     vx = f.eval(xx)
@@ -359,10 +377,7 @@ def _scalar_dini(f: SetFunction, rec: _Ray, z: tuple) -> ExtReal:
         return MINUS_INF if vx.neg_support(z).is_minus_inf else ExtReal(0)
     if isinstance(f, OracleFunction):
         return _sampled_scalar_dini(f, z, xx, uu)
-    if not isinstance(f, RowFunction):
-        raise NotDeclaredConvex(
-            "exact scalar derivatives are available for parametric and epigraphical functions"
-        )
+    _require_dini(f)
     if rec.rows(f) is None:
         return PLUS_INF
     return rec.dual_dini(z)

@@ -73,11 +73,11 @@ def heyde_a(ws: Optional[Workspace] = None) -> ParamPolyFunction:
     )
 
 
-def heyde_b(
-    ws: Optional[Workspace] = None,
-    tolerance=Fraction(1, 10**6),
-    tangent_levels: int = 10,
-) -> OracleFunction:
+# heyde_b's tangent slopes are 2^k for |k| <= _HEYDE_B_LEVELS
+_HEYDE_B_LEVELS = 10
+
+
+def heyde_b(ws: Optional[Workspace] = None, tolerance=Fraction(1, 10**6)) -> OracleFunction:
     """Hyperbola-valued interpolation on [0, 1]: the value at x below 1 is the
     closed region above z2 = (1-x)^2/z1 in the open quadrant, here outer-
     approximated by tangent halfspaces plus the axes.
@@ -88,7 +88,7 @@ def heyde_b(
     strictly contains (hence dominates) every other value.
     """
     ws = ws or Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1), (-1, -1)])
-    params = [Fraction(2) ** k for k in range(-tangent_levels, tangent_levels + 1)]
+    params = [Fraction(2) ** k for k in range(-_HEYDE_B_LEVELS, _HEYDE_B_LEVELS + 1)]
 
     def evaluator(x):
         t = x[0]

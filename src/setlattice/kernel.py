@@ -535,18 +535,3 @@ def sup_family(workspace: Workspace, sets: Iterable[UpperSet]) -> UpperSet:
         facets.extend(s.facets)
     return UpperSet(workspace, facets)
 
-
-def feasible_with(upper: UpperSet, extra_facets) -> bool:
-    """Is A ∩ {extra halfspaces} nonempty?  (Raw geometric test.)"""
-    if upper.is_empty:
-        return False
-    combined = list(upper.facets) + [f for f in extra_facets]
-    canon, _, _ = upper.workspace.geom.vrep_from_hrep(combined)
-    return canon is not None
-
-
-def mirror_facets(upper: UpperSet):
-    """Facet system of -A = {-z : z in A} (not an upper set in general)."""
-    if upper.is_empty:
-        return None
-    return [tuple(-c for c in _facet_normal(f)) + f[-2:] for f in upper.facets]

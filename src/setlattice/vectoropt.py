@@ -398,15 +398,12 @@ def classify_dini(
 # Vector Minty principle
 # ---------------------------------------------------------------------------
 
+# the segment parameters sampled at every grid point
 DEFAULT_T_PARAMS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def vector_minty_check(
-    psi: VectorFunction,
-    x0: Sequence,
-    grid: Sequence[Sequence],
-    directions,
-    t_params: Sequence = DEFAULT_T_PARAMS,
+    psi: VectorFunction, x0: Sequence, grid: Sequence[Sequence], directions
 ) -> dict:
     """The three vector Minty forms over grid points and segment parameters.
 
@@ -425,7 +422,6 @@ def vector_minty_check(
     base_val = values[x0]
     if base_val is None:
         raise LatticeError("base point is outside the domain")
-    base_ts = [to_frac(t) for t in t_params]
     scalar_ok = True
     inner_ok = True
     single_valued = True
@@ -433,7 +429,7 @@ def vector_minty_check(
     zero = ExtReal(0)
     seg_points = []
     for x in pts:
-        ts = list(base_ts)
+        ts = list(DEFAULT_T_PARAMS)
         if psi.is_exact and x != x0:
             # close the sample under the segment's kinks, where off-grid
             # dominators of piecewise-linear data live, and the endpoint

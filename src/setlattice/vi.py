@@ -19,11 +19,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .calculus import (
     DerivativeResult,
+    _Ray,
+    _ray,
+    _require_dini,
     first_linear_sample,
     regularity_of,
-    scalar_dini,
     segment_criticals,
-    set_derivative,
 )
 from .extres import ExtReal, residual as ext_residual
 from .kernel import (
@@ -32,9 +33,7 @@ from .kernel import (
     UpperSet,
     Vec,
     as_vec,
-    feasible_with,
     inf_family,
-    mirror_facets,
 )
 from .setfun import (
     EmptyTranslationSet,
@@ -120,19 +119,9 @@ def _require_base(f: SetFunction, x0: Vec):
 _ZERO = ExtReal(0)
 
 
-@dataclass
-class _Ray:
-    """A ray (base, u); the table fills in its derivative and Dini row."""
-
-    base: Vec
-    u: Vec
-    derivative: Optional[DerivativeResult] = None
-    dini: Dict[int, ExtReal] = field(default_factory=dict)  # per direction index
-
-
 class _Row:
-    """A candidate x: f(x) and its rays (x0, x - x0) and (x, x0 - x), one
-    record when x = x0, built on first use, and its scalarizations."""
+    """A candidate x: f(x), its scalarizations and the ray records of f for
+    (x0, x - x0) and (x, x0 - x), one record when x = x0, read on first use."""
 
     def __init__(self, f: SetFunction, x0: Vec, x: Vec):
         self.f, self.x0, self.x, self.phis = f, x0, x, {}  # phis: per direction index
@@ -143,11 +132,11 @@ class _Row:
 
     @cached_property
     def stampacchia(self) -> _Ray:
-        return _Ray(self.x0, _vsub(self.x, self.x0))
+        return _ray(self.f, self.x0, _vsub(self.x, self.x0))
 
     @cached_property
     def minty(self) -> _Ray:
-        return self.stampacchia if self.x == self.x0 else _Ray(self.x, _vsub(self.x0, self.x))
+        return _ray(self.f, self.x, _vsub(self.x0, self.x))
 
 
 class _Table:
@@ -172,15 +161,10 @@ class _Table:
         return [k for k, z in enumerate(self.dirs) if not self.f.scalarize(z, self.x0).is_minus_inf]
 
     def derivative(self, ray: _Ray) -> DerivativeResult:
-        if ray.derivative is None:
-            ray.derivative = set_derivative(self.f, ray.base, ray.u)
-        return ray.derivative
+        return ray.read_derivative(self.f)
 
     def dini(self, ray: _Ray, k: int) -> ExtReal:
-        d = ray.dini.get(k)
-        if d is None:
-            d = ray.dini[k] = scalar_dini(self.f, self.dirs[k], ray.base, ray.u)
-        return d
+        return ray.read_dini(self.f, self.dirs[k])
 
     def phi(self, row: _Row, k: int) -> ExtReal:
         p = row.phis.get(k)
@@ -190,6 +174,8 @@ class _Table:
 
     def check(self, name: str) -> ViReport:
         ineq = _INEQUALITIES[name]
+        if ineq.dini:
+            _require_dini(self.f)
         report = ViReport(name, True, exact=self.f.is_exact, space_size=len(self.rows))
         if ineq.guard and self.v0.is_whole:
             report.notes["guard"] = "f(x0) = Z"
@@ -280,9 +266,10 @@ class _Table:
         return any(_ZERO < self.dini(ray, k) for k in range(len(self.dirs)))
 
     def SVI_M(self, row, ray):
-        """0 ∉ f'(x0, x - x0); the equivalent form is f'(x0, x - x0) ∩ -0+f(x0) = ∅."""
+        """0 ∉ f'(x0, x - x0); the equivalent form f'(x0, x - x0) ∩ -0+f(x0) = ∅
+        is read as 0 ∉ f'(x0, x - x0) + 0+f(x0)."""
         D = self.derivative(ray)
-        meets = feasible_with(D.value, mirror_facets(self.rec0))
+        meets = D.value.add(self.rec0).contains_point(self.origin)
         return not D.value.contains_point(self.origin), not meets if D.exact else None
 
     def svi_M2(self, row, ray):
@@ -313,7 +300,8 @@ class _Inequality:
     guard: f(x0) = Z passes.  test(table, row, ray): the witnesses at x, or
     whether x passes, and with a note also the verdict of an equivalent form
     (None if not comparable); the note says if both agreed at every x.
-    by_direction: witnesses are listed z*-major."""
+    by_direction: witnesses are listed z*-major.  dini: the test reads scalar
+    Dini values, so a function without them raises before any x is read."""
 
     minty: bool
     form: str
@@ -321,20 +309,21 @@ class _Inequality:
     test: Callable
     note: Optional[str] = None
     by_direction: bool = False
+    dini: bool = False
 
 
 _INEQUALITIES = {
     "SVI_I": _Inequality(False, "I", False, _Table.SVI_I),
-    "svi_I": _Inequality(False, "I", False, _Table.svi_I, by_direction=True),
+    "svi_I": _Inequality(False, "I", False, _Table.svi_I, by_direction=True, dini=True),
     "MVI_I": _Inequality(True, "I", False, _Table.MVI_I, "membership_form_agrees"),
-    "mvi_I": _Inequality(True, "I", False, _Table.mvi_I),
+    "mvi_I": _Inequality(True, "I", False, _Table.mvi_I, dini=True),
     "SVI_M": _Inequality(False, "M", True, _Table.SVI_M, "intersection_form_agrees"),
-    "svi_M": _Inequality(False, "M", True, _Table.svi_M),
-    "svi_M2": _Inequality(False, "M", False, _Table.svi_M2),
+    "svi_M": _Inequality(False, "M", True, _Table.svi_M, dini=True),
+    "svi_M2": _Inequality(False, "M", False, _Table.svi_M2, dini=True),
     "MVI_M": _Inequality(True, "M", False, _Table.MVI_M),
-    "mvi_M": _Inequality(True, "M", False, _Table.mvi_M),
+    "mvi_M": _Inequality(True, "M", False, _Table.mvi_M, dini=True),
     # mvi_M over the finite direction sample the caller passes
-    "mvi_M_finite": _Inequality(True, "M", False, _Table.mvi_M),
+    "mvi_M_finite": _Inequality(True, "M", False, _Table.mvi_M, dini=True),
 }
 
 INEQUALITY_IDS = tuple(_INEQUALITIES)

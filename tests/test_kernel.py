@@ -15,7 +15,7 @@ from setlattice import (
     sup_family,
 )
 from setlattice.extres import residual as ext_residual
-from setlattice.kernel import OrderCone, _int_dir, feasible_with, mirror_facets
+from setlattice.kernel import OrderCone, _int_dir
 
 
 @pytest.fixture
@@ -171,15 +171,6 @@ def test_json_round_trip(orthant):
     doc = a.to_json()
     assert orthant.from_json(doc) == a
     assert orthant.from_json(orthant.empty_set().to_json()).is_empty
-
-
-def test_feasibility_helpers(orthant):
-    cone = orthant.cone_set()
-    mirrored = mirror_facets(cone)
-    # the cone and its mirror meet only at the origin, which is feasible
-    assert feasible_with(cone, mirrored)
-    # a strictly shifted cone misses the mirrored cone entirely
-    assert not feasible_with(orthant.translated_cone((1, 1)), mirrored)
 
 
 def test_halfplane_and_line_sets(orthant):

@@ -6,7 +6,13 @@ from itertools import product
 
 import pytest
 
-from setlattice.calculus import regularity_check, scalar_dini, segment_criticals, set_derivative
+from setlattice.calculus import (
+    NotDeclaredConvex,
+    regularity_check,
+    scalar_dini,
+    segment_criticals,
+    set_derivative,
+)
 from setlattice.extres import ExtReal, residual as ext_residual
 from setlattice.instances import (
     heyde_a,
@@ -15,18 +21,12 @@ from setlattice.instances import (
     orthant_workspace,
     random_concave_pwl,
     random_convex_pwl,
+    random_dual_direction,
     random_grid,
     random_parampoly,
     random_workspace,
 )
-from setlattice.kernel import (
-    DirectionSet,
-    LatticeError,
-    Workspace,
-    feasible_with,
-    inf_family,
-    mirror_facets,
-)
+from setlattice.kernel import DirectionSet, LatticeError, Workspace, _facet_normal, inf_family
 from setlattice.setfun import (
     ConcavePWL,
     EpiVectorFunction,
@@ -34,6 +34,7 @@ from setlattice.setfun import (
     OracleFunction,
     ParamPolyFunction,
     Polyhedron,
+    RowFunction,
     inf_translate,
     infimum_over_domain,
 )
@@ -543,6 +544,97 @@ def test_infimum_over_domain_empty_and_whole():
     assert infimum_over_domain(ParamPolyFunction(w1, 1, [(-1,)], [ramp])).is_whole
 
 
+# SVI_M's intersection form f'(x0, x - x0) ∩ -0+f(x0) = ∅ on raw rows, as the
+# audit read it before the sum form 0 ∉ f'(x0, x - x0) + 0+f(x0): A's facets
+# and the mirrored facets of R in one emptiness test.  It is the reference for
+# 0 ∈ A + R and for the reference run's SVI_M.
+
+
+def feasible_with(upper, extra_facets) -> bool:
+    """Is A ∩ {extra halfspaces} nonempty?  (Raw geometric test.)"""
+    if upper.is_empty:
+        return False
+    combined = list(upper.facets) + [f for f in extra_facets]
+    canon, _, _ = upper.workspace.geom.vrep_from_hrep(combined)
+    return canon is not None
+
+
+def mirror_facets(upper):
+    """Facet system of -A = {-z : z in A} (not an upper set in general)."""
+    if upper.is_empty:
+        return None
+    return [tuple(-c for c in _facet_normal(f)) + f[-2:] for f in upper.facets]
+
+
+def test_feasibility_helpers(ws):
+    cone = ws.cone_set()
+    mirrored = mirror_facets(cone)
+    # the cone and its mirror meet only at the origin, which is feasible
+    assert feasible_with(cone, mirrored)
+    # a strictly shifted cone misses the mirrored cone entirely
+    assert not feasible_with(ws.translated_cone((1, 1)), mirrored)
+
+
+def _random_upper(rng, ws):
+    """∅, Z, or rows with normals in C^-; a "flat" draw pairs each row whose
+    opposite normal is in C^- too with its opposite, which pins the set to a
+    line or a point in that normal."""
+    kind = rng.choice(["empty", "whole", "rows", "rows", "flat"])
+    if kind == "empty":
+        return ws.empty_set()
+    if kind == "whole":
+        return ws.whole_space()
+    rows = []
+    for _ in range(8):
+        n = tuple(rng.randint(-2, 2) for _ in range(ws.dim))
+        if any(n) and ws.cone.in_dual(n) and len(rows) < 3:
+            b = F(rng.randint(-6, 6), rng.randint(1, 3))
+            rows.append((n, b))
+            m = tuple(-c for c in n)
+            if kind == "flat" and ws.cone.in_dual(m):
+                rows.append((m, -b))
+    return ws.upper_set(rows)
+
+
+def _is_flat(a):
+    cons = a.constraints
+    return any(tuple(-c for c in n) == m and b + d == 0 for n, b in cons for m, d in cons)
+
+
+def test_sum_form_matches_mirrored_intersection():
+    """0 ∈ A + R, one canonical sum and a membership, agrees with the raw-row
+    test A ∩ -R ≠ ∅ over 1-D and 2-D upper sets A and recession cones R, on
+    ordering cones {0}, half-lines, a wedge, a ray, a line and a half-plane."""
+    cones = [
+        Workspace(1, []),
+        Workspace(1, [(1,)]),
+        Workspace(1, [(-1,)]),
+        Workspace(2, []),
+        orthant_workspace(),
+        Workspace(2, [(2, -1), (-1, 3)]),
+        Workspace(2, [(1, 1)]),
+        Workspace(2, [(1, -1), (-1, 1)]),
+        Workspace(2, [(0, 1), (1, 0), (-1, 0)]),
+    ]
+    rng = random.Random(2131)
+    seen = dict.fromkeys(("empty", "whole", "flat", "meets", "misses", "flat_R"), 0)
+    dims = set()
+    for _ in range(600):
+        ws = rng.choice(cones)
+        a = _random_upper(rng, ws)
+        b = _random_upper(rng, ws)
+        r = ws.cone_set() if b.is_empty else b.recession()
+        meets = a.add(r).contains_point((F(0),) * ws.dim)
+        assert meets == feasible_with(a, mirror_facets(r)), (a, r)
+        seen["empty"] += a.is_empty
+        seen["whole"] += a.is_whole
+        seen["flat"] += not a.is_empty and _is_flat(a)
+        seen["meets" if meets else "misses"] += 1
+        seen["flat_R"] += _is_flat(r) and not r.is_whole
+        dims.add(ws.dim)
+    assert dims == {1, 2} and min(seen.values()) >= 10, seen
+
+
 # The per-inequality checker loop as it was before the audit shared one table:
 # every test re-derives its ray and reads set_derivative, scalar_dini, f.eval
 # and f.scalarize afresh.  It is the reference for run_checker, the audit's
@@ -624,8 +716,17 @@ def _vsub(a, b):
     return tuple(p - q for p, q in zip(a, b))
 
 
+# the forms that read scalar Dini values; a function without them (neither
+# exact rows nor an oracle) fails such a form before any x is read
+_DINI_FORMS = ("svi_I", "mvi_I", "svi_M", "svi_M2", "mvi_M", "mvi_M_finite")
+
+
 def _reference_checker(name, f, x0, space, directions):
     minty, form, guard, test, note, by_direction = _REFERENCE_ROWS[name]
+    if name in _DINI_FORMS and not isinstance(f, (RowFunction, OracleFunction)):
+        raise NotDeclaredConvex(
+            "exact scalar derivatives are available for parametric and epigraphical functions"
+        )
     report = ViReport(name, True, exact=f.is_exact, space_size=len(space))
     run = _ReferenceRun(f, x0, directions, report)
     if guard and run.v0.is_whole:
@@ -748,3 +849,32 @@ def test_audit_table_matches_per_inequality_reference():
             # the audit's exact flag is f's: so is every report's
             assert all(rep["exact"] == f.is_exact for rep in ref[0].values()), k
     assert min(seen.values()) >= 4, seen
+
+
+def test_finite_inf_dini_forms_are_decided_from_f_alone():
+    """A FiniteInf function has no Dini derivative, so each scalar form raises
+    before its guard and before any x or direction is read: permuting or
+    extending the direction set leaves one outcome kind per form."""
+    rng = random.Random(2153)
+    cases = 0
+    kinds = {name: set() for name in INEQUALITY_IDS}
+    while cases < 24:
+        ws = random_workspace(rng, rng.choice([1, 2]))
+        xdim = rng.choice([1, 2])
+        f = FiniteInfFunction([random_parampoly(rng, ws, xdim, max_normals=2) for _ in "ab"])
+        pts = random_grid(rng, xdim, rng.randint(3, 5))
+        bases = [x for x in pts if not f.eval(x).is_empty]
+        if not bases:
+            continue
+        cases += 1
+        x0, space = bases[0], CandidateSpace.of(pts)
+        dirs = list(ws.directions)
+        extra = [d for d in (random_dual_direction(rng, ws) for _ in range(3)) if d is not None]
+        variants = [dirs, dirs[::-1], rng.sample(dirs, len(dirs)), dirs + extra, extra[::-1] + dirs]
+        for name in INEQUALITY_IDS:
+            outcomes = [_outcome(lambda: run_checker(name, f, x0, space, d)) for d in variants]
+            kind = {o[:2] if isinstance(o, tuple) else "report" for o in outcomes}
+            assert len(kind) == 1, (cases, name, kind)
+            kinds[name] |= kind
+    for name in _DINI_FORMS:
+        assert kinds[name] == {("raises", "NotDeclaredConvex")}, name
