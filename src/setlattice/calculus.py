@@ -25,15 +25,17 @@ from typing import List, Optional, Sequence, Tuple
 
 from .extres import MINUS_INF, PLUS_INF, ExtReal, residual as ext_residual
 from .kernel import (
+    DirectionSet,
     LatticeError,
+    Point,
     UpperSet,
-    Vec,
+    _along,
+    _check_lengths,
     _int_dir,
-    as_vec,
     inf_family,
     to_frac,
 )
-from .setfun import FirstRows, OracleFunction, RowFunction, SetFunction, _check_lengths
+from .setfun import FirstRows, OracleFunction, RowFunction, SetFunction
 
 
 class NotDeclaredConvex(LatticeError):
@@ -65,10 +67,8 @@ def diff_quotient(f: SetFunction, x: Sequence, u: Sequence, t) -> UpperSet:
     t = to_frac(t)
     if t <= 0:
         raise LatticeError("quotient parameter must be positive")
-    xx = as_vec(x)
-    uu = as_vec(u)
-    xt = tuple(a + t * b for a, b in zip(xx, uu))
-    return f.eval(xt).residual(f.eval(xx)).scale(1 / t)
+    p = f.point(x)
+    return f.value_at(f.point(_along(p, u, t))).residual(f.value_at(p)).scale(1 / t)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +182,10 @@ class _Ray:
     mutate them.
     """
 
-    __slots__ = ("x", "u", "_rows", "_pinched", "_shape", "derivative", "dini")
+    __slots__ = ("p", "u", "_rows", "_pinched", "_shape", "derivative", "dini")
 
-    def __init__(self, x: Vec, u: Vec):
-        self.x = x
+    def __init__(self, p: Point, u: Point):
+        self.p = p  # f's record of x
         self.u = u
         self._rows = _UNSET
         self._pinched = None
@@ -197,17 +197,17 @@ class _Ray:
         """The first rows; None when the ray leaves the domain at once.
         f is a RowFunction."""
         if self._rows is _UNSET:
-            self._rows = f.first_rows(self.x, self.u)
+            self._rows = f.first_rows(self.p, self.u)
         return self._rows
 
     def read_derivative(self, f: SetFunction) -> DerivativeResult:
         """The derivative, through ``set_derivative`` only on a miss."""
-        return set_derivative(f, self.x, self.u) if self.derivative is None else self.derivative
+        return set_derivative(f, self.p, self.u) if self.derivative is None else self.derivative
 
     def read_dini(self, f: SetFunction, z) -> ExtReal:
         """The Dini value at z*, through ``scalar_dini`` only on a miss."""
         d = self.dini.get(tuple(z))
-        return scalar_dini(f, z, self.x, self.u) if d is None else d
+        return scalar_dini(f, z, self.p, self.u) if d is None else d
 
     def dual_dini(self, z: tuple) -> ExtReal:
         """The scalar Dini value at z* by LP duality; rows(f) is not None and
@@ -256,11 +256,11 @@ class _Ray:
         is not None and f(x) is nonempty, so each σ is finite."""
         if self._shape is None:
             normals, alpha, beta, den, t1, _ = self._rows
-            vx = f.eval(self.x)
-            sigma = [vx.support(n).value for n in normals]
-            w = lcm(*(s.denominator for s in sigma))
+            vx = f.value_at(self.p)
+            sigma = [vx._sup(n) for n in normals]  # σ_i = sn/sd
+            w = lcm(*(sd for _, sd in sigma))
             # alpha_i/den - sigma_i and beta_i/den over den*w
-            slack = [a * w - s.numerator * (den * w // s.denominator) for a, s in zip(alpha, sigma)]
+            slack = [a * w - sn * (den * w // sd) for a, (sn, sd) in zip(alpha, sigma)]
             roots, verts = _shape_roots(normals, alpha, beta)
             roots += _shape_roots(normals, slack, [b * w for b in beta])[0]
             self._shape = slack, min([*roots, Fraction(1), t1 or Fraction(1)]), verts
@@ -268,13 +268,15 @@ class _Ray:
 
 
 def _ray(f: SetFunction, x: Sequence, u: Sequence) -> _Ray:
-    xx = as_vec(x)
-    uu = as_vec(u)
-    rec = f._rays.get((xx, uu))
+    """f's record of the ray (x, u), keyed by their integer forms; Points,
+    such as a ray's own x and u, are keyed as they are."""
+    p = f.point(x)
+    ku, du = _int_dir(u)
+    key = (p.k, p.d, ku, du)
+    rec = f._rays.get(key)
     if rec is None:
-        f.check_arity(xx)
-        f.check_arity(uu)
-        rec = f._rays[(xx, uu)] = _Ray(xx, uu)
+        _check_lengths(f.xdim, (ku,), "a direction")
+        rec = f._rays[key] = _Ray(p, u if type(u) is Point else Point(ku, du))
     return rec
 
 
@@ -290,14 +292,13 @@ def set_derivative(f: SetFunction, x: Sequence, u: Sequence) -> DerivativeResult
 
 def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
     ws = f.workspace
-    xx, uu = rec.x, rec.u
-    vx = f.eval(xx)
+    vx = f.value_at(rec.p)
     if vx.is_empty:
         return DerivativeResult(ws.whole_space(), exact=f.is_exact)
-    if not any(uu):
+    if not any(rec.u.k):
         return DerivativeResult(vx.recession(), exact=f.is_exact)
     if isinstance(f, OracleFunction):
-        return _sampled_derivative(f, xx, uu)
+        return _sampled_derivative(f, rec.p, rec.u)
     if not isinstance(f, RowFunction):
         raise NotDeclaredConvex(
             "exact derivatives are available for parametric and epigraphical functions"
@@ -314,19 +315,19 @@ def _set_derivative(f: SetFunction, rec: _Ray) -> DerivativeResult:
     value = UpperSet(
         ws, [facet(n, b, rows.den) for n, s, b in zip(rows.normals, slack, rows.beta) if s == 0]
     )
-    q = diff_quotient(f, xx, uu, teval)
+    q = diff_quotient(f, rec.p, rec.u, teval)
     return DerivativeResult(
         value, exact=True, stabilization_t=teval if q == value else None, samples=[(teval, q)]
     )
 
 
-def _sampled_derivative(f: OracleFunction, xx, uu) -> DerivativeResult:
+def _sampled_derivative(f: OracleFunction, p: Point, u: Point) -> DerivativeResult:
     ws = f.workspace
     quotients = []
     ts = []
     t = Fraction(1)
     for _ in range(20):
-        quotients.append(diff_quotient(f, xx, uu, t))
+        quotients.append(diff_quotient(f, p, u, t))
         ts.append(t)
         t = t / 2
     value = inf_family(ws, quotients)
@@ -369,27 +370,24 @@ def _require_dini(f: SetFunction):
 
 
 def _scalar_dini(f: SetFunction, rec: _Ray, z: tuple) -> ExtReal:
-    xx, uu = rec.x, rec.u
-    vx = f.eval(xx)
-    if vx.is_empty:
+    if f.value_at(rec.p).is_empty:
         return MINUS_INF
-    if not any(uu):
-        return MINUS_INF if vx.neg_support(z).is_minus_inf else ExtReal(0)
+    if not any(rec.u.k):
+        return MINUS_INF if f.phi_at(rec.p, z).is_minus_inf else ExtReal(0)
     if isinstance(f, OracleFunction):
-        return _sampled_scalar_dini(f, z, xx, uu)
+        return _sampled_scalar_dini(f, z, rec.p, rec.u)
     _require_dini(f)
     if rec.rows(f) is None:
         return PLUS_INF
     return rec.dual_dini(z)
 
 
-def _sampled_scalar_dini(f: OracleFunction, z, xx, uu) -> ExtReal:
-    phi0 = f.eval(xx).neg_support(z)
+def _sampled_scalar_dini(f: OracleFunction, z, p: Point, u: Point) -> ExtReal:
+    phi0 = f.phi_at(p, z)
     best = PLUS_INF
     t = Fraction(1)
     for _ in range(20):
-        xt = tuple(a + t * b for a, b in zip(xx, uu))
-        quotient = ext_residual(f.eval(xt).neg_support(z), phi0)
+        quotient = ext_residual(f.phi_at(f.point(_along(p, u, t)), z), phi0)
         best = min(best, ExtReal(quotient.value / t) if quotient.is_finite else quotient)
         t = t / 2
     return best
@@ -414,7 +412,12 @@ def _level_set(f: SetFunction, directions, dinis: Sequence[ExtReal]) -> UpperSet
     if any(d.is_plus_inf for d in dinis):
         return ws.empty_set()
     # each finite d gives the level halfspace <z*, w> <= -(d - margin); -inf gives Z
-    return ws.upper_set([(z, margin - d.value) for z, d in zip(directions, dinis) if d.is_finite])
+    rows = [(z, margin - d.value) for z, d in zip(directions, dinis) if d.is_finite]
+    if isinstance(directions, DirectionSet) and directions.cone == ws.cone:
+        # checked items: primitive and in C^-, so the rows skip the checks of upper_set
+        facet = ws.geom.facet
+        return UpperSet(ws, [facet(z, b.numerator, b.denominator) for z, b in rows])
+    return ws.upper_set(rows)
 
 
 @dataclass
@@ -465,7 +468,7 @@ def first_linear_sample(
     if not isinstance(f, RowFunction):
         return None
     rec = _ray(f, x, u)
-    if not any(rec.u) or f.eval(rec.x).is_empty or rec.rows(f) is None:
+    if not any(rec.u.k) or f.value_at(rec.p).is_empty or rec.rows(f) is None:
         return None
     # t0, lowered to the first optimal-basis switch of <z*, v(t)> over directions
     _, t0, verts = rec.shape(f)
@@ -480,13 +483,13 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
     roots = set()
     for pwl in g.pwls:
         roots.update(_all_crossings(pwl))
-    for (a,), rr in g.domain.rows:
-        if a != 0 and 0 < rr / a < 1:
-            roots.add(rr / a)
+    for (a,), r, _ in g.domain.irows:
+        if a != 0 and 0 < (root := Fraction(r, a)) < 1:
+            roots.add(root)
     bounds = [Fraction(0), *sorted(roots), Fraction(1)]
     for lo, hi in zip(bounds, bounds[1:]):
         # every PWL is affine on (lo, hi), so the ray from lo has fixed rows there
-        rows = g._rows_along((lo,), (1,))
+        rows = g._rows_along((lo.numerator,), (lo.denominator,), lo.denominator)
         shape, verts = _shape_roots(rows.normals, rows.alpha, rows.beta)
         roots.update(lo + r for r in shape + _swap_roots(verts, directions) if lo + r < hi)
     return sorted(roots)

@@ -26,7 +26,8 @@ class ExtReal:
 
     def __init__(self, value: RationalLike = 0, *, _tag: int = _FIN):
         if _tag == _FIN:
-            object.__setattr__(self, "value", Fraction(value))
+            # a Fraction is immutable: it is kept as given, not rebuilt
+            object.__setattr__(self, "value", value if type(value) is Fraction else Fraction(value))
         else:
             object.__setattr__(self, "value", None)
         object.__setattr__(self, "tag", _tag)

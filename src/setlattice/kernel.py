@@ -35,6 +35,18 @@ class WorkspaceMismatch(LatticeError):
     pass
 
 
+class ArityMismatch(LatticeError):
+    pass
+
+
+def _check_lengths(n: int, vectors: Iterable[Sequence], what: str):
+    """Every vector has n coordinates: a longer or shorter one would be read
+    wrongly (a coordinate dropped, or a homogeneous weight taken for one)."""
+    for v in vectors:
+        if len(v) != n:
+            raise ArityMismatch(f"{what} has {len(v)} coordinates, expected {n}")
+
+
 def to_frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -52,13 +64,47 @@ def as_vec(v) -> Vec:
 
 
 def _int_dir(v: Iterable) -> Tuple[Tuple[int, ...], int]:
-    """An integer vector k and a denominator den >= 1 with v = k/den."""
+    """An integer vector k and a denominator den >= 1 with v = k/den; den is
+    the lcm of the denominators, so equal rationals give equal (k, den)."""
+    if type(v) is Point:
+        return v.k, v.d
     v = tuple(v)
     if all(type(c) is int for c in v):
         return v, 1
     fr = [to_frac(c) for c in v]
     den = lcm(*(c.denominator for c in fr))
     return tuple(c.numerator * (den // c.denominator) for c in fr), den
+
+
+class Point:
+    """A rational vector x = k/d in the integer form of ``_int_dir``, and the
+    memo record of one argument of one set function: f(x) in ``value`` and
+    the scalarisations φ(x, z*) in ``phi``, per z*, computed on first use."""
+
+    __slots__ = ("k", "d", "value", "phi")
+
+    def __init__(self, k: Tuple[int, ...], d: int):
+        self.k, self.d, self.value, self.phi = k, d, None, {}
+
+    @property
+    def x(self) -> Vec:
+        """The Fraction view."""
+        return tuple(Fraction(c, self.d) for c in self.k)
+
+    def __repr__(self):
+        return f"Point({list(self.x)})"
+
+
+def _along(x, u, t) -> Point:
+    """The point x + t u, for rational vectors x and u (Points are read as
+    they are) and a rational t, in integer form."""
+    (kx, dx), (ku, du) = _int_dir(x), _int_dir(u)
+    t = to_frac(t)
+    a, b = du * t.denominator, dx * t.numerator
+    k = [p * a + q * b for p, q in zip(kx, ku)]
+    d = dx * a
+    g = gcd(d, *k)
+    return Point(tuple(c // g for c in k), d // g)
 
 
 def _primitive_dir(v: Sequence) -> Tuple[int, ...]:
@@ -129,6 +175,7 @@ class OrderCone:
 
     def contains(self, v: Sequence) -> bool:
         k, _ = _int_dir(v)  # the normals are integers: test <n, k> <= 0 on ints
+        _check_lengths(self.dim, (k,), "a vector")
         return all(sum(map(mul, n, k)) <= 0 for n in self.facet_normals)
 
     def in_dual(self, z: Sequence) -> bool:
@@ -159,9 +206,10 @@ class OrderCone:
 class DirectionSet:
     """A finite sample of scalarization directions in C^- \\ {0}."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "cone")
 
     def __init__(self, cone: OrderCone, directions: Iterable[Sequence]):
+        self.cone = cone  # every item is primitive and in C^- of this cone
         items = []
         for d in directions:
             p = _primitive_dir(d)
@@ -216,8 +264,7 @@ class Workspace:
         """Canonical upper set from (normal, offset) halfspaces {z: <n,z> <= b}."""
         facets = []
         for normal, offset in constraints:
-            if len(normal) != self.dim:
-                raise LatticeError(f"a normal has {len(normal)} coordinates, expected {self.dim}")
+            _check_lengths(self.dim, (normal,), "a normal")
             k, den = _int_dir(normal)
             n = _primitive_dir(k)
             if not self.cone.in_dual(n):
@@ -359,13 +406,12 @@ class UpperSet:
         return self.workspace.geom.vrep_inside_hrep(other.points, other.rayset, self.facets)
 
     def contains_point(self, v: Sequence) -> bool:
+        k, d = _int_dir(v)
+        _check_lengths(self.workspace.dim, (k,), "a point")
         if self.is_empty:
             return False
-        vv = as_vec(v)
-        for f in self.facets:
-            if _dot(_facet_normal(f), vv) > _facet_offset(f):
-                return False
-        return True
+        # v = k/d is in {<n, z> <= cn/cd} iff <n, k> cd <= cn d
+        return all(sum(map(mul, f, k)) * f[-1] <= f[-2] * d for f in self.facets)
 
     # -- conlinear operations ---------------------------------------------
 
@@ -452,9 +498,10 @@ class UpperSet:
 
     def support(self, direction: Sequence) -> ExtReal:
         """Support function sup{<z*, z> : z in A}; -∞ on the empty set."""
+        k, den = _int_dir(direction)
+        _check_lengths(self.workspace.dim, (k,), "a direction")
         if self.is_empty:
             return MINUS_INF
-        k, den = _int_dir(direction)
         s = self._sup(k)
         if s is None:
             return PLUS_INF

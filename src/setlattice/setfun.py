@@ -18,11 +18,14 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 from .extres import ExtReal, ext_min
 from .kernel import (
     GEOMETRY,
+    ArityMismatch,  # re-exported: the arity errors of set functions
     LatticeError,
     NormalOutsideDualCone,
+    Point,
     UpperSet,
     Vec,
     Workspace,
+    _check_lengths,
     _dot,
     _facet_normal,
     _int_dir,
@@ -42,17 +45,6 @@ class EmptyTranslationSet(LatticeError):
     pass
 
 
-class ArityMismatch(LatticeError):
-    pass
-
-
-def _check_lengths(n: int, vectors: Iterable[Sequence], what: str):
-    """Every vector has n coordinates; _dot would silently truncate a longer one."""
-    for v in vectors:
-        if len(v) != n:
-            raise ArityMismatch(f"{what} has {len(v)} coordinates, expected {n}")
-
-
 def _components(workspace: Workspace, xdim: int, components) -> tuple:
     """The components of a vector function: one per image coordinate, of xdim arguments."""
     comps = tuple(components)
@@ -68,14 +60,23 @@ def _components(workspace: Workspace, xdim: int, components) -> tuple:
 
 
 class Polyhedron:
-    """A polyhedron {x : <a_i, x> <= r_i} in the argument space."""
+    """A polyhedron {x : <a_i, x> <= r_i} in the argument space.
 
-    __slots__ = ("dim", "rows")
+    Each row is kept as integers (a, r, s), one scale s >= 1 per row: the
+    row is <a/s, x> <= r/s, so membership of x = k/d is <a, k> <= r d.
+    ``rows`` is the Fraction view."""
+
+    __slots__ = ("dim", "irows")
 
     def __init__(self, dim: int, rows: Iterable[Tuple[Sequence, object]] = ()):
+        rows = [(tuple(a), r) for a, r in rows]
+        _check_lengths(dim, (a for a, _ in rows), "a domain row")
         self.dim = dim
-        self.rows = tuple((as_vec(a), to_frac(r)) for a, r in rows)
-        _check_lengths(dim, (a for a, _ in self.rows), "a domain row")
+        self.irows = tuple((k[:-1], k[-1], s) for k, s in (_int_dir((*a, r)) for a, r in rows))
+
+    @property
+    def rows(self) -> Tuple[Tuple[Vec, Fraction], ...]:
+        return tuple((tuple(Fraction(c, s) for c in a), Fraction(r, s)) for a, r, s in self.irows)
 
     @staticmethod
     def whole(dim: int) -> "Polyhedron":
@@ -95,13 +96,22 @@ class Polyhedron:
         return Polyhedron(dim, rows)
 
     def contains(self, x: Sequence) -> bool:
-        xx = as_vec(x)
-        return all(_dot(a, xx) <= r for a, r in self.rows)
+        k, d = _int_dir(x)
+        _check_lengths(self.dim, (k,), "a point")
+        return all(sum(map(mul, a, k)) <= r * d for a, r, _ in self.irows)
 
     def compose(self, base: Vec, cols: Sequence[Vec], extra=()) -> "Polyhedron":
         """The polyhedron {y : base + Σ_j y_j cols_j in self}, cut by the y-rows extra."""
-        rows = [(tuple(_dot(a, c) for c in cols), r - _dot(a, base)) for a, r in self.rows]
-        return Polyhedron(len(cols), rows + list(extra))
+        k, d = _int_dir([*base, *chain(*cols)])  # base and cols over one d
+        it = iter(k)
+        kb, *kcols = [tuple(islice(it, len(base))) for _ in range(len(cols) + 1)]
+        # <a/s, kb/d + Σ y_j kc_j/d> <= r/s is <(<a, kc_j>)_j, y> <= r d - <a, kb> over s d
+        out = Polyhedron(len(cols), extra)
+        out.irows = tuple(
+            (tuple(sum(map(mul, a, c)) for c in kcols), r * d - sum(map(mul, a, kb)), s * d)
+            for a, r, s in self.irows
+        ) + out.irows
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +220,8 @@ class FirstRows(NamedTuple):
 
 
 # t-rows (coefficient, bound) of the parameter ranges of restrict and ray_restrict
-_HALF_LINE = (((Fraction(-1),), Fraction(0)),)
-_UNIT_INTERVAL = _HALF_LINE + (((Fraction(1),), Fraction(1)),)
+_HALF_LINE = (((-1,), 0),)
+_UNIT_INTERVAL = _HALF_LINE + (((1,), 1),)
 
 
 class SetFunction:
@@ -224,28 +234,44 @@ class SetFunction:
     name: str = ""
 
     def __init__(self):
-        self._cache = {}  # value per argument
-        self._rays = {}  # calculus._Ray per (x, u)
+        self._cache = {}  # kernel.Point record per argument, keyed by its (k, d)
+        self._rays = {}  # calculus._Ray per (x, u), keyed by their (k, d)
+
+    def point(self, x: Sequence) -> Point:
+        """The memo record of the argument x; a Point is keyed as it is."""
+        key = _int_dir(x)
+        p = self._cache.get(key)
+        if p is None:
+            _check_lengths(self.xdim, key[:1], "an argument")
+            p = self._cache[key] = Point(*key)
+        return p
 
     def eval(self, x: Sequence) -> UpperSet:
-        key = as_vec(x)
-        hit = self._cache.get(key)
-        if hit is None:
-            self.check_arity(key)
-            hit = self._eval(key)
-            self._cache[key] = hit
-        return hit
+        return self.value_at(self.point(x))
 
-    def check_arity(self, x: Vec):
-        if len(x) != self.xdim:
-            raise ArityMismatch(f"expected {self.xdim} coordinates, got {len(x)}")
+    def value_at(self, p: Point) -> UpperSet:
+        """f(x) for the record p of x."""
+        if p.value is None:
+            p.value = self._eval(p)
+        return p.value
 
-    def _eval(self, x: Vec) -> UpperSet:
+    def _eval(self, p: Point) -> UpperSet:
         raise NotImplementedError
 
     def scalarize(self, zstar: Sequence, x: Sequence) -> ExtReal:
         """The scalarization value inf{-<z*, z> : z in f(x)} (+∞ iff f(x) = ∅)."""
-        return self.eval(x).neg_support(zstar)
+        return self.phi_at(self.point(x), zstar)
+
+    def phi_at(self, p: Point, zstar: Sequence) -> ExtReal:
+        """φ(x, z*) for the record p of x, kept in its row per z*."""
+        z = tuple(zstar)
+        phi = p.phi.get(z)
+        if phi is None:
+            phi = p.phi[z] = self._scalarize(p, z)
+        return phi
+
+    def _scalarize(self, p: Point, z: tuple) -> ExtReal:
+        return self.value_at(p).neg_support(z)
 
     def _compose(self, base: Vec, cols: Sequence[Vec], extra) -> "SetFunction":
         """The function y -> f(base + Σ_j y_j cols_j), ∅ where a y-row of extra fails."""
@@ -287,30 +313,37 @@ class RowFunction(SetFunction):
         slopes along u, integers over den, and t1."""
         raise NotImplementedError
 
-    def _rows_along(self, x: Vec, u: Vec, ends=()) -> FirstRows:
-        """The first rows of the ray t -> f(x + t u), the domain aside: t1 is
-        the first PWL bend or the least of ends."""
-        k, d = _int_dir((*x, *u))
+    def _rows_along(self, kx, ku, d: int, ends=()) -> FirstRows:
+        """The first rows of the ray t -> f((kx + t ku)/d), kx and ku integer,
+        the domain aside: t1 is the first PWL bend or the least of ends."""
         den = lcm(*(p.den for p in self.pwls))
-        firsts = [(p.first_piece(k[: len(x)], k[len(x) :], d), den // p.den) for p in self.pwls]
+        firsts = [(p.first_piece(kx, ku, d), den // p.den) for p in self.pwls]
         values, slopes = ([first[i] * s for first, s in firsts] for i in (0, 1))
         bends = [t for (*_, t), _ in firsts if t is not None]
         return self._rows(values, slopes, den * d, min([*ends, *bends], default=None))
 
-    def first_rows(self, x: Vec, u: Vec) -> Optional[FirstRows]:
+    def first_rows(self, x: Sequence, u: Sequence) -> Optional[FirstRows]:
         """The first rows of the ray t -> f(x + t u); None if it leaves the domain at once."""
-        ends = [(r - _dot(a, x)) / au for a, r in self.domain.rows if (au := _dot(a, u)) > 0]
+        (kx, dx), (ku, du) = _int_dir(x), _int_dir(u)
+        d = lcm(dx, du)
+        kx, ku = [c * (d // dx) for c in kx], [c * (d // du) for c in ku]
+        # a row <a, kx + t ku> <= r d ends the ray at t = (r d - <a, kx>)/<a, ku>
+        ends = [
+            Fraction(r * d - sum(map(mul, a, kx)), au)
+            for a, r, _ in self.domain.irows
+            if (au := sum(map(mul, a, ku))) > 0
+        ]
         if ends and min(ends) <= 0:
             return None
-        return self._rows_along(x, u, ends)
+        return self._rows_along(kx, ku, d, ends)
 
-    def _eval(self, x: Vec) -> UpperSet:
+    def _eval(self, p: Point) -> UpperSet:
         ws = self.workspace
-        if not self.domain.contains(x):
+        if not self.domain.contains(p):
             return ws.empty_set()
         # the normals are primitive and in C^- by construction, so the rows
         # skip the checks of Workspace.upper_set
-        rows = self._rows_along(x, (0,) * len(x))
+        rows = self._rows_along(p.k, (0,) * len(p.k), p.d)
         facet = ws.geom.facet
         return UpperSet(ws, [facet(n, a, rows.den) for n, a in zip(rows.normals, rows.alpha)])
 
@@ -452,9 +485,9 @@ class OracleFunction(SetFunction):
         self.tolerance = to_frac(tolerance)
         self.name = name
 
-    def _eval(self, x: Vec) -> UpperSet:
+    def _eval(self, p: Point) -> UpperSet:
         try:
-            value = self.evaluator(x)
+            value = self.evaluator(p.x)
         except Exception as exc:  # noqa: BLE001 - oracle errors are wrapped
             raise OracleFailure(str(exc)) from exc
         if not isinstance(value, UpperSet):
@@ -490,11 +523,11 @@ class FiniteInfFunction(SetFunction):
         self.declared_convex = False
         self.name = name
 
-    def _eval(self, x: Vec) -> UpperSet:
-        return inf_family(self.workspace, [m.eval(x) for m in self.members])
+    def _eval(self, p: Point) -> UpperSet:
+        return inf_family(self.workspace, [m.eval(p) for m in self.members])
 
-    def scalarize(self, zstar, x):
-        return ext_min(m.scalarize(zstar, x) for m in self.members)
+    def _scalarize(self, p: Point, z: tuple) -> ExtReal:
+        return ext_min(m.scalarize(z, p) for m in self.members)
 
     def _compose(self, base, cols, extra):
         return FiniteInfFunction(
@@ -578,9 +611,7 @@ def _graph_rows(f: ParamPolyFunction):
         for n, off in zip(f.normals, f.offsets)
         for cx, k in off.rows
     ]
-    for a, r in f.domain.rows:
-        ints, _ = _int_dir((*a, r))
-        rows.append((ints[:-1], zero_z, ints[-1]))
+    rows += [(a, zero_z, r) for a, r, _ in f.domain.irows]
     return rows
 
 

@@ -30,8 +30,10 @@ from .extres import ExtReal, residual as ext_residual
 from .kernel import (
     DirectionSet,
     LatticeError,
+    Point,
     UpperSet,
     Vec,
+    _along,
     as_vec,
     inf_family,
 )
@@ -120,23 +122,24 @@ _ZERO = ExtReal(0)
 
 
 class _Row:
-    """A candidate x: f(x), its scalarizations and the ray records of f for
-    (x0, x - x0) and (x, x0 - x), one record when x = x0, read on first use."""
+    """A candidate x: f's record of x, which holds f(x) and its
+    scalarizations, and the ray records of f for (x0, x - x0) and
+    (x, x0 - x), one record when x = x0, read on first use."""
 
-    def __init__(self, f: SetFunction, x0: Vec, x: Vec):
-        self.f, self.x0, self.x, self.phis = f, x0, x, {}  # phis: per direction index
+    def __init__(self, f: SetFunction, p0: Point, x: Vec):
+        self.f, self.p0, self.x, self.p = f, p0, x, f.point(x)
 
     @cached_property
     def value(self) -> UpperSet:
-        return self.f.eval(self.x)
+        return self.f.value_at(self.p)
 
     @cached_property
     def stampacchia(self) -> _Ray:
-        return _ray(self.f, self.x0, _vsub(self.x, self.x0))
+        return _ray(self.f, self.p0, _along(self.p, self.p0, -1))
 
     @cached_property
     def minty(self) -> _Ray:
-        return _ray(self.f, self.x, _vsub(self.x0, self.x))
+        return _ray(self.f, self.p, _along(self.p0, self.p, -1))
 
 
 class _Table:
@@ -145,10 +148,10 @@ class _Table:
     before any Dini value is read.  A derivative is inexact only where f is."""
 
     def __init__(self, f: SetFunction, x0: Vec, space: CandidateSpace, directions, enrich=False):
-        self.f, self.x0 = f, x0
-        self.v0 = f.eval(x0)
-        self.origin = (Fraction(0),) * f.workspace.dim
-        self.rows = [_Row(f, x0, x) for x in space.points]
+        self.f, self.x0, self.p0 = f, x0, f.point(x0)
+        self.v0 = f.value_at(self.p0)
+        self.origin = (0,) * f.workspace.dim
+        self.rows = [_Row(f, self.p0, x) for x in space.points]
         self.directions = self.enriched(directions) if enrich else directions
         self.dirs = tuple(self.directions)
 
@@ -158,7 +161,7 @@ class _Table:
 
     @cached_property
     def bounded(self):  # the indices of the directions z* with phi(x0) > -inf
-        return [k for k, z in enumerate(self.dirs) if not self.f.scalarize(z, self.x0).is_minus_inf]
+        return [k for k, z in enumerate(self.dirs) if not self.f.phi_at(self.p0, z).is_minus_inf]
 
     def derivative(self, ray: _Ray) -> DerivativeResult:
         return ray.read_derivative(self.f)
@@ -167,10 +170,7 @@ class _Table:
         return ray.read_dini(self.f, self.dirs[k])
 
     def phi(self, row: _Row, k: int) -> ExtReal:
-        p = row.phis.get(k)
-        if p is None:
-            p = row.phis[k] = self.f.scalarize(self.dirs[k], row.x)
-        return p
+        return self.f.phi_at(row.p, self.dirs[k])
 
     def check(self, name: str) -> ViReport:
         ineq = _INEQUALITIES[name]
@@ -208,7 +208,7 @@ class _Table:
             rays = (("stampacchia", row.stampacchia),) if row.minty is not row.stampacchia else ()
             for side, ray in rays + (("minty", row.minty),):
                 dinis = [self.dini(ray, k) for k in range(len(self.dirs))]
-                rep = regularity_of(self.f, self.derivative(ray), self.dirs, dinis)
+                rep = regularity_of(self.f, self.derivative(ray), self.directions, dinis)
                 flags[f"SR_{side}"] = flags[f"SR_{side}"] and rep.strong
                 flags[f"WR_{side}"] = flags[f"WR_{side}"] and rep.weak
         return flags
@@ -362,6 +362,12 @@ class ConditionReport:
         }
 
 
+def _values(f: SetFunction, points, directions) -> list:
+    """(x, f(x), [φ(x, z*) per z* of the directions]) per point, from f's records."""
+    recs = [(x, f.point(x)) for x in points]
+    return [(x, f.value_at(p), [f.phi_at(p, z) for z in directions]) for x, p in recs]
+
+
 def infimum_at_point_check(
     f: SetFunction, x0, space: CandidateSpace, directions
 ) -> ConditionReport:
@@ -369,25 +375,23 @@ def infimum_at_point_check(
     the implied recession condition (f)."""
     x0 = as_vec(x0)
     _require_base(f, x0)
-    v0 = f.eval(x0)
+    [(_, v0, phis0)] = _values(f, [x0], directions)
     rec0 = v0.recession()
     conds = {k: True for k in "abcdef"}
     wits = {k: [] for k in "abcdef"}
-    inf_all = inf_family(f.workspace, [f.eval(x) for x in space.points] + [v0])
+    table = _values(f, space.points, directions)
+    inf_all = inf_family(f.workspace, [vx for _, vx, _ in table] + [v0])
     if v0 != inf_all:
         conds["a"] = False
         wits["a"].append({"inf": "differs"})
-    phis0 = [(z, f.scalarize(z, x0)) for z in directions]
-    for x in space.points:
-        vx = f.eval(x)
+    for x, vx, phis in table:
         if not v0.residual_contains_origin(vx):
             conds["d"] = False
             wits["d"].append({"x": x})
         if not rec0.leq(vx.residual(v0)):
             conds["f"] = False
             wits["f"].append({"x": x})
-        for z, phi0 in phis0:
-            phix = f.scalarize(z, x)
+        for z, phi0, phix in zip(directions, phis0, phis):
             if phix < phi0:
                 conds["b"] = False
                 wits["b"].append({"x": x, "zstar": tuple(z)})
@@ -417,21 +421,16 @@ def minimal_scan(
     f: SetFunction, bases: Iterable[Sequence], space: CandidateSpace, directions
 ) -> List[ConditionReport]:
     """minimal_check at every base over one space: each value and its
-    scalarizations over the directions are read once."""
+    scalarizations over the directions are read once, from f's records."""
     bases = [as_vec(x0) for x0 in bases]
     for x0 in bases:
         _require_base(f, x0)
-    table = {
-        x: (f.eval(x), [f.scalarize(z, x) for z in directions])
-        for x in dict.fromkeys(bases + list(space.points))
-    }
+    table = _values(f, space.points, directions)
     reports = []
-    for x0 in bases:
-        v0, phis0 = table[x0]
+    for _, v0, phis0 in _values(f, bases, directions):
         conds = {k: True for k in "abcde"}
         wits = {k: [] for k in "abcde"}
-        for x in space.points:
-            vx, phis = table[x]
+        for x, vx, phis in table:
             if vx == v0:
                 continue
             pairs = list(zip(phis0, phis))
