@@ -489,7 +489,7 @@ def segment_criticals(f: SetFunction, x0: Sequence, x: Sequence, directions) -> 
     bounds = [Fraction(0), *sorted(roots), Fraction(1)]
     for lo, hi in zip(bounds, bounds[1:]):
         # every PWL is affine on (lo, hi), so the ray from lo has fixed rows there
-        rows = g._rows_along((lo.numerator,), (lo.denominator,), lo.denominator)
+        rows = g._rows_along(g.point((lo,)), (1,), 1)
         shape, verts = _shape_roots(rows.normals, rows.alpha, rows.beta)
         roots.update(lo + r for r in shape + _swap_roots(verts, directions) if lo + r < hi)
     return sorted(roots)

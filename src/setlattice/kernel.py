@@ -78,18 +78,22 @@ def _int_dir(v: Iterable) -> Tuple[Tuple[int, ...], int]:
 
 class Point:
     """A rational vector x = k/d in the integer form of ``_int_dir``, and the
-    memo record of one argument of one set function: f(x) in ``value`` and
-    the scalarisations φ(x, z*) in ``phi``, per z*, computed on first use."""
+    memo record of one argument of one set function: f(x) in ``value``, the
+    scalarisations φ(x, z*) in ``phi``, per z*, and a row function's piece
+    values in ``pieces``, each computed on first use."""
 
-    __slots__ = ("k", "d", "value", "phi")
+    __slots__ = ("k", "d", "value", "phi", "pieces")
 
     def __init__(self, k: Tuple[int, ...], d: int):
-        self.k, self.d, self.value, self.phi = k, d, None, {}
+        self.k, self.d, self.value, self.phi, self.pieces = k, d, None, {}, None
 
     @property
     def x(self) -> Vec:
         """The Fraction view."""
         return tuple(Fraction(c, self.d) for c in self.k)
+
+    def __iter__(self):
+        return iter(self.x)
 
     def __repr__(self):
         return f"Point({list(self.x)})"
@@ -180,7 +184,9 @@ class OrderCone:
 
     def in_dual(self, z: Sequence) -> bool:
         """Membership of z in the negative dual cone C^-."""
-        return all(_dot(z, g) <= 0 for g in self.generators)
+        k, _ = _int_dir(z)
+        _check_lengths(self.dim, (k,), "a direction")
+        return all(sum(map(mul, g, k)) <= 0 for g in self.generators)
 
     def in_lineality(self, v: Sequence) -> bool:
         return self.contains(v) and self.contains(tuple(-c for c in v))

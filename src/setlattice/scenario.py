@@ -41,7 +41,6 @@ from .setfun import (
 )
 from .svgplot import render_svg
 from .vectoropt import (
-    PWLVectorFunction,
     VectorFunction,
     classify_dini,
     efficiency_minimality_bridge,
@@ -248,8 +247,7 @@ def _build_function(ws: Optional[Workspace], spec: dict, tolerance: Fraction):
             ConvexPWL([(_vec(c), _rat(k)) for c, k in _pairs(pieces)])
             for pieces in _list(_field(spec, "components"), "components")
         ]
-        cls = EpiVectorFunction if variant == "epivector" else PWLVectorFunction
-        return cls(ws, xdim, comps, domain, name=spec.get("name", ""))
+        return EpiVectorFunction(ws, xdim, comps, domain, name=spec.get("name", ""))
     raise ValidationError(f"unknown function variant {variant!r}")
 
 

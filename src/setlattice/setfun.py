@@ -147,9 +147,13 @@ class _PWL:
         d = self.den
         return tuple((tuple(Fraction(v, d) for v in c), Fraction(k, d)) for c, k in self.rows)
 
+    def at(self, k: Sequence[int], d: int) -> List[int]:
+        """The piece values at x = k/d: the integers <c, k> + b d over den*d."""
+        return [sum(map(mul, c, k)) + b * d for c, b in self.rows]
+
     def value(self, x: Sequence) -> Fraction:
-        k, d = _int_dir(x)  # x = k/d, so each piece is (<c, k> + b d)/(den d)
-        return Fraction(self._best(sum(map(mul, c, k)) + b * d for c, b in self.rows), self.den * d)
+        k, d = _int_dir(x)
+        return Fraction(self._best(self.at(k, d)), self.den * d)
 
     def compose(self, base: Vec, cols: Sequence[Vec]):
         """The same kind of function of y, at x = base + Σ_j y_j cols_j."""
@@ -164,13 +168,14 @@ class _PWL:
             self.den * d,
         )
 
-    def first_piece(self, x: Sequence[int], u: Sequence[int], d: int):
-        """Along the ray t -> (x + t u)/d, x and u integer and d >= 1: the value
+    def first_piece(self, values: Sequence[int], u: Sequence[int]):
+        """Along the ray t -> x + t u/d from a point x where the pieces take
+        ``values`` (integers over den*d, as from ``at``), u integer: the value
         at 0 and the active slope on (0, t1], as integers over den*d, and the
         first crossing t1 (None when that piece stays active)."""
         best = self._best
-        lines = [(sum(map(mul, c, x)) + b * d, sum(map(mul, c, u))) for c, b in self.rows]
-        alpha = best(a for a, _ in lines)
+        lines = [(a, sum(map(mul, c, u))) for a, (c, _) in zip(values, self.rows)]
+        alpha = best(values)
         beta = best(s for a, s in lines if a == alpha)
         # a piece with a better slope is behind at 0 and takes over at its crossing
         t1 = min(
@@ -313,29 +318,38 @@ class RowFunction(SetFunction):
         slopes along u, integers over den, and t1."""
         raise NotImplementedError
 
-    def _rows_along(self, kx, ku, d: int, ends=()) -> FirstRows:
-        """The first rows of the ray t -> f((kx + t ku)/d), kx and ku integer,
+    def _pieces(self, p: Point) -> List[List[int]]:
+        """The piece values of every PWL at f's record p, evaluated once per record."""
+        if p.pieces is None:
+            p.pieces = [pwl.at(p.k, p.d) for pwl in self.pwls]
+        return p.pieces
+
+    def _rows_along(self, p: Point, ku, du: int, ends=()) -> FirstRows:
+        """The first rows of the ray t -> f(x + t ku/du) from f's record p of x,
         the domain aside: t1 is the first PWL bend or the least of ends."""
-        den = lcm(*(p.den for p in self.pwls))
-        firsts = [(p.first_piece(kx, ku, d), den // p.den) for p in self.pwls]
+        d = lcm(p.d, du)
+        sx, ku = d // p.d, [c * (d // du) for c in ku]  # values and ku over one d
+        den = lcm(*(pwl.den for pwl in self.pwls))
+        firsts = [
+            (pwl.first_piece([a * sx for a in vals] if sx > 1 else vals, ku), den // pwl.den)
+            for pwl, vals in zip(self.pwls, self._pieces(p))
+        ]
         values, slopes = ([first[i] * s for first, s in firsts] for i in (0, 1))
         bends = [t for (*_, t), _ in firsts if t is not None]
         return self._rows(values, slopes, den * d, min([*ends, *bends], default=None))
 
     def first_rows(self, x: Sequence, u: Sequence) -> Optional[FirstRows]:
         """The first rows of the ray t -> f(x + t u); None if it leaves the domain at once."""
-        (kx, dx), (ku, du) = _int_dir(x), _int_dir(u)
-        d = lcm(dx, du)
-        kx, ku = [c * (d // dx) for c in kx], [c * (d // du) for c in ku]
-        # a row <a, kx + t ku> <= r d ends the ray at t = (r d - <a, kx>)/<a, ku>
+        p, (ku, du) = self.point(x), _int_dir(u)
+        # a row <a, k/d + t ku/du> <= r of x = k/d ends the ray at t = (r d - <a, k>) du/(<a, ku> d)
         ends = [
-            Fraction(r * d - sum(map(mul, a, kx)), au)
+            Fraction((r * p.d - sum(map(mul, a, p.k))) * du, au * p.d)
             for a, r, _ in self.domain.irows
             if (au := sum(map(mul, a, ku))) > 0
         ]
         if ends and min(ends) <= 0:
             return None
-        return self._rows_along(kx, ku, d, ends)
+        return self._rows_along(p, ku, du, ends)
 
     def _eval(self, p: Point) -> UpperSet:
         ws = self.workspace
@@ -343,7 +357,7 @@ class RowFunction(SetFunction):
             return ws.empty_set()
         # the normals are primitive and in C^- by construction, so the rows
         # skip the checks of Workspace.upper_set
-        rows = self._rows_along(p.k, (0,) * len(p.k), p.d)
+        rows = self._rows_along(p, (0,) * len(p.k), 1)
         facet = ws.geom.facet
         return UpperSet(ws, [facet(n, a, rows.den) for n, a in zip(rows.normals, rows.alpha)])
 
@@ -412,8 +426,30 @@ def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
     )
 
 
-class EpiVectorFunction(RowFunction):
-    """Epigraphical extension of a vector function: f(x) = psi(x) + C on S."""
+class VectorFunction:
+    """A vector-valued map on a domain in X; exact PWL or numeric oracle."""
+
+    workspace: Workspace
+    xdim: int
+    is_exact: bool
+
+    def psi(self, x: Sequence) -> Optional[Vec]:
+        raise NotImplementedError
+
+    def psi_at(self, x: Sequence) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """psi(x) in the integer form (k, d) of kernel._int_dir, None outside the domain."""
+        v = self.psi(x)
+        return None if v is None else _int_dir(v)
+
+    def domain_contains(self, x: Sequence) -> bool:
+        return self.psi(x) is not None
+
+
+class EpiVectorFunction(RowFunction, VectorFunction):
+    """An exact piecewise-linear vector function psi on a domain S, which is
+    its own epigraphical extension: as a set function f(x) = psi(x) + C on S,
+    ∅ outside.  psi, f(x) and the first rows read one evaluation of the
+    components per point record."""
 
     def __init__(
         self,
@@ -431,9 +467,18 @@ class EpiVectorFunction(RowFunction):
     def components(self) -> Tuple[ConvexPWL, ...]:
         return self.pwls
 
-    def psi(self, x: Sequence) -> Vec:
-        xx = as_vec(x)
-        return tuple(c.value(xx) for c in self.pwls)
+    def psi(self, x: Sequence) -> Optional[Vec]:
+        v = self.psi_at(x)
+        return None if v is None else tuple(Fraction(c, v[1]) for c in v[0])
+
+    def psi_at(self, x: Sequence) -> Optional[Tuple[Tuple[int, ...], int]]:
+        p = self.point(x)
+        if not self.domain.contains(p):
+            return None
+        den = lcm(*(c.den for c in self.pwls))
+        values = [c._best(v) * (den // c.den) for c, v in zip(self.pwls, self._pieces(p))]
+        g = gcd(den * p.d, *values)
+        return tuple(c // g for c in values), den * p.d // g
 
     def _rows(self, values, slopes, den, t1):
         """psi + t s + C as rows over the facet normals n of C:

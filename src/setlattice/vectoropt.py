@@ -17,13 +17,18 @@ from .kernel import (
     UpperSet,
     Vec,
     Workspace,
+    _along,
     _dot,
-    _int_dir,
     _primitive_dir,
     as_vec,
     to_frac,
 )
-from .setfun import ConvexPWL, EpiVectorFunction, OracleFunction, Polyhedron, SetFunction
+from .setfun import (  # VectorFunction is re-exported: the interface of psi
+    EpiVectorFunction,
+    OracleFunction,
+    SetFunction,
+    VectorFunction,
+)
 from .vi import CandidateSpace, minimal_scan, run_checker
 
 class EmptyGrid(LatticeError):
@@ -94,46 +99,8 @@ class DiniLimitSet:
 # ---------------------------------------------------------------------------
 
 
-class VectorFunction:
-    """A vector-valued map on a domain in X; exact PWL or numeric oracle."""
-
-    workspace: Workspace
-    xdim: int
-    is_exact: bool
-
-    def psi(self, x: Sequence) -> Optional[Vec]:
-        raise NotImplementedError
-
-    def domain_contains(self, x: Sequence) -> bool:
-        raise NotImplementedError
-
-
-class PWLVectorFunction(VectorFunction):
-    def __init__(
-        self,
-        workspace: Workspace,
-        xdim: int,
-        components: Sequence[ConvexPWL],
-        domain: Optional[Polyhedron] = None,
-        name: str = "",
-    ):
-        self.workspace = workspace
-        self.xdim = xdim
-        # the one epigraphical extension: its eval and ray memos serve every task on psi
-        self.epi = EpiVectorFunction(
-            workspace, xdim, components, domain, name=name or "epigraphical"
-        )
-        self.components = self.epi.components
-        self.domain = self.epi.domain
-        self.is_exact = True
-        self.name = name
-
-    def psi(self, x):
-        xx = as_vec(x)
-        return self.epi.psi(xx) if self.domain.contains(xx) else None
-
-    def domain_contains(self, x):
-        return self.domain.contains(as_vec(x))
+# another name of the exact vector function, which is its own epigraphical extension
+PWLVectorFunction = EpiVectorFunction
 
 
 class OracleVectorFunction(VectorFunction):
@@ -156,14 +123,11 @@ class OracleVectorFunction(VectorFunction):
         v = self.handle(as_vec(x))
         return None if v is None else as_vec(v)
 
-    def domain_contains(self, x):
-        return self.psi(x) is not None
-
 
 def epigraphical(psi: VectorFunction) -> SetFunction:
     """The epigraphical extension x -> psi(x) + C, ∅ outside the domain."""
-    if isinstance(psi, PWLVectorFunction):
-        return psi.epi
+    if isinstance(psi, EpiVectorFunction):
+        return psi
     ws = psi.workspace
 
     def evaluator(x: Vec) -> UpperSet:
@@ -189,17 +153,18 @@ def epigraphical(psi: VectorFunction) -> SetFunction:
 
 def efficient_set(psi: VectorFunction, grid: Sequence[Sequence]) -> List[Vec]:
     """Grid points whose value is efficient in psi[grid], in grid order."""
-    pairs = [(x, psi.psi(x)) for x in map(as_vec, grid)]
+    pairs = [(x, psi.psi_at(x)) for x in map(as_vec, grid)]
     for x, v in pairs:
         if v is None:
             raise EmptyGrid(f"grid point {x} is outside the domain")
     return _efficient(psi.workspace, pairs)
 
 
-def _efficient(ws: Workspace, pairs: Sequence) -> List[Vec]:
-    """The points x of the (x, psi(x)) pairs whose value is efficient, in order.
+def _efficient(ws: Workspace, pairs: Sequence) -> List:
+    """The points x of the (x, psi(x)) pairs whose value is efficient, in
+    order; psi(x) is given in integer form (k, d).
 
-    Each value v is read once in cone coordinates, key(v) = (<n, v>) over the
+    Each value is read once in cone coordinates, key(v) = (<n, v>) over the
     facet normals n of C = {d : <n, d> <= 0}, as integers over one common
     denominator of all values.  Then psi(x) lies in psi(y) + C
     off y + (C ∩ -C) exactly when key(x) <= key(y) componentwise and the keys
@@ -209,9 +174,8 @@ def _efficient(ws: Workspace, pairs: Sequence) -> List[Vec]:
     if not pairs:
         raise EmptyGrid("efficiency scan needs a nonempty grid")
     normals = ws.cone.facet_normals
-    scaled = [(x, _int_dir(v)) for x, v in pairs]
-    den = lcm(*(d for _, (_, d) in scaled))
-    keys = [(x, tuple(sum(map(mul, n, k)) * (den // d) for n in normals)) for x, (k, d) in scaled]
+    den = lcm(*(d for _, (_, d) in pairs))
+    keys = [(x, tuple(sum(map(mul, n, k)) * (den // d) for n in normals)) for x, (k, d) in pairs]
     maximal = set()
     for kx in sorted({kx for _, kx in keys}, reverse=True):
         if not any(all(map(le, kx, m)) for m in maximal):
@@ -258,17 +222,17 @@ def vector_dini(psi: VectorFunction, x0: Sequence, u: Sequence) -> DiniLimitSet:
     classified as convergent, norm-divergent with a stabilizing direction,
     or undecided.
     """
-    x0 = as_vec(x0)
-    uu = as_vec(u)
-    if isinstance(psi, PWLVectorFunction):
-        # the first rows of the shared extension's ray hold the first slopes
-        if not psi.domain_contains(x0):
+    if isinstance(psi, EpiVectorFunction):
+        # the first rows of psi's own ray hold its first slopes; records are read as they are
+        p = psi.point(x0)
+        if not psi.domain.contains(p):
             raise LatticeError("base point is outside the domain")
-        rows = _ray(psi.epi, x0, uu).rows(psi.epi)
+        rows = _ray(psi, p, u).rows(psi)
         if rows is None:
             return DiniLimitSet(exact=True, diagnostic={"note": "no admissible t"})
         slopes = tuple(Fraction(s, rows.den) for s in rows.slopes)
         return DiniLimitSet(finite_points=[slopes], exact=True)
+    x0, uu = as_vec(x0), as_vec(u)
     base = psi.psi(x0)
     if base is None:
         raise LatticeError("base point is outside the domain")
@@ -418,70 +382,55 @@ def vector_minty_check(
     f = epigraphical(psi)
     x0 = as_vec(x0)
     pts = [as_vec(x) for x in grid]
-    values = {x: psi.psi(x) for x in dict.fromkeys([x0, *pts])}  # psi per point, read once
-    base_val = values[x0]
+    p0 = f.point(x0)
+    base_val = psi.psi_at(p0)
     if base_val is None:
         raise LatticeError("base point is outside the domain")
-    scalar_ok = True
-    inner_ok = True
-    single_valued = True
-    witnesses = []
+    scalar_ok = inner_ok = single_valued = True
+    witnesses, reached = [], [(p0, base_val)]  # (f's record, psi) of x0 and the segment points
     zero = ExtReal(0)
-    seg_points = []
     for x in pts:
         ts = list(DEFAULT_T_PARAMS)
         if psi.is_exact and x != x0:
             # close the sample under the segment's kinks, where off-grid
             # dominators of piecewise-linear data live, and the endpoint
-            for t in segment_criticals(f, x0, x, directions):
-                if t not in ts:
-                    ts.append(t)
-            ts.append(Fraction(1))
-        u_back = tuple(a - b for a, b in zip(x0, x))
+            crit = segment_criticals(f, x0, x, directions)
+            ts += [t for t in crit if t not in ts] + [Fraction(1)]
+        px = f.point(x)
+        u_x, u_back = _along(px, p0, -1), _along(p0, px, -1)  # x - x0 and x0 - x
         for t in ts:
-            xt = tuple(a + t * (b - a) for a, b in zip(x0, x))
-            if xt not in values:
-                values[xt] = psi.psi(xt)
-            vt = values[xt]
+            p = f.point(_along(p0, u_x, t))
+            vt = psi.psi_at(p)
             if vt is None:
                 continue
-            seg_points.append(xt)
+            reached.append((p, vt))
             if vt == base_val:
                 continue
             # exact psi reads mvi_M_finite's ray (xt, x0 - xt) = (xt, t u_back): t > 0 moves
-            # no sign and no membership in C; oracle psi samples other points under t u_back
-            u = tuple(a - b for a, b in zip(x0, xt)) if psi.is_exact else u_back
-            if not any(scalar_dini(f, z, xt, u) < zero for z in directions):
+            # no sign and no membership in C; oracle psi samples other points under u_back
+            u = _along(p0, p, -1) if psi.is_exact else u_back
+            if not any(scalar_dini(f, z, p, u) < zero for z in directions):
                 scalar_ok = False
                 witnesses.append({"form": "scalar", "x": x, "t": t})
-            dl = vector_dini(psi, xt, u)
+            dl = vector_dini(psi, p, u)
             if len(dl.finite_points) + len(dl.infinite_dirs) != 1 or dl.infinite_dirs:
                 single_valued = False
-            bad = False
-            for p in dl.finite_points:
-                if ws.cone.contains(p):
-                    bad = True
-            for d in dl.infinite_dirs:
-                if ws.cone.contains(d.vector):
-                    bad = True
-            if bad:
+            limits = [*dl.finite_points, *(d.vector for d in dl.infinite_dirs)]
+            if any(ws.cone.contains(q) for q in limits):
                 inner_ok = False
                 witnesses.append({"form": "inner", "x": x, "t": t})
-    space = CandidateSpace.of(list(pts) + seg_points + [x0], base=x0)
-    finite_dirs = list(ws.cone.facet_normals)
-    mvi = run_checker("mvi_M_finite", f, x0, space, finite_dirs)
-    eff = _efficient(ws, [(p, values[p]) for p in space.points if values[p] is not None])
-    is_efficient = x0 in eff
-    pointed = ws.cone.is_pointed
+    space = CandidateSpace.of(list(pts) + [p for p, _ in reached], base=x0)
+    mvi = run_checker("mvi_M_finite", f, x0, space, list(ws.cone.facet_normals))
+    reached += [(p, v) for p in map(f.point, pts) if (v := psi.psi_at(p)) is not None]
+    is_efficient = p0 in _efficient(ws, reached)
     return {
         "scalar_form": scalar_ok,
         "inner_form": inner_ok,
         "mvi_M_finite": mvi.holds,
         "efficient": is_efficient,
-        "pointed_cone": pointed,
+        "pointed_cone": ws.cone.is_pointed,
         "single_valued_quotients": single_valued,
-        "agrees_with_efficiency": (scalar_ok == is_efficient)
-        and (mvi.holds == is_efficient),
+        "agrees_with_efficiency": scalar_ok == is_efficient and mvi.holds == is_efficient,
         "witnesses": witnesses,
         "exact": psi.is_exact,
     }

@@ -3,6 +3,7 @@ domain rows and membership, and the length checks of the lattice kernel,
 each against a Fraction reference."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -19,8 +20,16 @@ from setlattice.instances import (
     random_pwl_vector,
     random_workspace,
 )
-from setlattice.kernel import DirectionSet, LatticeError, Point, _along, _int_dir
-from setlattice.setfun import ConcavePWL, ParamPolyFunction, Polyhedron, inf_translate
+from setlattice.kernel import DirectionSet, LatticeError, Point, Workspace, _along, _int_dir
+from setlattice.setfun import (
+    _PWL,
+    ConcavePWL,
+    ConvexPWL,
+    EpiVectorFunction,
+    ParamPolyFunction,
+    Polyhedron,
+    inf_translate,
+)
 from setlattice.vectoropt import vector_minty_check
 from setlattice.vi import (
     CandidateSpace,
@@ -56,6 +65,8 @@ def test_vectors_of_the_wrong_length_are_refused():
         lambda: ws.empty_set().contains_point((1, 2, 3)),
         lambda: ws.cone.contains((1, 2, 3)),
         lambda: ws.cone.contains((1,)),
+        lambda: ws.cone.in_dual((-1, -1, 7)),
+        lambda: ws.cone.in_dual((-1,)),
         lambda: orthant_workspace(1).translated_cone((3,)).support((-1, 7)),
         lambda: Polyhedron(2, [((1, 0), 1)]).contains((0,)),
         lambda: Polyhedron(2, [((1, 0), 1)]).contains((0, 0, 5)),
@@ -64,6 +75,7 @@ def test_vectors_of_the_wrong_length_are_refused():
         with pytest.raises(LatticeError):
             call()
     assert a.support((-1, -1)) == ExtReal(-3)
+    assert ws.cone.in_dual((-1, F(-1, 2))) and not ws.cone.in_dual((1, -7))
     assert a.contains_point((1, 2)) and not a.contains_point((1, F(3, 2)))
     assert orthant_workspace(1).translated_cone((3,)).support((-1,)) == ExtReal(-3)
 
@@ -95,7 +107,7 @@ coords = st.one_of(ints, fracs, floats)
 def _writings(c):
     """Ways of writing the rational c: as a Fraction, str, int and float when exact."""
     q = F(c)
-    out = [q, str(q), F(q.numerator * 3, q.denominator * 3)]
+    out = [q, str(q), f"{3 * q.numerator}/{3 * q.denominator}"]  # the last not reduced
     if q.denominator == 1:
         out.append(int(q))
     if float(q) == q:
@@ -157,6 +169,91 @@ def test_point_records_match_the_fraction_view(data):
     xt = _along(p, u, t)
     assert xt.x == tuple(F(a) + t * F(b) for a, b in zip(x, u))
     assert (xt.k, xt.d) == _int_dir(xt.x)
+
+
+CONES = [[(1, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 0), (-1, 0), (0, 1)], [(1, -1)]]
+
+
+def _first_by_hand(f, x, u):
+    """(psi(x), first slopes, t1) of the ray t -> psi(x + t u) from the Fraction
+    pieces of its ray restriction; None when it leaves the domain at once."""
+    ray = f.ray_restrict(x, u)
+    ends = [r / a for (a,), r in ray.domain.rows if a > 0]
+    if any(e <= 0 for e in ends):
+        return None
+    at0, slopes = [], []
+    for pwl in ray.components:
+        a = max(k for _, k in pwl.pieces)
+        b = max(s for (s,), k in pwl.pieces if k == a)
+        at0.append(a)
+        slopes.append(b)
+        # a piece behind at 0 with a steeper slope takes over where they cross
+        ends += [(k - a) / (b - s) for (s,), k in pwl.pieces if s > b]
+    return at0, slopes, min(ends, default=None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_epivector_records_match_the_fraction_view(data):
+    """psi, f(x) = psi(x) + C and the first rows of an exact vector function
+    read one record per argument, whatever the writing of x, and equal the
+    Fraction reference: psi is the components' value (None outside the
+    domain) and the first rows are those of the Fraction ray restriction."""
+    xdim = data.draw(st.sampled_from([1, 2]))
+    x = data.draw(st.tuples(*[coords] * xdim))
+    rows = _rows(data, xdim)
+    ws = Workspace(2, data.draw(st.sampled_from(CONES)))
+    # piece constants written as strings over a common factor, not reduced
+    comps = st.lists(st.lists(PIECE, min_size=1, max_size=3), min_size=2, max_size=2)
+    raw = [
+        [(c[:xdim], f"{3 * F(k).numerator}/{3 * F(k).denominator}") for c, k in pieces]
+        for pieces in data.draw(comps)
+    ]
+    f = EpiVectorFunction(ws, xdim, [ConvexPWL(r) for r in raw], Polyhedron(xdim, rows))
+    p = f.point(x)
+    other = tuple(data.draw(st.sampled_from(_writings(c))) for c in x)
+    assert f.point(other) is p
+    inside = all(_dot(a, x) <= F(r) for a, r in rows)
+    want = tuple(max(_dot(c, x) + F(k) for c, k in pieces) for pieces in raw)
+    assert want == tuple(comp.value(x) for comp in f.components)
+    assert f.psi(other) == f.psi(p) == (want if inside else None)
+    assert f.psi_at(p) == (_int_dir(want) if inside else None)
+    assert f.domain_contains(other) == inside
+    value = ws.translated_cone(want) if inside else ws.empty_set()
+    assert f.value_at(p) == f.eval(other) == value
+    u = data.draw(st.tuples(*[coords] * xdim))
+    got = f.first_rows(other, u)
+    ref = _first_by_hand(f, tuple(map(F, x)), tuple(map(F, u)))
+    if ref is None:
+        assert got is None
+        return
+    at0, slopes, t1 = ref
+    assert at0 == list(want) and got.t1 == t1
+    assert [F(s, got.den) for s in got.slopes] == slopes
+    assert got.normals == ws.cone.facet_normals
+    assert [F(a, got.den) for a in got.alpha] == [_dot(n, at0) for n in got.normals]
+    assert [F(b, got.den) for b in got.beta] == [_dot(n, slopes) for n in got.normals]
+
+
+def test_each_segment_point_evaluates_the_pieces_once(monkeypatch):
+    """A vector Minty check reads psi, f(x) and the Minty ray at each segment
+    point from one evaluation of psi's components, kept in f's record."""
+    rng = random.Random(23)
+    psi = random_pwl_vector(rng, orthant_workspace(), 1, max_pieces=3)
+    grid = random_grid(rng, 1, 5)
+    first = psi.components[0]
+    calls = Counter()
+    at = _PWL.at
+
+    def counting(pwl, k, d):
+        if pwl is first:
+            calls[k, d] += 1
+        return at(pwl, k, d)
+
+    monkeypatch.setattr(_PWL, "at", counting)
+    rep = vector_minty_check(psi, grid[0], grid, psi.workspace.directions)
+    assert rep["exact"] and len(calls) > 2 * len(grid)
+    assert set(calls.values()) == {1}, calls
 
 
 @settings(max_examples=80, deadline=None)
@@ -226,7 +323,7 @@ def _audited(seed: int):
     psi = random_pwl_vector(rng, orthant_workspace(), 1, max_pieces=2)
     vgrid = random_grid(rng, 1, 4)
     space = CandidateSpace.of(vgrid)
-    implication_audit(psi.epi, vgrid[0], space, psi.workspace.directions)
+    implication_audit(psi, vgrid[0], space, psi.workspace.directions)
     vector_minty_check(psi, vgrid[0], vgrid, psi.workspace.directions)
     assert len(grid) >= 2
     g = inf_translate(f, grid[:2])
@@ -234,7 +331,7 @@ def _audited(seed: int):
     minimal_scan(g, bases, CandidateSpace.of(grid), ws.directions)
     if bases:
         infimum_at_point_check(g, bases[0], CandidateSpace.of(grid), ws.directions)
-    return [f, psi.epi, g, *g.members]
+    return [f, psi, g, *g.members]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

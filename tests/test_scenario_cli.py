@@ -154,6 +154,39 @@ def test_scenario_json_round_trip(tmp_path):
     assert rep.hard_failures == 0
 
 
+def test_both_vector_spellings_serve_the_vector_tasks(tmp_path):
+    """"epivector" and "pwlvector" build one kind of function, an exact psi
+    that is its own epigraphical extension, so both serve the vector tasks
+    (efficient_set, vector_minty, vector_dini) and the set-valued ones alike."""
+    comps = [[[["1"], "0"], [["-1"], "0"]], [[["1"], "-1"], [["-1"], "1"]]]
+    spec = {"xdim": 1, "components": comps, "domain": [[["1"], "2"], [["-1"], "1"]]}
+    ops = [
+        {"op": "efficient_set", "grid": "g"},
+        {"op": "vector_minty", "base": ["1/2"], "grid": "g"},
+        {"op": "vector_minty", "base": ["-1/2"], "grid": "g"},
+        {"op": "vector_dini", "base": ["1/2"], "direction": ["1"]},
+        {"op": "minimal_scan", "space": "g"},
+        {"op": "check_vi", "base": ["1/2"], "space": "g", "inequalities": ["svi_I", "MVI_M"]},
+    ]
+    doc = {
+        "schema": 1,
+        "name": "spellings",
+        "workspace": {"dim": 2, "cone": [[1, 0], [0, 1]], "directions": [[-1, 0], [0, -1]]},
+        "functions": {name: {"variant": name, **spec} for name in ("epivector", "pwlvector")},
+        "spaces": {"g": {"box": [["-1", "2"]], "step": "1/2"}},
+        "tasks": [{**op, "function": name} for name in ("epivector", "pwlvector") for op in ops],
+    }
+    path = tmp_path / "spellings.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-vi", "--scenario", str(path)]) == 0
+    tasks = run_scenario(load_scenario(str(path))).tasks
+    epi, pwl = tasks[: len(ops)], tasks[len(ops):]
+    assert epi == pwl
+    assert epi[0]["efficient"] == [["0"], ["1/2"], ["1"]] and epi[0]["bridge_agrees"] is True
+    assert epi[1]["report"]["efficient"] is True and epi[2]["report"]["efficient"] is False
+    assert all(t["report"]["agrees_with_efficiency"] is True for t in epi[1:3])
+
+
 _WS = {"dim": 2, "cone": [[1, 0], [0, 1]], "directions": [[-1, 0], [0, -1]]}
 _F1 = {
     "variant": "parampoly",

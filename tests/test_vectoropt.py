@@ -19,7 +19,7 @@ from setlattice.instances import (
     random_dual_direction,
     random_pwl_vector,
 )
-from setlattice.kernel import Workspace, as_vec, inf_family
+from setlattice.kernel import Workspace, _int_dir, as_vec, inf_family
 from setlattice.setfun import ConvexPWL, Polyhedron
 from setlattice.vectoropt import (
     DEFAULT_T_PARAMS,
@@ -472,7 +472,7 @@ def test_efficient_matches_pairwise_definition(data):
         for x, v in pairs
         if not any(w != v and all(a <= b for a, b in zip(v, w)) for _, w in pairs)
     ]
-    assert _efficient(_coordinates(dim), pairs) == want
+    assert _efficient(_coordinates(dim), [(x, _int_dir(v)) for x, v in pairs]) == want
 
 
 def test_efficient_on_a_cone_with_a_line():
@@ -480,6 +480,6 @@ def test_efficient_on_a_cone_with_a_line():
     ws = Workspace(2, [(1, 0), (-1, 0), (0, 1)])
     pairs = [((F(0),), (F(5), F(1))), ((F(1),), (F(-3), F(1))), ((F(2),), (F(0), F(2)))]
     pairs += [((F(3),), (F(7), F(1))), ((F(4),), (F(0), F(2)))]
-    assert _efficient(ws, pairs) == [(F(0),), (F(1),), (F(3),)]
+    assert _efficient(ws, [(x, _int_dir(v)) for x, v in pairs]) == [(F(0),), (F(1),), (F(3),)]
     with pytest.raises(EmptyGrid):
         _efficient(ws, [])
