@@ -408,7 +408,7 @@ def _level_set(f: SetFunction, directions, dinis: Sequence[ExtReal]) -> UpperSet
     outer approximation of the true set.
     """
     ws = f.workspace
-    margin = Fraction(0) if f.is_exact else getattr(f, "tolerance", Fraction(0))
+    margin = f.tolerance
     if any(d.is_plus_inf for d in dinis):
         return ws.empty_set()
     # each finite d gives the level halfspace <z*, w> <= -(d - margin); -inf gives Z
@@ -441,7 +441,7 @@ def regularity_check(f: SetFunction, x: Sequence, u: Sequence, directions) -> Re
 
 def regularity_of(f: SetFunction, D: DerivativeResult, directions, dinis) -> RegularityReport:
     """regularity_check from the derivative D and the Dini row over the directions."""
-    tol = getattr(f, "tolerance", Fraction(0))
+    tol = f.tolerance
     failing = []
     for z, rhs in zip(directions, dinis):
         lhs = D.value.neg_support(z)

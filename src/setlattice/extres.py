@@ -35,12 +35,6 @@ class ExtReal:
     def __setattr__(self, name, val):  # immutable
         raise AttributeError("ExtReal is immutable")
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def finite(value: RationalLike) -> "ExtReal":
-        return ExtReal(value)
-
     # -- predicates --------------------------------------------------
 
     @property

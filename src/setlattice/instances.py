@@ -13,11 +13,12 @@ from .kernel import UpperSet, Workspace, to_frac
 from .setfun import (
     ConcavePWL,
     ConvexPWL,
+    EpiVectorFunction,
     OracleFunction,
     ParamPolyFunction,
     Polyhedron,
 )
-from .vectoropt import OracleVectorFunction, PWLVectorFunction
+from .vectoropt import OracleVectorFunction
 
 BUILTIN_NAMES = (
     "example23",
@@ -29,12 +30,12 @@ BUILTIN_NAMES = (
 )
 
 
-def rational_sqrt_floor(x, digits: int = 24) -> Fraction:
-    """A rational lower bound of sqrt(x), within 10^-digits plus truncation."""
+def rational_sqrt_floor(x) -> Fraction:
+    """A rational lower bound of sqrt(x), within 10^-24 plus truncation."""
     x = to_frac(x)
     if x < 0:
         raise ValueError("negative radicand")
-    scale = 10**digits
+    scale = 10**24
     return Fraction(isqrt(x.numerator * scale * scale // x.denominator), scale)
 
 
@@ -47,6 +48,12 @@ def example23_workspace() -> Workspace:
     return Workspace(2, [(0, 1)], [(1, 0), (-1, 0), (0, -1)])
 
 
+def orthant_workspace(dim: int = 2) -> Workspace:
+    if dim == 1:
+        return Workspace(1, [(1,)], [(-1,)])
+    return Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1), (-1, -1)])
+
+
 def example23_sets(ws: Optional[Workspace] = None) -> Tuple[UpperSet, UpperSet]:
     """The ray cone A and the box-cone B whose residual is empty while every
     scalar residual stays finite."""
@@ -56,11 +63,10 @@ def example23_sets(ws: Optional[Workspace] = None) -> Tuple[UpperSet, UpperSet]:
     return A, B
 
 
-def heyde_a(ws: Optional[Workspace] = None) -> ParamPolyFunction:
+def heyde_a() -> ParamPolyFunction:
     """Every domain point is minimal, yet no point is a scalar minimizer."""
-    ws = ws or Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1), (-1, -1)])
     return ParamPolyFunction(
-        ws,
+        orthant_workspace(),
         2,
         normals=[(-1, 0), (0, -1), (-1, -1)],
         offsets=[
@@ -77,7 +83,7 @@ def heyde_a(ws: Optional[Workspace] = None) -> ParamPolyFunction:
 _HEYDE_B_LEVELS = 10
 
 
-def heyde_b(ws: Optional[Workspace] = None, tolerance=Fraction(1, 10**6)) -> OracleFunction:
+def heyde_b(tolerance=Fraction(1, 10**6)) -> OracleFunction:
     """Hyperbola-valued interpolation on [0, 1]: the value at x below 1 is the
     closed region above z2 = (1-x)^2/z1 in the open quadrant, here outer-
     approximated by tangent halfspaces plus the axes.
@@ -87,7 +93,7 @@ def heyde_b(ws: Optional[Workspace] = None, tolerance=Fraction(1, 10**6)) -> Ora
     Only x = 1 is a minimizer: the value there is the whole quadrant, which
     strictly contains (hence dominates) every other value.
     """
-    ws = ws or Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1), (-1, -1)])
+    ws = orthant_workspace()
     params = [Fraction(2) ** k for k in range(-_HEYDE_B_LEVELS, _HEYDE_B_LEVELS + 1)]
 
     def evaluator(x):
@@ -106,7 +112,7 @@ def heyde_b(ws: Optional[Workspace] = None, tolerance=Fraction(1, 10**6)) -> Ora
     )
 
 
-def circle(tolerance=Fraction(1, 10**6), digits: int = 24) -> OracleFunction:
+def circle(tolerance=Fraction(1, 10**6)) -> OracleFunction:
     """The disk-graph function x -> [-sqrt(1-x^2), sqrt(1-x^2)] over C = {0}.
 
     Endpoints are rational lower bounds of the true square root, so every
@@ -119,7 +125,7 @@ def circle(tolerance=Fraction(1, 10**6), digits: int = 24) -> OracleFunction:
         t = x[0]
         if t < -1 or t > 1:
             return ws.empty_set()
-        s = rational_sqrt_floor(1 - t * t, digits)
+        s = rational_sqrt_floor(1 - t * t)
         return ws.upper_set([((1,), s), ((-1,), s)])
 
     return OracleFunction(
@@ -127,7 +133,7 @@ def circle(tolerance=Fraction(1, 10**6), digits: int = 24) -> OracleFunction:
     )
 
 
-def infdir_example(tolerance=Fraction(1, 10**6), digits: int = 24) -> OracleVectorFunction:
+def infdir_example(tolerance=Fraction(1, 10**6)) -> OracleVectorFunction:
     """psi(s) = (-s, -sqrt(s)) on [0, 1]: the quotient trail at 0 diverges in
     norm with direction stabilizing to (0, -1), an infinite Dini element."""
     ws = Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1)])
@@ -136,7 +142,7 @@ def infdir_example(tolerance=Fraction(1, 10**6), digits: int = 24) -> OracleVect
         s = x[0]
         if s < 0 or s > 1:
             return None
-        return (-s, -rational_sqrt_floor(s, digits))
+        return (-s, -rational_sqrt_floor(s))
 
     return OracleVectorFunction(ws, 1, handle, tolerance=tolerance, name="infdir_example")
 
@@ -147,11 +153,10 @@ def noncommutation_trail(count: int = 6) -> List[Tuple[Fraction, Fraction]]:
     return [(Fraction(-t), Fraction(-t * t)) for t in range(1, count + 1)]
 
 
-def no_solution_line(ws: Optional[Workspace] = None) -> ParamPolyFunction:
+def no_solution_line() -> ParamPolyFunction:
     """f(x) = {(-x, -x)} + C on the line: many infimizers, no minimizers."""
-    ws = ws or Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1), (-1, -1)])
     return ParamPolyFunction(
-        ws,
+        orthant_workspace(),
         1,
         normals=[(-1, 0), (0, -1)],
         offsets=[ConcavePWL([((1,), 0)]), ConcavePWL([((1,), 0)])],
@@ -300,9 +305,9 @@ def random_convex_pwl(rng: random.Random, xdim: int, max_pieces: int = 3) -> Con
 
 def random_pwl_vector(
     rng: random.Random, ws: Workspace, xdim: int, max_pieces: int = 3
-) -> PWLVectorFunction:
+) -> EpiVectorFunction:
     comps = [random_convex_pwl(rng, xdim, max_pieces) for _ in range(ws.dim)]
-    return PWLVectorFunction(ws, xdim, comps, name="random-vector")
+    return EpiVectorFunction(ws, xdim, comps, name="random-vector")
 
 
 def random_grid(rng: random.Random, xdim: int, count: int, span: int = 2):
@@ -314,8 +319,3 @@ def random_grid(rng: random.Random, xdim: int, count: int, span: int = 2):
             break
     return sorted(pts)
 
-
-def orthant_workspace(dim: int = 2) -> Workspace:
-    if dim == 1:
-        return Workspace(1, [(1,)], [(-1,)])
-    return Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1), (-1, -1)])

@@ -239,9 +239,9 @@ class DirectionSet:
     def __contains__(self, d):
         return tuple(d) in self.items
 
-    def union(self, directions: Iterable[Sequence], cone: OrderCone) -> "DirectionSet":
+    def union(self, directions: Iterable[Sequence]) -> "DirectionSet":
         # each distinct normal is made primitive and checked against C^- once
-        return DirectionSet(cone, dict.fromkeys([*self.items, *map(tuple, directions)]))
+        return DirectionSet(self.cone, dict.fromkeys([*self.items, *map(tuple, directions)]))
 
     def __repr__(self):
         return f"DirectionSet({list(self.items)})"
@@ -376,10 +376,6 @@ class UpperSet:
     @property
     def vertices(self) -> Tuple[Vec, ...]:
         return tuple(tuple(Fraction(c, p[-1]) for c in p[:-1]) for p in self.points)
-
-    @property
-    def rays(self):
-        return self.rayset
 
     def __eq__(self, other):
         if not isinstance(other, UpperSet):

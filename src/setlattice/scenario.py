@@ -367,9 +367,10 @@ def run_task(scn: Scenario, task: dict) -> dict:
         f = _set_function_of(scn, task)
         base = _arg(f, task, "base")
         space = CandidateSpace.of(_space_of(scn, task, f), base=base)
-        audit = implication_audit(
-            f, base, space, _dirs_for(f), enrich=task.get("enrich", True)
-        )
+        enrich = task.get("enrich", True)
+        if not isinstance(enrich, bool):
+            raise ValidationError(f"enrich must be true or false, got {enrich!r}")
+        audit = implication_audit(f, base, space, _dirs_for(f), enrich=enrich)
         out["audit"] = audit.to_json()
         out["matrix"] = audit.matrix_text()
         out["violations"] = len(audit.violations)

@@ -236,6 +236,7 @@ class SetFunction:
     xdim: int
     is_exact: bool = True
     declared_convex: bool = True
+    tolerance: Fraction = Fraction(0)  # an oracle's numeric tolerance
     name: str = ""
 
     def __init__(self):
@@ -432,6 +433,7 @@ class VectorFunction:
     workspace: Workspace
     xdim: int
     is_exact: bool
+    tolerance: Fraction = Fraction(0)  # an oracle's numeric tolerance
 
     def psi(self, x: Sequence) -> Optional[Vec]:
         raise NotImplementedError
@@ -738,47 +740,25 @@ def _fm_translate(f: ParamPolyFunction, pts: List[Vec]) -> ParamPolyFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LscProbe:
-    """Finite stand-in for the neighborhood base: radii shrinking to zero."""
-
-    radii: Tuple[Fraction, ...] = (
-        Fraction(1, 2),
-        Fraction(1, 4),
-        Fraction(1, 8),
-        Fraction(1, 32),
-        Fraction(1, 128),
-    )
-    samples_per_radius: int = 4
-    tolerance: Fraction = Fraction(1, 10**6)
-
-    def __post_init__(self):
-        rs = tuple(to_frac(r) for r in self.radii)
-        if any(r <= 0 for r in rs) or any(a <= b for a, b in zip(rs, rs[1:])):
-            raise LatticeError("radii must be positive and strictly decreasing")
-        object.__setattr__(self, "radii", rs)
-        if self.samples_per_radius < 1:
-            raise LatticeError("need at least one sample per radius")
+# a finite stand-in for the neighborhood base of 0: radii shrinking to zero,
+# sampled at k r / _LSC_SAMPLES (k = 1.._LSC_SAMPLES), and the margin by which a
+# sampled scalarization must drop to refute lower semicontinuity
+_LSC_RADII = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 32), Fraction(1, 128))
+_LSC_SAMPLES = 4
+_LSC_TOLERANCE = Fraction(1, 10**6)
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     holds: bool
     certified: bool
-    counterexample: Optional[dict] = None
-
-    @property
-    def approximate(self) -> bool:
-        return not self.certified
 
 
-def _segment_samples(radius: Fraction, count: int):
-    return [radius * Fraction(k, count) for k in range(1, count + 1)]
+def _segment_samples(radius: Fraction):
+    return [radius * Fraction(k, _LSC_SAMPLES) for k in range(1, _LSC_SAMPLES + 1)]
 
 
-def lattice_lsc_probe(
-    f: SetFunction, x0: Sequence, x: Sequence, probe: Optional[LscProbe] = None
-) -> ProbeResult:
+def lattice_lsc_probe(f: SetFunction, x0: Sequence, x: Sequence) -> ProbeResult:
     """Checks f(x0) ≼ liminf of the segment function at 0.
 
     Exact constructors are certified: their offsets vary continuously and
@@ -787,31 +767,16 @@ def lattice_lsc_probe(
     """
     if f.is_exact:
         return ProbeResult(holds=True, certified=True)
-    probe = probe or LscProbe()
     g = f.restrict(x0, x)
     v0 = g.eval((Fraction(0),))
-    hulls = []
-    for r in probe.radii:
-        values = [g.eval((t,)) for t in _segment_samples(r, probe.samples_per_radius)]
-        values.append(v0)
-        hulls.append(inf_family(f.workspace, values))
-    liminf = sup_family(f.workspace, hulls)
-    if v0.leq(liminf):
-        return ProbeResult(holds=True, certified=False)
-    return ProbeResult(
-        holds=False,
-        certified=False,
-        counterexample={"radius": probe.radii[-1], "liminf": liminf.to_json()},
-    )
+    hulls = [
+        inf_family(f.workspace, [g.eval((t,)) for t in _segment_samples(r)] + [v0])
+        for r in _LSC_RADII
+    ]
+    return ProbeResult(holds=v0.leq(sup_family(f.workspace, hulls)), certified=False)
 
 
-def cminus_lsc_probe(
-    f: SetFunction,
-    x0: Sequence,
-    x: Sequence,
-    directions,
-    probe: Optional[LscProbe] = None,
-):
+def cminus_lsc_probe(f: SetFunction, x0: Sequence, x: Sequence, directions):
     """Scalar lower-semicontinuity of each scalarization along the segment at 0.
 
     Returns {direction: ProbeResult}.  A direction with value +∞ at 0 fails
@@ -820,7 +785,6 @@ def cminus_lsc_probe(
     """
     if f.is_exact:
         return {tuple(z): ProbeResult(holds=True, certified=True) for z in directions}
-    probe = probe or LscProbe()
     g = f.restrict(x0, x)
     results = {}
     for zstar in directions:
@@ -830,24 +794,13 @@ def cminus_lsc_probe(
             results[z] = ProbeResult(holds=True, certified=False)
             continue
         if phi0.is_plus_inf:
-            threshold = ExtReal(1 / probe.tolerance)
+            threshold = ExtReal(1 / _LSC_TOLERANCE)
         else:
-            threshold = ExtReal(phi0.value - probe.tolerance)
-        refuted = True
-        for r in probe.radii:
-            vals = [
-                g.scalarize(z, (t,))
-                for t in _segment_samples(r, probe.samples_per_radius)
-            ]
-            if not any(v <= threshold for v in vals):
-                refuted = False
-                break
-        if refuted:
-            results[z] = ProbeResult(
-                holds=False,
-                certified=False,
-                counterexample={"radius": probe.radii[-1], "direction": z},
-            )
-        else:
-            results[z] = ProbeResult(holds=True, certified=False)
+            threshold = ExtReal(phi0.value - _LSC_TOLERANCE)
+        # refuted when every radius has a sample at or below the threshold
+        refuted = all(
+            any([g.scalarize(z, (t,)) <= threshold for t in _segment_samples(r)])
+            for r in _LSC_RADII
+        )
+        results[z] = ProbeResult(holds=not refuted, certified=False)
     return results

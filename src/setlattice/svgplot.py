@@ -41,16 +41,12 @@ def _clip_polygon(upper: UpperSet, lo: Fraction, hi: Fraction):
     return sorted(cart, key=angle_key)
 
 
-def render_svg(
-    named_sets: Sequence[Tuple[str, UpperSet]],
-    lo: Fraction = Fraction(-5),
-    hi: Fraction = Fraction(5),
-    size: int = 480,
-) -> str:
-    """SVG document showing the named sets clipped to [lo, hi]^2."""
+def render_svg(named_sets: Sequence[Tuple[str, UpperSet]]) -> str:
+    """SVG document showing the named sets clipped to [-5, 5]^2."""
     for _, s in named_sets:
         if s.workspace.dim != 2:
             raise DimensionUnsupported("plotting needs a two-dimensional workspace")
+    lo, hi, size = Fraction(-5), Fraction(5), 480  # [lo, hi]^2 on size x size pixels
     span = hi - lo
 
     def sx(v: Fraction) -> str:

@@ -99,10 +99,6 @@ class DiniLimitSet:
 # ---------------------------------------------------------------------------
 
 
-# another name of the exact vector function, which is its own epigraphical extension
-PWLVectorFunction = EpiVectorFunction
-
-
 class OracleVectorFunction(VectorFunction):
     def __init__(
         self,
@@ -141,7 +137,7 @@ def epigraphical(psi: VectorFunction) -> SetFunction:
         psi.xdim,
         evaluator,
         declared_convex=True,
-        tolerance=getattr(psi, "tolerance", Fraction(1, 10**6)),
+        tolerance=psi.tolerance,
         name=psi.name or "epigraphical",
     )
 
@@ -236,7 +232,7 @@ def vector_dini(psi: VectorFunction, x0: Sequence, u: Sequence) -> DiniLimitSet:
     base = psi.psi(x0)
     if base is None:
         raise LatticeError("base point is outside the domain")
-    tol = getattr(psi, "tolerance", Fraction(1, 10**6))
+    tol = psi.tolerance
     trail = []
     t = Fraction(1)
     for _ in range(24):
@@ -305,7 +301,7 @@ def classify_dini(
     xx = as_vec(x)
     u = tuple(b - a for a, b in zip(x0, xx))
     D = set_derivative(f, x0, u)
-    tol = getattr(psi, "tolerance", Fraction(0))
+    tol = psi.tolerance
     finite_ok = True
     scalar_ok = True
     for z in dlimit.finite_points:
@@ -338,7 +334,7 @@ def classify_dini(
         if not D.exact:
             # a finite quotient sample cannot show the recession the outer
             # limit accrues along its divergence directions; fold them in
-            rays = list(rec.rays) + [_primitive_dir(vec)]
+            rays = list(rec.rayset) + [_primitive_dir(vec)]
             rec = UpperSet._from_generators(ws, [ws.geom.ORIGIN], rays)
         if not rec.leq(shadow):
             infinite_ok = False

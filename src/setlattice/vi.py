@@ -40,12 +40,10 @@ from .kernel import (
 from .setfun import (
     EmptyTranslationSet,
     EpiVectorFunction,
-    LscProbe,
     ParamPolyFunction,
     SetFunction,
     cminus_lsc_probe,
     inf_translate,
-    inf_translation,
     infimum_over_domain,
     lattice_lsc_probe,
 )
@@ -53,10 +51,6 @@ from .setfun import (
 
 class BaseOutsideDomain(LatticeError):
     pass
-
-
-def _vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(p - q for p, q in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -77,6 +71,13 @@ class CandidateSpace:
 
     def __len__(self):
         return len(self.points)
+
+
+def _translation_space(space: CandidateSpace, pts: List[Vec], origin: Vec) -> CandidateSpace:
+    """Every candidate shifted against every translation point, based at the origin:
+    the arguments of the inf-translation by pts that the space reaches."""
+    shifted = [tuple(p - q for p, q in zip(x, m)) for x in space.points for m in pts]
+    return CandidateSpace.of(shifted, base=origin)
 
 
 @dataclass
@@ -237,7 +238,7 @@ class _Table:
                     continue
                 extra.extend(n for n, _ in D.value.constraints)
         extra = [n for n in extra if any(c != 0 for c in n)]
-        return directions.union(extra, self.f.workspace.cone)
+        return directions.union(extra)
 
     def dini_witnesses(self, row, ray, ks, fails) -> List[dict]:
         dinis = ((k, self.dini(ray, k)) for k in ks)
@@ -485,16 +486,14 @@ def infimizer_check(
     inf_all = inf_family(ws, [f.eval(x) for x in space.points])
     verdict = inf_M == inf_all
     origin = (Fraction(0),) * f.xdim
-    fhat0_finite = inf_translation(f, pts, origin)
     exact = f.is_exact
     svi_zero = None
     corollary_consistent = None
     try:
         fhat = inf_translate(f, pts, convex=True)
         fhat0_convex = fhat.eval(origin)
-        agrees = fhat0_finite == fhat0_convex
-        probe_points = [_vsub(x, m) for x in space.points for m in pts]
-        probe = CandidateSpace.of(probe_points, base=origin)
+        agrees = inf_M == fhat0_convex  # inf_M is the finite translation f̂(0; M)
+        probe = _translation_space(space, pts, origin)
         if not fhat0_convex.is_empty:
             probe_dirs = directions
             if fhat.is_exact:
@@ -509,7 +508,7 @@ def infimizer_check(
                         extra_pts.append(tuple(t * c for c in x))
                 probe = CandidateSpace.of(list(probe.points) + extra_pts, base=origin)
                 facet_dirs = [n for x in probe.points for n, _ in fhat.eval(x).constraints]
-                probe_dirs = directions.union(facet_dirs, f.workspace.cone)
+                probe_dirs = directions.union(facet_dirs)
             svi_zero = run_checker("svi_I", fhat, origin, probe, probe_dirs)
             # the faithful form of the corollary compares against the
             # translated infimum over the same (enriched) probe space
@@ -698,7 +697,6 @@ def implication_audit(
     space: CandidateSpace,
     directions: DirectionSet,
     enrich: bool = True,
-    probe: Optional[LscProbe] = None,
 ) -> AuditReport:
     """Run every checker and optimality oracle and audit the implication web.
 
@@ -725,10 +723,10 @@ def implication_audit(
     for x in space.points:
         if x == x0:
             continue
-        pr = lattice_lsc_probe(f, x0, x, probe)
+        pr = lattice_lsc_probe(f, x0, x)
         lsc["lattice"] = lsc["lattice"] and pr.holds
         lsc["certified"] = lsc["certified"] and pr.certified
-        for res in cminus_lsc_probe(f, x0, x, directions, probe).values():
+        for res in cminus_lsc_probe(f, x0, x, directions).values():
             lsc["cminus"] = lsc["cminus"] and res.holds
             lsc["certified"] = lsc["certified"] and res.certified
 
@@ -784,8 +782,6 @@ def implication_audit_for_set(
     M: Sequence[Sequence],
     space: CandidateSpace,
     directions: DirectionSet,
-    enrich: bool = True,
-    probe: Optional[LscProbe] = None,
 ) -> AuditReport:
     """Audit a candidate infimizer set by translating it to the origin.
 
@@ -796,9 +792,7 @@ def implication_audit_for_set(
     pts = [as_vec(m) for m in M]
     fhat = inf_translate(f, pts, convex=True)
     origin = (Fraction(0),) * f.xdim
-    probe_points = [_vsub(x, m) for x in space.points for m in pts]
-    probe_space = CandidateSpace.of(probe_points, base=origin)
-    return implication_audit(fhat, origin, probe_space, directions, enrich, probe)
+    return implication_audit(fhat, origin, _translation_space(space, pts, origin), directions)
 
 
 def _segment_infimum(f: SetFunction, x0: Vec, x: Vec):

@@ -150,7 +150,7 @@ def test_criterion_3_recession():
         # finite scalarizations lie in the dual of the recession cone
         for z in ws.directions:
             if a.neg_support(z).is_finite:
-                if any(sum(zi * ri for zi, ri in zip(z, r)) > 0 for r in ra.rays):
+                if any(sum(zi * ri for zi, ri in zip(z, r)) > 0 for r in ra.rayset):
                     violations += 1
         # recession of sums, monotonicity
         if a.add(b).recession() != inf_family(ws, [ra, rb]):

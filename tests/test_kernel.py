@@ -33,7 +33,7 @@ def test_canonicalize_drops_redundant(orthant):
     s = orthant.upper_set([((-1, 0), -1), ((-1, 0), 0), ((0, -1), -2)])
     assert s.constraints == (((-1, 0), Fraction(-1)), ((0, -1), Fraction(-2)))
     assert s.vertices == ((Fraction(1), Fraction(2)),)
-    assert set(s.rays) == {(1, 0), (0, 1)}
+    assert set(s.rayset) == {(1, 0), (0, 1)}
 
 
 def test_canonicalize_detects_empty(ray_cone):
@@ -155,7 +155,7 @@ def test_workspace_one_dimensional():
     w = Workspace(1, [(1,)])
     a = w.translated_cone((Fraction(3, 2),))
     assert a.vertices == ((Fraction(3, 2),),)
-    assert a.rays == ((1,),)
+    assert a.rayset == ((1,),)
     assert a.residual(w.cone_set()) == a
     zero_cone = Workspace(1, [])
     i1 = zero_cone.upper_set([((1,), 1), ((-1,), 1)])

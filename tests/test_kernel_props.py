@@ -155,7 +155,7 @@ def test_finite_scalarization_lies_in_dual_of_recession(corpus):
         for z in ws.directions:
             if a.neg_support(z).is_finite:
                 # z* pairs nonpositively with every recession direction
-                for r in rec.rays:
+                for r in rec.rayset:
                     assert sum(zi * ri for zi, ri in zip(z, r)) <= 0
 
 

@@ -106,7 +106,7 @@ def vertex_support(u, d) -> ExtReal:
     """sup <d, z> over conv(vertices) + cone(rays), in Fractions from scratch."""
     if u.is_empty:
         return MINUS_INF
-    if any(_frac_dot(d, r) > 0 for r in u.rays):
+    if any(_frac_dot(d, r) > 0 for r in u.rayset):
         return PLUS_INF
     return ExtReal(max(_frac_dot(d, v) for v in u.vertices))
 
@@ -217,7 +217,7 @@ def contained(b, a) -> bool:
     if a.is_empty:
         return False
     return all(
-        all(_frac_dot(n, v) <= c for v in b.vertices) and all(_frac_dot(n, r) <= 0 for r in b.rays)
+        all(_frac_dot(n, v) <= c for v in b.vertices) and all(_frac_dot(n, r) <= 0 for r in b.rayset)
         for n, c in a.constraints
     )
 

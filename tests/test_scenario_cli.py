@@ -316,6 +316,37 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err, label
 
 
+def test_audit_enrich_is_a_json_boolean(tmp_path, capsys):
+    """false audits the space as given, true adds the critical parameters of
+    each segment (here the kink of -|x| at 0), and any other value is malformed."""
+    kink = dict(_F1, offsets=[[[["1"], "0"], [["-1"], "0"]]] * 2)
+
+    def audit_doc(enrich):
+        task = {"op": "implication_audit", "function": "f", "base": [-1], "space": "g"}
+        return {
+            "schema": 1,
+            "workspace": _WS,
+            "functions": {"f": kink},
+            "spaces": {"g": {"points": [[-1], [1]]}},
+            "tasks": [dict(task, enrich=enrich)],
+        }
+
+    spaces = {}
+    for enrich in (False, True):
+        path = tmp_path / f"{enrich}.json"
+        path.write_text(json.dumps(audit_doc(enrich)))
+        audit = task_by_op(run_scenario(load_scenario(str(path))), "implication_audit")[0]
+        spaces[enrich] = audit["audit"]["space"]
+    assert spaces[False] == [["-1"], ["1"]]
+    assert ["0"] in spaces[True] and len(spaces[True]) > 2
+    for enrich in ("false", "true", 0, 1, None, [], {}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(audit_doc(enrich)))
+        capsys.readouterr()
+        assert main(["check-vi", "--scenario", str(path)]) == 1, enrich
+        assert capsys.readouterr().err.startswith("validation error:"), enrich
+
+
 # one small scenario with cheap tasks; every field of it is dropped or retyped
 _FUZZ_DOC = {
     "schema": 1,

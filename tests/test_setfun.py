@@ -229,6 +229,40 @@ def test_heyde_b_axis_directions_lsc():
     assert all(r.holds for r in res.values())
 
 
+def test_oracle_lsc_verdicts_pin_the_sample_grid(ws):
+    # the probes sample k r / 4 (k = 1..4) at the radii below, with tolerance 1/10^6.
+    # The oracle jumps down by eps off that grid, and at 3r/4 in z2 for the four
+    # coarse radii but in z1 for the finest one.  A change of the sample count
+    # reaches a point off the grid (or misses every 3r/4); dropping or moving the
+    # finest radius leaves only z2 jumps; a larger tolerance sees no jump at all.
+    radii = [F(1, 2), F(1, 4), F(1, 8), F(1, 32), F(1, 128)]
+    grid = {r * F(k, 4) for r in radii for k in range(1, 5)}
+    eps = F(1, 10**6)
+
+    def evaluator(x):
+        t = x[0]
+        if t < 0 or t > 1:
+            return ws.empty_set()
+        if t == radii[-1] * F(3, 4):
+            return ws.translated_cone((-eps, 0))
+        if t in (r * F(3, 4) for r in radii):
+            return ws.translated_cone((0, -eps))
+        if t == 0 or t in grid:
+            return ws.translated_cone((0, 0))
+        return ws.translated_cone((-eps, -eps))
+
+    f = OracleFunction(ws, 1, evaluator, name="grid-jumps")
+    res = lattice_lsc_probe(f, (0,), (1,))
+    assert res.holds and not res.certified
+    per_dir = cminus_lsc_probe(f, (0,), (1,), ws.directions)
+    assert {z: r.holds for z, r in per_dir.items()} == {
+        (-1, 0): True,
+        (0, -1): True,
+        (-1, -1): False,
+    }
+    assert not any(r.certified for r in per_dir.values())
+
+
 def test_finite_inf_function_restrict(absdiag, ws):
     fhat = FiniteInfFunction([absdiag.shift_arg((m,)) for m in (-1, 1)])
     g = fhat.restrict((0,), (1,))

@@ -20,14 +20,13 @@ from setlattice.instances import (
     random_pwl_vector,
 )
 from setlattice.kernel import Workspace, _int_dir, as_vec, inf_family
-from setlattice.setfun import ConvexPWL, Polyhedron
+from setlattice.setfun import ConvexPWL, EpiVectorFunction, Polyhedron
 from setlattice.vectoropt import (
     DEFAULT_T_PARAMS,
     DiniLimitSet,
     EmptyGrid,
     ExtendedPoint,
     OracleVectorFunction,
-    PWLVectorFunction,
     _efficient,
     classify_dini,
     eff_plus_cone_identity,
@@ -51,7 +50,7 @@ def ws():
 @pytest.fixture
 def vee(ws):
     # psi(x) = (|x|, |x-1|): efficient exactly on [0, 1]
-    return PWLVectorFunction(
+    return EpiVectorFunction(
         ws,
         1,
         [ConvexPWL([((1,), 0), ((-1,), 0)]), ConvexPWL([((1,), -1), ((-1,), 1)])],
@@ -144,7 +143,7 @@ def test_pointed_cone_forbids_mixed_limits(ws):
         infinite_dirs=[ExtendedPoint.at_infinity((0, -1))],
         exact=False,
     )
-    vee_fn = PWLVectorFunction(
+    vee_fn = EpiVectorFunction(
         ws,
         1,
         [ConvexPWL([((1,), 0)]), ConvexPWL([((1,), 0)])],
@@ -207,7 +206,7 @@ def test_minimizer_matches_efficiency_definitionally(vee):
 
 def test_wedge_cone_efficiency_bridge():
     ww = Workspace(2, [(2, 1), (1, 2)])
-    psi = PWLVectorFunction(
+    psi = EpiVectorFunction(
         ww, 1, [ConvexPWL([((1,), 0), ((-1,), 0)]), ConvexPWL([((1,), -1), ((-1,), 1)])]
     )
     grid = [(F(k, 2),) for k in range(-2, 5)]
@@ -221,7 +220,7 @@ def test_lineality_cone_efficiency():
     # a halfplane cone orders only by the second component, up to its line
     whp = Workspace(2, [(1, 0), (-1, 0), (0, 1)])
     assert not whp.cone.is_pointed
-    psi = PWLVectorFunction(
+    psi = EpiVectorFunction(
         whp, 1, [ConvexPWL([((1,), 0), ((-1,), 0)]), ConvexPWL([((2,), 0)])]
     )
     grid = [(F(k, 2),) for k in range(-2, 3)]
@@ -270,7 +269,7 @@ def test_efficient_set_matches_lattice_order_oracle():
         for trial in range(12):
             xdim = 1 + trial % 2
             if trial % 4 == 3:
-                psi = PWLVectorFunction(ws, 1, [_mirrored_pwl(rng) for _ in range(2)])
+                psi = EpiVectorFunction(ws, 1, [_mirrored_pwl(rng) for _ in range(2)])
                 grid = [(F(k, 2),) for k in range(-4, 5)]
             else:
                 psi = random_pwl_vector(rng, ws, xdim, max_pieces=2)
@@ -307,7 +306,7 @@ def test_vector_dini_reads_the_shared_ray_record():
     for trial in range(40):
         xdim = 1 + trial % 2
         comps = [random_convex_pwl(rng, xdim, max_pieces=3) for _ in range(2)]
-        psi = PWLVectorFunction(ws, xdim, comps, Polyhedron.box([(-2, 2)] * xdim))
+        psi = EpiVectorFunction(ws, xdim, comps, Polyhedron.box([(-2, 2)] * xdim))
         assert epigraphical(psi) is epigraphical(psi)
         bases = [tuple(F(rng.randint(-4, 4), 2) for _ in range(xdim)) for _ in range(3)]
         # a corner of the box, with directions that point out of it
@@ -419,7 +418,7 @@ def _minty_cases():
             # x0 from the grid, repeated grid points, and points off a box
             grid = grid + [grid[0], inside[-1]]
             make = (lambda ws=ws, xdim=xdim, comps=comps, box=box:
-                    PWLVectorFunction(ws, xdim, comps, box))
+                    EpiVectorFunction(ws, xdim, comps, box))
             cases += [(make, inside[0], grid, ws.directions), (make, inside[-1], grid, ws.directions)]
     orthant = orthant_workspace()
     pwl = random_pwl_vector(rng, orthant, 1, max_pieces=3)

@@ -449,6 +449,20 @@ def test_audit_on_oracle_is_inconclusive_not_violating():
     assert not audit.exact
 
 
+# sha256 of the matrix text and sorted-key JSON of heyde_b's audit at 1/2 over
+# the quarters of [0, 1]: the sampled l.s.c. probes refute both side conditions
+HEYDE_B_AUDIT = "02ecf621ff554564e8b283053ce835275890364b4194590810cc784061842346"
+
+
+def test_oracle_audit_digest_pinned():
+    f = heyde_b()
+    space = CandidateSpace.of([(F(k, 4),) for k in range(5)])
+    audit = implication_audit(f, (F(1, 2),), space, f.workspace.directions)
+    assert audit.lsc == {"lattice": False, "cminus": False, "certified": False}
+    text = audit.matrix_text() + "\n" + json.dumps(audit.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == HEYDE_B_AUDIT
+
+
 def test_audit_matrix_text(absdiag, ws):
     audit = implication_audit(
         absdiag, (0,), CandidateSpace.of([(-1,), (1,)]), ws.directions
@@ -772,7 +786,7 @@ def _reference_enrich_directions(f, x0, space, directions):
             if not D.value.is_empty:
                 extra.extend(n for n, _ in D.value.constraints)
     extra = [n for n in extra if any(c != 0 for c in n)]
-    return directions.union(extra, f.workspace.cone)
+    return directions.union(extra)
 
 
 def _reference_regularity(f, x0, space, directions):
