@@ -9,8 +9,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import List, Optional, Tuple
 
-from .kernel import UpperSet, Workspace, to_frac
+from .kernel import LatticeError, UpperSet, Workspace, to_frac
 from .setfun import (
+    DEFAULT_TOLERANCE,
     ConcavePWL,
     ConvexPWL,
     EpiVectorFunction,
@@ -83,7 +84,7 @@ def heyde_a() -> ParamPolyFunction:
 _HEYDE_B_LEVELS = 10
 
 
-def heyde_b(tolerance=Fraction(1, 10**6)) -> OracleFunction:
+def heyde_b(tolerance=DEFAULT_TOLERANCE) -> OracleFunction:
     """Hyperbola-valued interpolation on [0, 1]: the value at x below 1 is the
     closed region above z2 = (1-x)^2/z1 in the open quadrant, here outer-
     approximated by tangent halfspaces plus the axes.
@@ -112,7 +113,7 @@ def heyde_b(tolerance=Fraction(1, 10**6)) -> OracleFunction:
     )
 
 
-def circle(tolerance=Fraction(1, 10**6)) -> OracleFunction:
+def circle(tolerance=DEFAULT_TOLERANCE) -> OracleFunction:
     """The disk-graph function x -> [-sqrt(1-x^2), sqrt(1-x^2)] over C = {0}.
 
     Endpoints are rational lower bounds of the true square root, so every
@@ -133,7 +134,7 @@ def circle(tolerance=Fraction(1, 10**6)) -> OracleFunction:
     )
 
 
-def infdir_example(tolerance=Fraction(1, 10**6)) -> OracleVectorFunction:
+def infdir_example(tolerance=DEFAULT_TOLERANCE) -> OracleVectorFunction:
     """psi(s) = (-s, -sqrt(s)) on [0, 1]: the quotient trail at 0 diverges in
     norm with direction stabilizing to (0, -1), an infinite Dini element."""
     ws = Workspace(2, [(1, 0), (0, 1)], [(-1, 0), (0, -1)])
@@ -164,14 +165,15 @@ def no_solution_line() -> ParamPolyFunction:
     )
 
 
-def builtin_function(name: str, tolerance=Fraction(1, 10**6)):
-    """Named builtin; returns a SetFunction, VectorFunction or set pair.
+def builtin_function(name: str, tolerance=DEFAULT_TOLERANCE):
+    """Named builtin function, a SetFunction (a VectorFunction is one).
 
     ``tolerance`` goes to the oracle builtins (heyde_b, circle,
-    infdir_example); the exact ones have none.
+    infdir_example); the exact ones have none.  example23 is a pair of sets,
+    not a function: ``example23_sets`` builds it.
     """
     if name == "example23":
-        return example23_sets()
+        raise LatticeError("example23 is a pair of sets, not a function")
     if name == "heyde_a":
         return heyde_a()
     if name == "heyde_b":

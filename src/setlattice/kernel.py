@@ -53,12 +53,6 @@ def to_frac(x) -> Fraction:
     return Fraction(x)
 
 
-def frac_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def as_vec(v) -> Vec:
     return tuple(to_frac(c) for c in v)
 
@@ -79,13 +73,23 @@ def _int_dir(v: Iterable) -> Tuple[Tuple[int, ...], int]:
 class Point:
     """A rational vector x = k/d in the integer form of ``_int_dir``, and the
     memo record of one argument of one set function: f(x) in ``value``, the
-    scalarisations φ(x, z*) in ``phi``, per z*, and a row function's piece
-    values in ``pieces``, each computed on first use."""
+    scalarisations φ(x, z*) in ``phi``, per z*, and the function's own data
+    at x in ``pieces`` (a row function's piece values, an oracle psi's
+    answer), each computed on first use.  Points are equal when their (k, d)
+    are, and never equal to a tuple."""
 
     __slots__ = ("k", "d", "value", "phi", "pieces")
 
     def __init__(self, k: Tuple[int, ...], d: int):
         self.k, self.d, self.value, self.phi, self.pieces = k, d, None, {}, None
+
+    def __eq__(self, other):
+        if type(other) is not Point:
+            return NotImplemented
+        return self.k == other.k and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.k, self.d))
 
     @property
     def x(self) -> Vec:
@@ -393,7 +397,7 @@ class UpperSet:
         parts = []
         for f in self.facets:
             n = _facet_normal(f)
-            parts.append(f"<{','.join(map(str, n))}|z> <= {frac_str(_facet_offset(f))}")
+            parts.append(f"<{','.join(map(str, n))}|z> <= {_facet_offset(f)!s}")
         return "UpperSet({" + ", ".join(parts) + "})"
 
     # -- order and lattice ----------------------------------------------
@@ -539,11 +543,11 @@ class UpperSet:
             "constraints": [
                 {
                     "n": list(_facet_normal(f)),
-                    "b": frac_str(_facet_offset(f)),
+                    "b": str(_facet_offset(f)),
                 }
                 for f in self.facets
             ],
-            "vertices": [[frac_str(c) for c in v] for v in self.vertices],
+            "vertices": [[str(c) for c in v] for v in self.vertices],
             "rays": [list(r) for r in self.rayset],
         }
 

@@ -28,10 +28,10 @@ from .kernel import (
     LatticeError,
     UpperSet,
     Workspace,
-    frac_str,
     inf_family,
 )
 from .setfun import (
+    DEFAULT_TOLERANCE,
     ConcavePWL,
     ConvexPWL,
     EpiVectorFunction,
@@ -44,7 +44,6 @@ from .vectoropt import (
     VectorFunction,
     classify_dini,
     efficiency_minimality_bridge,
-    epigraphical,
     infdir_plus_cone,
     vector_dini,
     vector_minty_check,
@@ -60,7 +59,6 @@ from .vi import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_TOLERANCE = Fraction(1, 10**6)
 
 # Largest candidate space a "box" grid may enumerate.
 MAX_SPACE_POINTS = 10_000
@@ -297,17 +295,8 @@ def _lookup(table: dict, name, what: str):
     return table[name]
 
 
-def _function_of(scn: Scenario, task: dict):
+def _function_of(scn: Scenario, task: dict) -> SetFunction:
     return _lookup(scn.functions, task.get("function"), "function")
-
-
-def _set_function_of(scn: Scenario, task: dict) -> SetFunction:
-    f = _function_of(scn, task)
-    if isinstance(f, VectorFunction):
-        return epigraphical(f)
-    if isinstance(f, tuple):
-        raise ValidationError("task needs a set-valued function")
-    return f
 
 
 def _vector_function_of(scn: Scenario, task: dict) -> VectorFunction:
@@ -336,7 +325,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
     op = task.get("op")
     out = {"op": op}
     if op == "eval":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         out["value"] = f.eval(_arg(f, task, "x")).to_json()
     elif op == "residual":
         a = _named_set(scn, _field(task, "a"))
@@ -352,7 +341,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["values"] = vals
         out["residual_empty"] = a.residual(b).is_empty
     elif op == "check_vi":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         base = _arg(f, task, "base")
         space = CandidateSpace.of(_space_of(scn, task, f), base=base)
         names = _list(task.get("inequalities", ["svi_I"]), "inequalities")
@@ -364,7 +353,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
             for n in names
         ]
     elif op == "implication_audit":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         base = _arg(f, task, "base")
         space = CandidateSpace.of(_space_of(scn, task, f), base=base)
         enrich = task.get("enrich", True)
@@ -375,16 +364,16 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["matrix"] = audit.matrix_text()
         out["violations"] = len(audit.violations)
     elif op == "derivative":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         out["result"] = set_derivative(f, _arg(f, task, "x"), _arg(f, task, "u")).to_json()
     elif op == "scalar_dini":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         x, u = _arg(f, task, "x"), _arg(f, task, "u")
         out["values"] = {
             ",".join(map(str, z)): scalar_dini(f, z, x, u).to_json() for z in _dirs_for(f)
         }
     elif op == "regularity":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         rep = regularity_check(f, _arg(f, task, "x"), _arg(f, task, "u"), _dirs_for(f))
         out["strong"] = rep.strong
         out["weak"] = rep.weak
@@ -392,7 +381,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
         out["derivative"] = rep.derivative.to_json()
         out["intersection"] = rep.intersection.to_json()
     elif op == "minimal_scan":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         pts = _space_of(scn, task, f)
         probe = CandidateSpace.of(
             _space_of(scn, task, f, "probe_space") if "probe_space" in task else pts
@@ -400,16 +389,16 @@ def run_task(scn: Scenario, task: dict) -> dict:
         bases = [x for x in pts if not f.eval(x).is_empty]
         reports = minimal_scan(f, bases, probe, _dirs_for(f))
         out["minimal"] = [
-            [frac_str(c) for c in x] for x, rep in zip(bases, reports) if rep.conditions["a"]
+            [str(c) for c in x] for x, rep in zip(bases, reports) if rep.conditions["a"]
         ]
     elif op == "infimizer":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         space = CandidateSpace.of(_space_of(scn, task, f))
         out["report"] = infimizer_check(
             f, _arg_list(f, task, "M"), space, _dirs_for(f)
         ).to_json()
     elif op == "solution":
-        f = _set_function_of(scn, task)
+        f = _function_of(scn, task)
         space = CandidateSpace.of(_space_of(scn, task, f))
         out["report"] = solution_check(
             f, _arg_list(f, task, "M"), space, _dirs_for(f)
@@ -418,7 +407,7 @@ def run_task(scn: Scenario, task: dict) -> dict:
         psi = _vector_function_of(scn, task)
         grid = _space_of(scn, task, psi, "grid" if "grid" in task else "space")
         bridge = efficiency_minimality_bridge(psi, grid, _dirs_for(psi))
-        out["efficient"] = [[frac_str(c) for c in p] for p in bridge["efficient"]]
+        out["efficient"] = [[str(c) for c in p] for p in bridge["efficient"]]
         out["bridge_agrees"] = bridge["agrees"]
     elif op == "vector_dini":
         psi = _vector_function_of(scn, task)
@@ -507,7 +496,7 @@ def run_scenario(scn: Scenario) -> Report:
         scenario=scn.name,
         environment={
             "package": f"setlattice {__version__}",
-            "tolerance": frac_str(scn.tolerance),
+            "tolerance": str(scn.tolerance),
         },
     )
     for t in scn.tasks:

@@ -3,7 +3,9 @@ inf-translation, segment restriction and semicontinuity probes.
 
 Three constructor classes: parametric polyhedra and epigraphical vector
 extensions, the two exact row functions, and numeric oracles (sampled,
-approximate-flagged).
+approximate-flagged).  A vector function psi is a set function, its own
+epigraphical extension f(x) = psi(x) + C, ∅ outside its domain: the exact
+one reads psi off its row record, an oracle calls its handle once per point.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class OracleFailure(LatticeError):
 
 class EmptyTranslationSet(LatticeError):
     pass
+
+
+# the numeric tolerance of an oracle that is given none
+DEFAULT_TOLERANCE = Fraction(1, 10**6)
 
 
 def _components(workspace: Workspace, xdim: int, components) -> tuple:
@@ -427,24 +433,20 @@ def _primitive_offset(normal, offset: ConcavePWL) -> ConcavePWL:
     )
 
 
-class VectorFunction:
-    """A vector-valued map on a domain in X; exact PWL or numeric oracle."""
-
-    workspace: Workspace
-    xdim: int
-    is_exact: bool
-    tolerance: Fraction = Fraction(0)  # an oracle's numeric tolerance
-
-    def psi(self, x: Sequence) -> Optional[Vec]:
-        raise NotImplementedError
+class VectorFunction(SetFunction):
+    """A vector-valued map psi on a domain in X, exact PWL or numeric oracle,
+    and its own epigraphical extension: as a set function f(x) = psi(x) + C."""
 
     def psi_at(self, x: Sequence) -> Optional[Tuple[Tuple[int, ...], int]]:
         """psi(x) in the integer form (k, d) of kernel._int_dir, None outside the domain."""
-        v = self.psi(x)
-        return None if v is None else _int_dir(v)
+        raise NotImplementedError
+
+    def psi(self, x: Sequence) -> Optional[Vec]:
+        v = self.psi_at(x)
+        return None if v is None else tuple(Fraction(c, v[1]) for c in v[0])
 
     def domain_contains(self, x: Sequence) -> bool:
-        return self.psi(x) is not None
+        return self.psi_at(x) is not None
 
 
 class EpiVectorFunction(RowFunction, VectorFunction):
@@ -468,10 +470,6 @@ class EpiVectorFunction(RowFunction, VectorFunction):
     @property
     def components(self) -> Tuple[ConvexPWL, ...]:
         return self.pwls
-
-    def psi(self, x: Sequence) -> Optional[Vec]:
-        v = self.psi_at(x)
-        return None if v is None else tuple(Fraction(c, v[1]) for c in v[0])
 
     def psi_at(self, x: Sequence) -> Optional[Tuple[Tuple[int, ...], int]]:
         p = self.point(x)
@@ -520,7 +518,7 @@ class OracleFunction(SetFunction):
         xdim: int,
         evaluator: Callable[[Vec], UpperSet],
         declared_convex: bool = True,
-        tolerance: object = Fraction(1, 10**6),
+        tolerance: object = DEFAULT_TOLERANCE,
         name: str = "",
     ):
         super().__init__()
@@ -532,11 +530,15 @@ class OracleFunction(SetFunction):
         self.tolerance = to_frac(tolerance)
         self.name = name
 
-    def _eval(self, p: Point) -> UpperSet:
+    def _call(self, p: Point):
+        """The handle's answer at the record p; its errors are OracleFailure."""
         try:
-            value = self.evaluator(p.x)
+            return self.evaluator(p.x)
         except Exception as exc:  # noqa: BLE001 - oracle errors are wrapped
             raise OracleFailure(str(exc)) from exc
+
+    def _eval(self, p: Point) -> UpperSet:
+        value = self._call(p)
         if not isinstance(value, UpperSet):
             raise OracleFailure("oracle evaluator must return an UpperSet")
         return value

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import le, mul
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from .calculus import _ray, scalar_dini, segment_criticals, set_derivative
 from .extres import ExtReal
@@ -19,9 +19,9 @@ from .kernel import (
     Workspace,
     _along,
     _dot,
+    _int_dir,
     _primitive_dir,
     as_vec,
-    to_frac,
 )
 from .setfun import (  # VectorFunction is re-exported: the interface of psi
     EpiVectorFunction,
@@ -99,47 +99,28 @@ class DiniLimitSet:
 # ---------------------------------------------------------------------------
 
 
-class OracleVectorFunction(VectorFunction):
-    def __init__(
-        self,
-        workspace: Workspace,
-        xdim: int,
-        handle: Callable[[Vec], Optional[Vec]],
-        tolerance=Fraction(1, 10**6),
-        name: str = "",
-    ):
-        self.workspace = workspace
-        self.xdim = xdim
-        self.handle = handle
-        self.tolerance = to_frac(tolerance)
-        self.is_exact = False
-        self.name = name
+class OracleVectorFunction(OracleFunction, VectorFunction):
+    """A numeric oracle psi: the handle (``evaluator``) maps x to a rational
+    vector, None outside the domain.  It is its own epigraphical extension
+    psi + C and calls the handle once per point record, whose ``pieces`` keep
+    the answer, as a row function keeps its piece values there."""
 
-    def psi(self, x):
-        v = self.handle(as_vec(x))
-        return None if v is None else as_vec(v)
+    def psi_at(self, x):
+        p = self.point(x)
+        if p.pieces is None:
+            v = self._call(p)
+            p.pieces = [None if v is None else _int_dir(v)]
+        return p.pieces[0]
+
+    def _eval(self, p):
+        v = self.psi(p)
+        return self.workspace.empty_set() if v is None else self.workspace.translated_cone(v)
 
 
 def epigraphical(psi: VectorFunction) -> SetFunction:
-    """The epigraphical extension x -> psi(x) + C, ∅ outside the domain."""
-    if isinstance(psi, EpiVectorFunction):
-        return psi
-    ws = psi.workspace
-
-    def evaluator(x: Vec) -> UpperSet:
-        v = psi.psi(x)
-        if v is None:
-            return ws.empty_set()
-        return ws.translated_cone(v)
-
-    return OracleFunction(
-        ws,
-        psi.xdim,
-        evaluator,
-        declared_convex=True,
-        tolerance=psi.tolerance,
-        name=psi.name or "epigraphical",
-    )
+    """The epigraphical extension x -> psi(x) + C, ∅ outside the domain: every
+    vector function is its own.  The name stays for the benchmark tracer."""
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +168,7 @@ def efficiency_minimality_bridge(
     "efficient" is the efficient_set list, in grid order."""
     eff = efficient_set(psi, grid)
     space = CandidateSpace.of(grid)
-    reports = minimal_scan(epigraphical(psi), space.points, space, directions)
+    reports = minimal_scan(psi, space.points, space, directions)
     mismatches = [
         x for x, rep in zip(space.points, reports) if rep.conditions["a"] != (x in eff)
     ]
@@ -296,11 +277,10 @@ def classify_dini(
     in -C and their cones inside its recession, and mixed limits force the
     lineality space."""
     ws = psi.workspace
-    f = epigraphical(psi)
     x0 = as_vec(x0)
     xx = as_vec(x)
     u = tuple(b - a for a, b in zip(x0, xx))
-    D = set_derivative(f, x0, u)
+    D = set_derivative(psi, x0, u)
     tol = psi.tolerance
     finite_ok = True
     scalar_ok = True
@@ -313,7 +293,7 @@ def classify_dini(
             if not (zc.leq(D.value) or D.value.leq(zc)):
                 finite_ok = False
         for zs in directions:
-            lhs = scalar_dini(f, zs, x0, u)
+            lhs = scalar_dini(psi, zs, x0, u)
             rhs = ExtReal(-_dot(as_vec(zs), z))
             if lhs == rhs:
                 continue
@@ -375,27 +355,26 @@ def vector_minty_check(
          plus the polyhedral finite-direction Minty check.
     """
     ws = psi.workspace
-    f = epigraphical(psi)
     x0 = as_vec(x0)
     pts = [as_vec(x) for x in grid]
-    p0 = f.point(x0)
+    p0 = psi.point(x0)
     base_val = psi.psi_at(p0)
     if base_val is None:
         raise LatticeError("base point is outside the domain")
     scalar_ok = inner_ok = single_valued = True
-    witnesses, reached = [], [(p0, base_val)]  # (f's record, psi) of x0 and the segment points
+    witnesses, reached = [], [(p0, base_val)]  # (psi's record, psi) of x0 and the segment points
     zero = ExtReal(0)
     for x in pts:
         ts = list(DEFAULT_T_PARAMS)
         if psi.is_exact and x != x0:
             # close the sample under the segment's kinks, where off-grid
             # dominators of piecewise-linear data live, and the endpoint
-            crit = segment_criticals(f, x0, x, directions)
+            crit = segment_criticals(psi, x0, x, directions)
             ts += [t for t in crit if t not in ts] + [Fraction(1)]
-        px = f.point(x)
+        px = psi.point(x)
         u_x, u_back = _along(px, p0, -1), _along(p0, px, -1)  # x - x0 and x0 - x
         for t in ts:
-            p = f.point(_along(p0, u_x, t))
+            p = psi.point(_along(p0, u_x, t))
             vt = psi.psi_at(p)
             if vt is None:
                 continue
@@ -405,7 +384,7 @@ def vector_minty_check(
             # exact psi reads mvi_M_finite's ray (xt, x0 - xt) = (xt, t u_back): t > 0 moves
             # no sign and no membership in C; oracle psi samples other points under u_back
             u = _along(p0, p, -1) if psi.is_exact else u_back
-            if not any(scalar_dini(f, z, p, u) < zero for z in directions):
+            if not any(scalar_dini(psi, z, p, u) < zero for z in directions):
                 scalar_ok = False
                 witnesses.append({"form": "scalar", "x": x, "t": t})
             dl = vector_dini(psi, p, u)
@@ -416,8 +395,8 @@ def vector_minty_check(
                 inner_ok = False
                 witnesses.append({"form": "inner", "x": x, "t": t})
     space = CandidateSpace.of(list(pts) + [p for p, _ in reached], base=x0)
-    mvi = run_checker("mvi_M_finite", f, x0, space, list(ws.cone.facet_normals))
-    reached += [(p, v) for p in map(f.point, pts) if (v := psi.psi_at(p)) is not None]
+    mvi = run_checker("mvi_M_finite", psi, x0, space, list(ws.cone.facet_normals))
+    reached += [(p, v) for p in map(psi.point, pts) if (v := psi.psi_at(p)) is not None]
     is_efficient = p0 in _efficient(ws, reached)
     return {
         "scalar_form": scalar_ok,

@@ -2,10 +2,12 @@
 domain rows and membership, and the length checks of the lattice kernel,
 each against a Fraction reference."""
 
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,27 @@ def test_each_segment_point_evaluates_the_pieces_once(monkeypatch):
     rep = vector_minty_check(psi, grid[0], grid, psi.workspace.directions)
     assert rep["exact"] and len(calls) > 2 * len(grid)
     assert set(calls.values()) == {1}, calls
+
+
+def _tracer():
+    """perfbench/tracer.py, imported by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_points_compare_by_integer_form():
+    """Two Point objects of one (k, d) are equal and hash alike, so a tracer
+    counts one ray reached through both once; a Point never equals a tuple."""
+    x, u = _along((F(1, 2),), (F(1),), F(1, 4)), _along((F(3, 4),), (F(-1),), 0)
+    assert x is not u and x == u and hash(x) == hash(u) and (x.k, x.d) == ((3,), 4)
+    assert x != _along((F(1, 2),), (F(1),), F(1, 8)) and len({x, u, Point((3,), 4)}) == 1
+    assert x != x.k and x != tuple(x) and x != (x.k, x.d) and x not in {tuple(x): 0}
+    freeze = _tracer()._freeze
+    assert freeze(((1, 0), x, Point((1,), 1))) == freeze(((1, 0), u, Point((1,), 1)))
+    assert len({freeze((x, u)), freeze((u, x)), freeze((Point((3,), 4), u))}) == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -316,6 +316,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err, label
 
 
+def test_example23_is_not_a_function_builtin(tmp_path, capsys):
+    """example23 is a pair of sets: as a function it is refused when the
+    scenario is parsed, even if no task uses it, while the builtin scenario
+    of that name still runs."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"functions": {"e": {"variant": "builtin", "name": "example23"}}}))
+    assert main(["check-vi", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: bad function 'e'") and "pair of sets" in err, err
+    assert main(["check-vi", "--scenario", "builtin:example23"]) == 0
+
+
 def test_audit_enrich_is_a_json_boolean(tmp_path, capsys):
     """false audits the space as given, true adds the critical parameters of
     each segment (here the kink of -|x| at 0), and any other value is malformed."""

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setlattice.calculus import scalar_dini, segment_criticals
+from setlattice.calculus import scalar_dini, segment_criticals, set_derivative
 from setlattice.extres import ExtReal
 from setlattice.instances import (
     infdir_example,
@@ -20,7 +21,14 @@ from setlattice.instances import (
     random_pwl_vector,
 )
 from setlattice.kernel import Workspace, _int_dir, as_vec, inf_family
-from setlattice.setfun import ConvexPWL, EpiVectorFunction, Polyhedron
+from setlattice.setfun import (
+    ConvexPWL,
+    EpiVectorFunction,
+    OracleFailure,
+    OracleFunction,
+    Polyhedron,
+    SetFunction,
+)
 from setlattice.vectoropt import (
     DEFAULT_T_PARAMS,
     DiniLimitSet,
@@ -344,9 +352,10 @@ def _all_pairs_efficient(psi, grid):
 
 def _reference_vector_minty(psi, x0, grid, directions, t_params=DEFAULT_T_PARAMS):
     """vector_minty_check as a plain loop: every segment point xt reads the ray
-    (xt, x0 - x) and psi anew, and efficiency is the all-pairs scan."""
+    (xt, x0 - x) and psi anew, an oracle psi's set function is a fresh
+    wrapper of its handle, and efficiency is the all-pairs scan."""
     ws = psi.workspace
-    f = epigraphical(psi)
+    f = psi if psi.is_exact else _wrapped_extension(psi)
     x0 = as_vec(x0)
     base_val = psi.psi(x0)
     pts = [as_vec(x) for x in grid]
@@ -396,6 +405,74 @@ def _square_oracle(ws):
     """psi(s) = (s^2, (s - 1)^2) as an oracle: its quotient trail settles to
     the tolerance only for steps |u| <= 1, so a scaled ray reads other values."""
     return OracleVectorFunction(ws, 1, lambda x: (x[0] ** 2, (x[0] - 1) ** 2), name="square")
+
+
+def _wrapped_extension(psi):
+    """psi + C as a fresh OracleFunction that calls psi's handle at every
+    evaluation and reads none of psi's point records: the reference of an
+    oracle psi's own extension."""
+    ws = psi.workspace
+
+    def evaluator(x):
+        v = psi.evaluator(x)
+        return ws.empty_set() if v is None else ws.translated_cone(as_vec(v))
+
+    return OracleFunction(ws, psi.xdim, evaluator, tolerance=psi.tolerance, name=psi.name)
+
+
+def test_oracle_psi_is_its_own_extension():
+    """An oracle psi is a set function and its own extension: on seeded rays
+    its values, scalarizations, derivatives and Dini values are those of a
+    wrapper that calls its handle anew."""
+    rng = random.Random(2525)
+    orthant = orthant_workspace()
+    for make in (lambda: _square_oracle(orthant), infdir_example):
+        psi, ref = make(), _wrapped_extension(make())
+        assert isinstance(psi, SetFunction) and epigraphical(psi) is psi
+        inside = 0
+        for _ in range(6):
+            x = (F(rng.randint(-2, 6), 4),)
+            u = (F(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 4])),)
+            inside += psi.domain_contains(x)
+            assert psi.eval(x) == ref.eval(x), (x, u)
+            assert set_derivative(psi, x, u) == set_derivative(ref, x, u), (x, u)
+            for z in orthant.directions:
+                assert psi.scalarize(z, x) == ref.scalarize(z, x), (x, z)
+                assert scalar_dini(psi, z, x, u) == scalar_dini(ref, z, x, u), (x, u, z)
+        assert inside >= 3, psi.name
+
+
+def test_oracle_handle_runs_once_per_point():
+    """Over the two square-oracle Minty cases the handle runs once per
+    distinct point of each psi, 1,664 calls in all."""
+    orthant = orthant_workspace()
+    square = [(F(k, 4),) for k in range(-3, 8)]
+    total = 0
+    for x0 in ((F(1, 2),), (F(-1, 4),)):
+        calls = Counter()
+
+        def handle(x, calls=calls):
+            calls[tuple(x)] += 1
+            return (x[0] ** 2, (x[0] - 1) ** 2)
+
+        psi = OracleVectorFunction(orthant, 1, handle, name="square")
+        vector_minty_check(psi, x0, square, orthant.directions)
+        assert set(calls.values()) == {1}, max(calls.values())
+        total += sum(calls.values())
+    assert total == 1664
+
+
+def test_oracle_handle_errors_are_oracle_failures():
+    """A raising handle gives OracleFailure from psi, from f(x) = psi(x) + C
+    and from the vector Dini quotient alike."""
+
+    def broken(x):
+        raise ZeroDivisionError("no value here")
+
+    psi = OracleVectorFunction(orthant_workspace(), 1, broken)
+    for read in (psi.psi, psi.eval, lambda x: vector_dini(psi, x, (1,))):
+        with pytest.raises(OracleFailure, match="no value here"):
+            read((F(1, 2),))
 
 
 def _minty_cases():
