@@ -1,5 +1,5 @@
 """Set-valued functions X -> G(Z, C): constructors, evaluation, scalarization,
-inf-translation, segment restriction and semicontinuity probes.
+inf-translation and segment restriction.
 
 Three constructor classes: parametric polyhedra and epigraphical vector
 extensions, the two exact row functions, and numeric oracles (sampled,
@@ -10,7 +10,6 @@ one reads psi off its row record, an oracle calls its handle once per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
@@ -34,7 +33,6 @@ from .kernel import (
     _primitive_dir,
     as_vec,
     inf_family,
-    sup_family,
     to_frac,
 )
 
@@ -445,9 +443,6 @@ class VectorFunction(SetFunction):
         v = self.psi_at(x)
         return None if v is None else tuple(Fraction(c, v[1]) for c in v[0])
 
-    def domain_contains(self, x: Sequence) -> bool:
-        return self.psi_at(x) is not None
-
 
 class EpiVectorFunction(RowFunction, VectorFunction):
     """An exact piecewise-linear vector function psi on a domain S, which is
@@ -735,74 +730,3 @@ def _fm_translate(f: ParamPolyFunction, pts: List[Vec]) -> ParamPolyFunction:
         Polyhedron(xdim, dom_rows),
         name=f"inf-translate({f.name}; co M)",
     )
-
-
-# ---------------------------------------------------------------------------
-# Lower-semicontinuity probes
-# ---------------------------------------------------------------------------
-
-
-# a finite stand-in for the neighborhood base of 0: radii shrinking to zero,
-# sampled at k r / _LSC_SAMPLES (k = 1.._LSC_SAMPLES), and the margin by which a
-# sampled scalarization must drop to refute lower semicontinuity
-_LSC_RADII = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 32), Fraction(1, 128))
-_LSC_SAMPLES = 4
-_LSC_TOLERANCE = Fraction(1, 10**6)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    holds: bool
-    certified: bool
-
-
-def _segment_samples(radius: Fraction):
-    return [radius * Fraction(k, _LSC_SAMPLES) for k in range(1, _LSC_SAMPLES + 1)]
-
-
-def lattice_lsc_probe(f: SetFunction, x0: Sequence, x: Sequence) -> ProbeResult:
-    """Checks f(x0) ≼ liminf of the segment function at 0.
-
-    Exact constructors are certified: their offsets vary continuously and
-    their domains are closed, so the liminf never exceeds the value.  Oracle
-    functions are sampled; sampling can refute or support, never certify.
-    """
-    if f.is_exact:
-        return ProbeResult(holds=True, certified=True)
-    g = f.restrict(x0, x)
-    v0 = g.eval((Fraction(0),))
-    hulls = [
-        inf_family(f.workspace, [g.eval((t,)) for t in _segment_samples(r)] + [v0])
-        for r in _LSC_RADII
-    ]
-    return ProbeResult(holds=v0.leq(sup_family(f.workspace, hulls)), certified=False)
-
-
-def cminus_lsc_probe(f: SetFunction, x0: Sequence, x: Sequence, directions):
-    """Scalar lower-semicontinuity of each scalarization along the segment at 0.
-
-    Returns {direction: ProbeResult}.  A direction with value +∞ at 0 fails
-    exactly when nearby sampled values stay bounded (the value jumps down in
-    the limit); exact constructors are certified to hold.
-    """
-    if f.is_exact:
-        return {tuple(z): ProbeResult(holds=True, certified=True) for z in directions}
-    g = f.restrict(x0, x)
-    results = {}
-    for zstar in directions:
-        z = tuple(zstar)
-        phi0 = g.scalarize(z, (Fraction(0),))
-        if phi0.is_minus_inf:
-            results[z] = ProbeResult(holds=True, certified=False)
-            continue
-        if phi0.is_plus_inf:
-            threshold = ExtReal(1 / _LSC_TOLERANCE)
-        else:
-            threshold = ExtReal(phi0.value - _LSC_TOLERANCE)
-        # refuted when every radius has a sample at or below the threshold
-        refuted = all(
-            any([g.scalarize(z, (t,)) <= threshold for t in _segment_samples(r)])
-            for r in _LSC_RADII
-        )
-        results[z] = ProbeResult(holds=not refuted, certified=False)
-    return results

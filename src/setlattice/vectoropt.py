@@ -25,6 +25,7 @@ from .kernel import (
 )
 from .setfun import (  # VectorFunction is re-exported: the interface of psi
     EpiVectorFunction,
+    OracleFailure,
     OracleFunction,
     SetFunction,
     VectorFunction,
@@ -63,10 +64,6 @@ class ExtendedPoint:
         if norm == 0:
             return ExtendedPoint("fin", d)
         return ExtendedPoint("inf", tuple(c / norm for c in d))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "inf"
 
     def to_json(self):
         return {"kind": self.kind, "vector": [str(c) for c in self.vector]}
@@ -109,7 +106,13 @@ class OracleVectorFunction(OracleFunction, VectorFunction):
         p = self.point(x)
         if p.pieces is None:
             v = self._call(p)
-            p.pieces = [None if v is None else _int_dir(v)]
+            if v is not None:
+                v = _int_dir(v)
+                if len(v[0]) != self.workspace.dim:
+                    raise OracleFailure(
+                        f"oracle psi has {len(v[0])} coordinates, expected {self.workspace.dim}"
+                    )
+            p.pieces = [v]
         return p.pieces[0]
 
     def _eval(self, p):

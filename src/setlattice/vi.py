@@ -42,10 +42,8 @@ from .setfun import (
     EpiVectorFunction,
     ParamPolyFunction,
     SetFunction,
-    cminus_lsc_probe,
     inf_translate,
     infimum_over_domain,
-    lattice_lsc_probe,
 )
 
 
@@ -719,16 +717,12 @@ def implication_audit(
 
     regularity = table.regularity()
 
-    lsc = {"lattice": True, "cminus": True, "certified": True}
-    for x in space.points:
-        if x == x0:
-            continue
-        pr = lattice_lsc_probe(f, x0, x)
-        lsc["lattice"] = lsc["lattice"] and pr.holds
-        lsc["certified"] = lsc["certified"] and pr.certified
-        for res in cminus_lsc_probe(f, x0, x, directions).values():
-            lsc["cminus"] = lsc["cminus"] and res.holds
-            lsc["certified"] = lsc["certified"] and res.certified
+    # An exact function is l.s.c. along every segment, in the lattice and
+    # in each scalarization: its offsets vary continuously and its domain is
+    # closed, so the liminf never exceeds the value.  An oracle's l.s.c. is
+    # not known: it is assumed, and an implication that needs it is at best
+    # inconclusive, since an oracle audit is not exact.
+    lsc = {"lattice": True, "cminus": True, "certified": f.is_exact}
 
     monotone, monotone_exact = table.segment_monotone()
 
@@ -743,10 +737,7 @@ def implication_audit(
         "M*-lsc": lsc["cminus"],
     }
     # facts that are trusted only where their probes were exact
-    uncertain = {
-        "segment-monotone": not monotone_exact,
-        **dict.fromkeys(("lattice-lsc", "C--lsc", "M*-lsc"), not lsc["certified"]),
-    }
+    uncertain = {"segment-monotone": not monotone_exact}
     items = []
     for premise, conclusion, cond in IMPLICATIONS:
         if cond in ("SR", "WR"):

@@ -28,11 +28,9 @@ from setlattice.setfun import (
     ParamPolyFunction,
     Polyhedron,
     _hull_rows_of_points,
-    cminus_lsc_probe,
     fourier_motzkin,
     inf_translate,
     inf_translation,
-    lattice_lsc_probe,
     level_function,
 )
 
@@ -198,69 +196,6 @@ def test_recession_constant_along_segment_interior():
         if recs and all(not v.is_empty for v in ends):
             bound = inf_family(ws, [v.recession() for v in ends])
             assert recs[0].leq(bound)
-
-
-def test_lsc_probe_certified_for_exact(absdiag):
-    res = lattice_lsc_probe(absdiag, (0,), (1,))
-    assert res.holds and res.certified
-    per_dir = cminus_lsc_probe(absdiag, (0,), (1,), absdiag.workspace.directions)
-    assert all(r.holds and r.certified for r in per_dir.values())
-
-
-def test_lsc_probe_refutes_oracle_jump(ws):
-    # value strictly smaller (≼-larger) at the base than just after it
-    def evaluator(x):
-        if x[0] < 0 or x[0] > 1:
-            return ws.empty_set()
-        if x[0] == 0:
-            return ws.translated_cone((0, 0))
-        return ws.translated_cone((-1, -1))
-
-    f = OracleFunction(ws, 1, evaluator, name="jump")
-    res = lattice_lsc_probe(f, (0,), (1,))
-    assert not res.holds and not res.certified
-    per_dir = cminus_lsc_probe(f, (0,), (1,), ws.directions)
-    assert any(not r.holds for r in per_dir.values())
-
-
-def test_heyde_b_axis_directions_lsc():
-    f = heyde_b()
-    res = cminus_lsc_probe(f, (0,), (1,), [(0, -1), (-1, 0)])
-    assert all(r.holds for r in res.values())
-
-
-def test_oracle_lsc_verdicts_pin_the_sample_grid(ws):
-    # the probes sample k r / 4 (k = 1..4) at the radii below, with tolerance 1/10^6.
-    # The oracle jumps down by eps off that grid, and at 3r/4 in z2 for the four
-    # coarse radii but in z1 for the finest one.  A change of the sample count
-    # reaches a point off the grid (or misses every 3r/4); dropping or moving the
-    # finest radius leaves only z2 jumps; a larger tolerance sees no jump at all.
-    radii = [F(1, 2), F(1, 4), F(1, 8), F(1, 32), F(1, 128)]
-    grid = {r * F(k, 4) for r in radii for k in range(1, 5)}
-    eps = F(1, 10**6)
-
-    def evaluator(x):
-        t = x[0]
-        if t < 0 or t > 1:
-            return ws.empty_set()
-        if t == radii[-1] * F(3, 4):
-            return ws.translated_cone((-eps, 0))
-        if t in (r * F(3, 4) for r in radii):
-            return ws.translated_cone((0, -eps))
-        if t == 0 or t in grid:
-            return ws.translated_cone((0, 0))
-        return ws.translated_cone((-eps, -eps))
-
-    f = OracleFunction(ws, 1, evaluator, name="grid-jumps")
-    res = lattice_lsc_probe(f, (0,), (1,))
-    assert res.holds and not res.certified
-    per_dir = cminus_lsc_probe(f, (0,), (1,), ws.directions)
-    assert {z: r.holds for z, r in per_dir.items()} == {
-        (-1, 0): True,
-        (0, -1): True,
-        (-1, -1): False,
-    }
-    assert not any(r.certified for r in per_dir.values())
 
 
 def test_finite_inf_function_restrict(absdiag, ws):

@@ -69,7 +69,7 @@ def vee(ws):
 def test_extended_point_canonicalization():
     a = ExtendedPoint.at_infinity((0, -2))
     b = ExtendedPoint.at_infinity((0, -7))
-    assert a == b and a.is_infinite
+    assert a == b and a.kind == "inf"
     assert ExtendedPoint.at_infinity((0, 0)) == ExtendedPoint.finite((0, 0))
 
 
@@ -129,7 +129,7 @@ def test_vector_dini_divergent_direction():
     assert not dl.finite_points
     assert len(dl.infinite_dirs) == 1 and not dl.exact
     d = dl.infinite_dirs[0]
-    assert d.is_infinite
+    assert d.kind == "inf"
     target = ExtendedPoint.at_infinity((0, -1)).vector
     assert sum(abs(a - b) for a, b in zip(d.vector, target)) < F(1, 1000)
     rep = classify_dini(psi, (0,), (1,), dl, psi.workspace.directions)
@@ -386,7 +386,7 @@ def _reference_vector_minty(psi, x0, grid, directions, t_params=DEFAULT_T_PARAMS
                 witnesses.append({"form": "inner", "x": x, "t": t})
     space = CandidateSpace.of(pts + seg_points + [x0], base=x0)
     mvi = run_checker("mvi_M_finite", f, x0, space, list(ws.cone.facet_normals))
-    eff = _all_pairs_efficient(psi, [p for p in space.points if psi.domain_contains(p)])
+    eff = _all_pairs_efficient(psi, [p for p in space.points if psi.psi_at(p) is not None])
     efficient = x0 in eff
     return {
         "scalar_form": scalar_ok,
@@ -433,7 +433,7 @@ def test_oracle_psi_is_its_own_extension():
         for _ in range(6):
             x = (F(rng.randint(-2, 6), 4),)
             u = (F(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 4])),)
-            inside += psi.domain_contains(x)
+            inside += psi.psi_at(x) is not None
             assert psi.eval(x) == ref.eval(x), (x, u)
             assert set_derivative(psi, x, u) == set_derivative(ref, x, u), (x, u)
             for z in orthant.directions:
@@ -473,6 +473,25 @@ def test_oracle_handle_errors_are_oracle_failures():
     for read in (psi.psi, psi.eval, lambda x: vector_dini(psi, x, (1,))):
         with pytest.raises(OracleFailure, match="no value here"):
             read((F(1, 2),))
+
+
+@pytest.mark.parametrize(
+    "answer", [lambda x: (x[0],), lambda x: (x[0], 1, 7)], ids=["short", "long"]
+)
+def test_oracle_answer_of_wrong_length_is_an_oracle_failure(answer):
+    """On the 2-D orthant, a handle that answers one coordinate or three is
+    refused by psi, by f(x) = psi(x) + C and by the efficient set, instead of
+    a missing coordinate read as 0 or a third one dropped."""
+    grid = [(F(1, 2),), (1,)]
+    reads = (
+        lambda psi: psi.psi(grid[0]),
+        lambda psi: psi.eval(grid[0]),
+        lambda psi: efficient_set(psi, grid),
+    )
+    for read in reads:
+        psi = OracleVectorFunction(orthant_workspace(), 1, answer)
+        with pytest.raises(OracleFailure, match="coordinates, expected 2"):
+            read(psi)
 
 
 def _minty_cases():

@@ -450,17 +450,68 @@ def test_audit_on_oracle_is_inconclusive_not_violating():
 
 
 # sha256 of the matrix text and sorted-key JSON of heyde_b's audit at 1/2 over
-# the quarters of [0, 1]: the sampled l.s.c. probes refute both side conditions
-HEYDE_B_AUDIT = "02ecf621ff554564e8b283053ce835275890364b4194590810cc784061842346"
+# the quarters of [0, 1]: an oracle's l.s.c. conditions are assumed, not certified
+HEYDE_B_AUDIT = "06f5f9ea5b19556d0a2191d9cd67c2dc2c4af2c4f3de8507c0cea39948d2879f"
 
 
 def test_oracle_audit_digest_pinned():
     f = heyde_b()
     space = CandidateSpace.of([(F(k, 4),) for k in range(5)])
     audit = implication_audit(f, (F(1, 2),), space, f.workspace.directions)
-    assert audit.lsc == {"lattice": False, "cminus": False, "certified": False}
+    assert audit.lsc == {"lattice": True, "cminus": True, "certified": False}
     text = audit.matrix_text() + "\n" + json.dumps(audit.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == HEYDE_B_AUDIT
+
+
+LSC_CONDITIONS = ("lattice-lsc", "C--lsc", "M*-lsc")
+QUARTERS = [(F(k, 4),) for k in range(5)]
+
+
+def _segment_oracle(ws, value_at, name):
+    """An oracle on [0, 1] with values value_at(t) + C, ∅ outside."""
+
+    def evaluator(x):
+        t = x[0]
+        if t < 0 or t > 1:
+            return ws.empty_set()
+        return ws.translated_cone(value_at(t))
+
+    return OracleFunction(ws, 1, evaluator, name=name)
+
+
+def test_exact_audit_lsc_certified(absdiag, grid, ws):
+    audit = implication_audit(absdiag, (0,), grid, ws.directions)
+    assert audit.lsc == {"lattice": True, "cminus": True, "certified": True}
+
+
+def test_continuous_oracle_lsc_not_refuted(ws):
+    # f(t) = (-t, -t) + C falls with slope 2 in the sum of the coordinates: no
+    # finite sample grid can tell that from a jump, so an oracle's l.s.c. is never refuted
+    slide = _segment_oracle(ws, lambda t: (-t, -t), "slide")
+    cases = [(slide, x0) for x0 in QUARTERS] + [(heyde_b(), (0,))]
+    for f, x0 in cases:
+        audit = implication_audit(f, x0, CandidateSpace.of(QUARTERS), f.workspace.directions)
+        assert audit.lsc == {"lattice": True, "cminus": True, "certified": False}
+        items = [i for i in audit.items if i.condition in LSC_CONDITIONS]
+        assert len(items) == 3 and all(i.condition_holds for i in items)
+
+
+def test_jump_oracle_lsc_items_inconclusive(ws):
+    # f(0) = C, f(t) = (-1, -1) + C on (0, 1]: the base is a Minty point but no
+    # infimizer.  The l.s.c. conditions are not known, so the two items that
+    # need them are inconclusive, never "ok" by a refuted condition.
+    jump = _segment_oracle(ws, lambda t: (0, 0) if t == 0 else (-1, -1), "jump")
+    audit = implication_audit(jump, (0,), CandidateSpace.of(QUARTERS), ws.directions)
+    items = {i.name: i for i in audit.items if i.condition in LSC_CONDITIONS}
+    for name in ("MVI_I + lattice-lsc => infimum", "mvi_I + C--lsc => infimum"):
+        item = items[name]
+        assert (item.premise_holds, item.conclusion_holds, item.condition_holds) == (
+            True,
+            False,
+            True,
+        )
+        assert item.status == "inconclusive"
+    assert all(i.condition_holds for i in items.values())
 
 
 def test_audit_matrix_text(absdiag, ws):
