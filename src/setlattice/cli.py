@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -179,7 +180,9 @@ def _cmd_lattice_eval(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call: a parse leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="setlattice",
         description="Exact set-lattice calculus and variational-inequality checks",
@@ -199,8 +202,11 @@ def main(argv=None) -> int:
     p_eval.add_argument("--cone", default="[[1,0],[0,1]]", help="cone generators as JSON")
     p_eval.add_argument("--directions", help="extra dual directions as JSON")
     p_eval.set_defaults(func=_cmd_lattice_eval)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

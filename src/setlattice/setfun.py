@@ -635,17 +635,6 @@ def inf_translate(f: SetFunction, M: Sequence[Sequence], convex: bool = False) -
     return _fm_translate(f, pts)
 
 
-def infimum_over_domain(f: ParamPolyFunction) -> UpperSet:
-    """The lattice infimum of f over its whole domain.
-
-    The graph of f is a polyhedron, so the infimum is its projection onto Z:
-    every argument column is eliminated, and the elimination finds no
-    solution when the domain is empty.
-    """
-    out = fourier_motzkin([(cx + cz, k) for cx, cz, k in _graph_rows(f)], f.xdim)
-    return f.workspace.empty_set() if out is None else f.workspace.upper_set(out)
-
-
 def _graph_rows(f: ParamPolyFunction):
     """The graph {(x, z) : x in the domain, <N_i, z> <= piece(x) for every
     piece} as integer rows (x-coefficients, z-coefficients, bound), sense <=."""

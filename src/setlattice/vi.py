@@ -12,9 +12,11 @@ keeps every audited implication faithful to the underlying statements.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .calculus import (
@@ -41,9 +43,9 @@ from .setfun import (
     EmptyTranslationSet,
     EpiVectorFunction,
     ParamPolyFunction,
+    RowFunction,
     SetFunction,
     inf_translate,
-    infimum_over_domain,
 )
 
 
@@ -53,9 +55,16 @@ class BaseOutsideDomain(LatticeError):
 
 @dataclass(frozen=True)
 class CandidateSpace:
-    """Finite stand-in for 'for all x in X'; the base point is always a member."""
+    """Finite stand-in for 'for all x in X'; the base point is always a member.
+
+    ``lines``: the critical parameters of f per half-line from the base, as
+    ``enrich_space`` leaves them for the audit that enriched the space (see
+    ``_line_criticals``); None on every other space."""
 
     points: Tuple[Vec, ...]
+    lines: Optional[Dict[Tuple[int, ...], List[Fraction]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @staticmethod
     def of(points: Iterable[Sequence], base: Optional[Sequence] = None) -> "CandidateSpace":
@@ -120,39 +129,119 @@ def _require_base(f: SetFunction, x0: Vec):
 _ZERO = ExtReal(0)
 
 
+def _half_line(p0: Point, p: Point) -> Tuple[Tuple[int, ...], Fraction]:
+    """(u, c) with x - x0 = c u, u a primitive integer vector and c > 0, for
+    the records p0 of x0 and p of x ≠ x0."""
+    d = lcm(p0.d, p.d)
+    k = [a * (d // p.d) - b * (d // p0.d) for a, b in zip(p.k, p0.k)]
+    g = gcd(*k)
+    return tuple(a // g for a in k), Fraction(g, d)
+
+
+class _Reading:
+    """A ray (x, c u) read off f's record of a ray (x', u) that has the same
+    derivative per unit of u: f'(x, c u) = c f'(x', u), and so for each Dini
+    value.  The scaled values are kept here, never in the record, which
+    keeps its own t* and samples."""
+
+    __slots__ = ("ray", "c", "_derivative", "_dini")
+
+    def __init__(self, ray: _Ray, c=1):
+        self.ray, self.c, self._derivative, self._dini = ray, c, None, {}
+
+    def derivative(self, f: SetFunction) -> DerivativeResult:
+        if self.c == 1:
+            return self.ray.read_derivative(f)
+        if self._derivative is None:
+            D = self.ray.read_derivative(f)
+            self._derivative = DerivativeResult(D.value.scale(self.c), D.exact)
+        return self._derivative
+
+    def dini(self, f: SetFunction, z) -> ExtReal:
+        if self.c == 1:
+            return self.ray.read_dini(f, z)
+        d = self._dini.get(z)
+        if d is None:
+            d = self._dini[z] = self.ray.read_dini(f, z).scale(self.c)
+        return d
+
+
 class _Row:
     """A candidate x: f's record of x, which holds f(x) and its
-    scalarizations, and the ray records of f for (x0, x - x0) and
-    (x, x0 - x), one record when x = x0, read on first use."""
+    scalarizations, and the table's readings of the Stampacchia ray
+    (x0, x - x0) and the Minty ray (x, x0 - x), one reading when x = x0,
+    each made on first use (``_Table.stampacchia``, ``_Table.minty``)."""
 
     def __init__(self, f: SetFunction, p0: Point, x: Vec):
         self.f, self.p0, self.x, self.p = f, p0, x, f.point(x)
+        self.stampacchia: Optional[_Reading] = None
+        self.minty: Optional[_Reading] = None
 
     @cached_property
     def value(self) -> UpperSet:
         return self.f.value_at(self.p)
 
     @cached_property
-    def stampacchia(self) -> _Ray:
-        return _ray(self.f, self.p0, _along(self.p, self.p0, -1))
-
-    @cached_property
-    def minty(self) -> _Ray:
-        return _ray(self.f, self.p, _along(self.p0, self.p, -1))
+    def line(self) -> Optional[Tuple[Tuple[int, ...], Fraction]]:
+        """(u, c): x lies on the half-line x0 + s u at s = c; None at x0."""
+        return None if self.p == self.p0 else _half_line(self.p0, self.p)
 
 
 class _Table:
     """One row per candidate x for (f, x0, directions), read by the checks, the
-    regularity loop and enrichment; with enrich, the directions are enriched
-    before any Dini value is read.  A derivative is inexact only where f is."""
+    regularity loop, enrichment and the segment infima; with enrich, the
+    directions are enriched before any Dini value is read.  A derivative is
+    inexact only where f is.
 
-    def __init__(self, f: SetFunction, x0: Vec, space: CandidateSpace, directions, enrich=False):
+    An exact row function is read line by line.  Its derivative and Dini
+    values are positively homogeneous in the direction, so every Stampacchia
+    ray (x0, c u), u primitive, reads f's record of (x0, u), scaled by c.
+    ``lines`` holds the critical parameters of each half-line x0 + s u
+    (``_line_criticals``; None: not computed).  Between two consecutive ones
+    the rows of f and their vertex structure are fixed, so s -> f(x0 + s u)
+    is affine in the Minkowski sense on the closed stretch, and its
+    derivative toward x0 is the same at every point of it: every Minty ray
+    (x, -c u) with f(x) ≠ ∅ reads the record of (x', -u) for one x' of that
+    stretch, scaled by c; a critical point belongs to the stretch below it.
+    Every other function reads one record per ray: an oracle's sampled
+    quotients are not exactly homogeneous."""
+
+    def __init__(
+        self, f: SetFunction, x0: Vec, space: CandidateSpace, directions, enrich=False, lines=None
+    ):
         self.f, self.x0, self.p0 = f, x0, f.point(x0)
         self.v0 = f.value_at(self.p0)
         self.origin = (0,) * f.workspace.dim
+        self.lines = lines  # only a row function's: see _line_criticals
+        self.stretches = {}  # (u, stretch index) -> the record of (x', -u)
         self.rows = [_Row(f, self.p0, x) for x in space.points]
         self.directions = self.enriched(directions) if enrich else directions
         self.dirs = tuple(self.directions)
+
+    def stampacchia(self, row: _Row) -> _Reading:
+        if row.stampacchia is None:
+            f, p0 = self.f, self.p0
+            if row.line is not None and isinstance(f, RowFunction):
+                u, c = row.line
+                row.stampacchia = _Reading(_ray(f, p0, Point(u, 1)), c)
+            else:
+                row.stampacchia = _Reading(_ray(f, p0, _along(row.p, p0, -1)))
+        return row.stampacchia
+
+    def minty(self, row: _Row) -> _Reading:
+        if row.minty is None:
+            if row.line is None:
+                row.minty = self.stampacchia(row)
+            elif self.lines is None or row.value.is_empty:
+                row.minty = _Reading(_ray(self.f, row.p, _along(self.p0, row.p, -1)))
+            else:
+                u, c = row.line
+                key = (u, bisect_left(self.lines[u], c))
+                rec = self.stretches.get(key)
+                if rec is None:
+                    rec = self.stretches[key] = _ray(self.f, row.p, Point(tuple(-a for a in u), 1))
+                row.minty = _Reading(rec, c)
+        return row.minty
 
     @cached_property
     def rec0(self):
@@ -162,11 +251,11 @@ class _Table:
     def bounded(self):  # the indices of the directions z* with phi(x0) > -inf
         return [k for k, z in enumerate(self.dirs) if not self.f.phi_at(self.p0, z).is_minus_inf]
 
-    def derivative(self, ray: _Ray) -> DerivativeResult:
-        return ray.read_derivative(self.f)
+    def derivative(self, ray: _Reading) -> DerivativeResult:
+        return ray.derivative(self.f)
 
-    def dini(self, ray: _Ray, k: int) -> ExtReal:
-        return ray.read_dini(self.f, self.dirs[k])
+    def dini(self, ray: _Reading, k: int) -> ExtReal:
+        return ray.dini(self.f, self.dirs[k])
 
     def phi(self, row: _Row, k: int) -> ExtReal:
         return self.f.phi_at(row.p, self.dirs[k])
@@ -183,7 +272,7 @@ class _Table:
         for row in self.rows:
             if ineq.form == "M" and (row.value == self.v0 or row.value.is_empty and not ineq.minty):
                 continue
-            verdict = ineq.test(self, row, row.minty if ineq.minty else row.stampacchia)
+            verdict = ineq.test(self, row, self.minty(row) if ineq.minty else self.stampacchia(row))
             if ineq.note:
                 verdict, other = verdict
                 agreement = agreement and other in (None, verdict)
@@ -204,8 +293,9 @@ class _Table:
         and the Minty rays from every x toward x0."""
         flags = dict.fromkeys(("SR_stampacchia", "WR_stampacchia", "SR_minty", "WR_minty"), True)
         for row in self.rows:
-            rays = (("stampacchia", row.stampacchia),) if row.minty is not row.stampacchia else ()
-            for side, ray in rays + (("minty", row.minty),):
+            stampacchia, minty = self.stampacchia(row), self.minty(row)
+            rays = (("stampacchia", stampacchia),) if minty is not stampacchia else ()
+            for side, ray in rays + (("minty", minty),):
                 dinis = [self.dini(ray, k) for k in range(len(self.dirs))]
                 rep = regularity_of(self.f, self.derivative(ray), self.directions, dinis)
                 flags[f"SR_{side}"] = flags[f"SR_{side}"] and rep.strong
@@ -216,20 +306,51 @@ class _Table:
         """For each differing candidate: inf of f over the segment stays below the
         endpoint value and differs from it.  Returns (holds, exact)."""
         holds = exact = True
-        for row in self.rows:
-            if row.value == self.v0 or row.value.is_empty:
-                continue
-            seg_inf, seg_exact = _segment_infimum(self.f, self.x0, row.x)
+        rows = [row for row in self.rows if row.value != self.v0 and not row.value.is_empty]
+        for row, seg_inf, seg_exact in self.segment_infima(rows):
             exact = exact and seg_exact
             holds = holds and seg_inf.leq(row.value) and seg_inf != row.value
         return holds, exact
+
+    def segment_infima(self, rows):
+        """(row, inf f[x0, x], exact) for the given rows, x ≠ x0 with f(x) ≠ ∅.
+
+        The paper takes the infimum over the open segment.  For exact
+        functions it equals the one over the closed segment [x0, x]: they
+        are continuous on a closed polyhedral domain that holds x0 and x, so
+        each end value is a limit of values inside the segment and lies in
+        the closed hull the infimum takes.  f is affine in the Minkowski
+        sense between two critical parameters of the line, so each value
+        there lies in the hull of the values at the two ends, and the
+        infimum is the running hull of f(x0), f at the critical points below
+        x, and f(x), one line at a time.  That is exact where
+        ``_exact_segments`` holds; elsewhere, and without ``lines``, f is
+        sampled inside the open segment."""
+        f = self.f
+        if self.lines is None or not _exact_segments(f):
+            for row in rows:
+                yield row, _sampled_segment_infimum(f, self.x0, row.x), False
+            return
+        ws, p0 = f.workspace, self.p0
+        by_line = {}
+        for row in rows:
+            u, c = row.line
+            by_line.setdefault(u, []).append((c, row))
+        for u, line in by_line.items():
+            below, crits = self.v0, iter(self.lines[u])
+            s = next(crits, None)
+            for c, row in sorted(line, key=lambda entry: entry[0]):
+                while s is not None and s < c:
+                    below = inf_family(ws, [below, f.value_at(f.point(_along(p0, u, s)))])
+                    s = next(crits, None)
+                yield row, inf_family(ws, [below, row.value]), True
 
     def enriched(self, directions: DirectionSet) -> DirectionSet:
         """The directions plus the facet normals of every value and derivative met."""
         extra = []
         for row in self.rows:
             extra.extend(n for n, _ in row.value.constraints)
-            for ray in (row.stampacchia, row.minty) if row.minty is not row.stampacchia else ():
+            for ray in (self.stampacchia(row), self.minty(row)) if row.line is not None else ():
                 try:
                     D = self.derivative(ray)
                 except LatticeError:
@@ -572,21 +693,48 @@ def solution_check(
 # ---------------------------------------------------------------------------
 
 
+def _line_criticals(f: SetFunction, x0: Vec, points, directions):
+    """The critical parameters s of f on each half-line x0 + s u, u primitive,
+    that holds one of the points: one ``segment_criticals`` call per line,
+    on the segment to its farthest point, in units of u.  The criticals of
+    [x0, x] for a nearer x are those below it.  None unless f is a row
+    function."""
+    if not isinstance(f, RowFunction):
+        return None
+    p0 = f.point(x0)
+    far = {}
+    for x in points:
+        p = f.point(x)
+        if p != p0:
+            u, c = _half_line(p0, p)
+            if u not in far or far[u][0] < c:
+                far[u] = c, x
+    return {u: [t * c for t in segment_criticals(f, x0, x, directions)] for u, (c, x) in far.items()}
+
+
 def enrich_space(
     f: SetFunction, x0, space: CandidateSpace, directions
 ) -> CandidateSpace:
-    """Add the critical segment parameters between the base and every candidate."""
+    """Add the critical segment parameters between the base and every
+    candidate, and the midpoints between them.  The new space keeps each
+    half-line's criticals in ``lines``: its points lie on the same half-lines,
+    none beyond the farthest candidate."""
     x0 = as_vec(x0)
+    lines = _line_criticals(f, x0, space.points, directions)
+    p0 = f.point(x0)
     pts = list(space.points)
-    for x in space.points if f.is_exact else ():
-        crits = segment_criticals(f, x0, x, directions) if x != x0 else None
+    for x in space.points if lines else ():
+        p = f.point(x)
+        if p == p0:
+            continue
+        u, c = _half_line(p0, p)
+        crits = [s for s in lines[u] if s < c]
         if not crits:
             continue
-        partition = [Fraction(0)] + list(crits) + [Fraction(1)]
-        mids = [(lo + hi) / 2 for lo, hi in zip(partition, partition[1:]) if hi > lo]
-        ts = set(crits).union(mids)
-        pts.extend(tuple(a + t * (b - a) for a, b in zip(x0, x)) for t in ts if 0 < t < 1)
-    return CandidateSpace.of(pts, base=x0)
+        partition = [0, *crits, c]
+        mids = [(lo + hi) / 2 for lo, hi in zip(partition, partition[1:])]
+        pts.extend(tuple(a + s * b for a, b in zip(x0, u)) for s in crits + mids)
+    return CandidateSpace(CandidateSpace.of(pts, base=x0).points, lines)
 
 
 def enrich_directions(
@@ -707,7 +855,10 @@ def implication_audit(
     space = space.with_base(x0)
     if enrich:
         space = enrich_space(f, x0, space, directions)
-    table = _Table(f, x0, space, directions, enrich)
+        lines = space.lines
+    else:
+        lines = _line_criticals(f, x0, space.points, directions)
+    table = _Table(f, x0, space, directions, enrich, lines)
     directions = table.directions
 
     reports = {name: table.check(name) for name in INEQUALITY_IDS}
@@ -786,22 +937,19 @@ def implication_audit_for_set(
     return implication_audit(fhat, origin, _translation_space(space, pts, origin), directions)
 
 
-def _segment_infimum(f: SetFunction, x0: Vec, x: Vec):
-    """The lattice infimum of f over the closed segment [x0, x], and whether it is exact.
-
-    The paper takes the infimum over the open segment.  For exact functions
-    the two agree: they are continuous on a closed polyhedral domain that
-    holds x0 and x, so each end value is a limit of values inside the segment
-    and lies in the closed hull the infimum takes.  Oracle functions are
-    sampled inside the open segment.
-    """
+def _exact_segments(f: SetFunction) -> bool:
+    """Whether the audit reads inf f[x0, x] exactly, from the values on the
+    line: for a ParamPoly f, and for an EpiVector f whose cone facet normals
+    are all <= 0 (the condition of ``as_parampoly``).  On other cones a
+    componentwise convex psi need not make psi + C convex, although it is
+    declared so, and the infimum is sampled."""
     if isinstance(f, EpiVectorFunction):
-        try:
-            f = f.as_parampoly()
-        except LatticeError:
-            pass
+        return all(c <= 0 for n in f.workspace.cone.facet_normals for c in n)
+    return isinstance(f, ParamPolyFunction)
+
+
+def _sampled_segment_infimum(f: SetFunction, x0: Vec, x: Vec) -> UpperSet:
+    """The lattice infimum of f at 15 points inside the open segment (x0, x)."""
     g = f.restrict(x0, x)
-    if isinstance(g, ParamPolyFunction):
-        return infimum_over_domain(g), True
     samples = [Fraction(k, 16) for k in range(1, 16)]
-    return inf_family(g.workspace, [g.eval((t,)) for t in samples]), False
+    return inf_family(g.workspace, [g.eval((t,)) for t in samples])

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from setlattice import calculus, vi
 from setlattice.calculus import (
     NotDeclaredConvex,
     regularity_check,
@@ -26,7 +28,14 @@ from setlattice.instances import (
     random_parampoly,
     random_workspace,
 )
-from setlattice.kernel import DirectionSet, LatticeError, Workspace, _facet_normal, inf_family
+from setlattice.kernel import (
+    DirectionSet,
+    LatticeError,
+    Workspace,
+    _facet_normal,
+    _primitive_dir,
+    inf_family,
+)
 from setlattice.setfun import (
     ConcavePWL,
     EpiVectorFunction,
@@ -35,17 +44,20 @@ from setlattice.setfun import (
     ParamPolyFunction,
     Polyhedron,
     RowFunction,
+    _graph_rows,
+    fourier_motzkin,
     inf_translate,
-    infimum_over_domain,
 )
 from setlattice.vi import (
     BaseOutsideDomain,
     CandidateSpace,
     ConditionReport,
-    _segment_infimum,
+    _Table,
+    _line_criticals,
     enrich_directions,
     enrich_space,
     implication_audit,
+    implication_audit_for_set,
     infimizer_check,
     infimum_at_point_check,
     INEQUALITY_IDS,
@@ -547,6 +559,34 @@ def test_implication_audit_for_set():
     assert bad.violations == [] and not bad.infimum.conditions["a"]
 
 
+def infimum_over_domain(f: ParamPolyFunction):
+    """The reference lattice infimum of f over its whole domain.
+
+    The graph of f is a polyhedron, so the infimum is its projection onto Z:
+    every argument column is eliminated by Fourier–Motzkin, and the
+    elimination finds no solution when the domain is empty.
+    """
+    out = fourier_motzkin([(cx + cz, k) for cx, cz, k in _graph_rows(f)], f.xdim)
+    return f.workspace.empty_set() if out is None else f.workspace.upper_set(out)
+
+
+def _reference_segment_infimum(f, x0, x):
+    """inf f[x0, x] by one elimination step on the segment restriction of a
+    ParamPoly f, or of an EpiVector f's ParamPoly form."""
+    if isinstance(f, EpiVectorFunction):
+        f = f.as_parampoly()
+    return infimum_over_domain(f.restrict(x0, x))
+
+
+def _segment_infimum(f, x0, x):
+    """inf f[x0, x] and whether it is exact, as the audit's table reads them."""
+    space = CandidateSpace.of([x], base=x0)
+    dirs = f.workspace.directions
+    table = _Table(f, x0, space, dirs, lines=_line_criticals(f, x0, space.points, dirs))
+    [(_, seg_inf, exact)] = table.segment_infima([row for row in table.rows if row.x == x])
+    return seg_inf, exact
+
+
 def _segment_cases():
     """Seeded ParamPoly and EpiVector functions with (x0, x) pairs in their domains:
     1-D and 2-D workspaces, one and two arguments, box and whole domains, and
@@ -577,6 +617,7 @@ def test_segment_infimum_matches_whole_function_translation():
         step = tuple(q - p for p, q in zip(x0, x))
         oracle = inf_translate(f, [(F(0),) * f.xdim, step], convex=True).eval(x0)
         assert _segment_infimum(f, x0, x) == (oracle, True), (f, x0, x)
+        assert _reference_segment_infimum(f, x0, x) == oracle, (f, x0, x)
         # an oracle that eliminates nothing: f is affine between the segment's
         # critical parameters, so the infimum is spanned by the values there
         ts = [F(0), F(1)] + segment_criticals(f, x0, x, f.workspace.directions)
@@ -943,3 +984,127 @@ def test_finite_inf_dini_forms_are_decided_from_f_alone():
             kinds[name] |= kind
     for name in _DINI_FORMS:
         assert kinds[name] == {("raises", "NotDeclaredConvex")}, name
+
+
+def _fresh(f):
+    """A new exact function object with f's data: its ray records start empty."""
+    if isinstance(f, EpiVectorFunction):
+        return EpiVectorFunction(f.workspace, f.xdim, f.components, f.domain)
+    return ParamPolyFunction(f.workspace, f.xdim, f.normals, f.offsets, f.domain)
+
+
+def _exact_audits(rng):
+    """Seeded exact audits, each a call: ParamPoly on random cones and EpiVector
+    on orthants (facet normals <= 0), over 1-D and 2-D argument and value
+    spaces, with and without enrichment, then one audit of a set."""
+    for k in range(72):
+        wdim, xdim, epi, enrich = 1 + k % 2, 1 + k // 2 % 2, k // 4 % 2, k // 8 % 4 != 0
+        if epi:
+            ws = Workspace(1, [(1,)], [(-1,)]) if wdim == 1 else orthant_workspace()
+            comps = [random_convex_pwl(rng, xdim) for _ in range(wdim)]
+            f = EpiVectorFunction(ws, xdim, comps, Polyhedron.box([(-1, 1)] * xdim))
+        else:
+            ws = random_workspace(rng, wdim)
+            f = random_parampoly(rng, ws, xdim)
+        pts = random_grid(rng, xdim, rng.randint(3, 5))
+        bases = [x for x in pts if not f.eval(x).is_empty]
+        if bases:
+            x0, space = rng.choice(bases), CandidateSpace.of(pts)
+            kind = "enriched" if enrich else "plain"
+            yield kind, lambda: implication_audit(f, x0, space, ws.directions, enrich=enrich)
+    w1 = Workspace(1, [(1,)], [(-1,)])
+    f1 = ParamPolyFunction(w1, 1, [(-1,)], [ConcavePWL([((1,), 0), ((-1,), 0)])])
+    space = CandidateSpace.of([(-1,), (0,), (1,), (2,)])
+    yield "set", lambda: implication_audit_for_set(f1, [(-1,), (1,)], space, w1.directions)
+
+
+def test_line_readings_match_fresh_rays(monkeypatch):
+    """Each row's derivative and Dini row, read through the audit's table off
+    the records of its half-line and stretch, equal set_derivative and
+    scalar_dini on the row's own rays of a new function object; the segment
+    infima and monotonicity equal a Fourier-Motzkin infimum per candidate."""
+    tables = []
+
+    class Recording(_Table):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(vi, "_Table", Recording)
+    rng = random.Random(2707)
+    seen = dict.fromkeys(("scaled", "shared", "criticals", "not_monotone"), 0)
+    kinds = dict.fromkeys(("enriched", "plain", "set"), 0)
+    for kind, audit in _exact_audits(rng):
+        tables.clear()
+        audit()
+        [t] = tables
+        g = _fresh(t.f)
+        minty = {}
+        for row in t.rows:
+            back = tuple(a - b for a, b in zip(t.x0, row.x))
+            stampacchia = (t.stampacchia(row), t.x0, tuple(-c for c in back))
+            for reading, base, u in (stampacchia, (t.minty(row), row.x, back)):
+                D = set_derivative(g, base, u)
+                got = t.derivative(reading)
+                assert (got.value, got.exact) == (D.value, D.exact), (row.x, u)
+                dinis = [t.dini(reading, k) for k in range(len(t.dirs))]
+                assert dinis == [scalar_dini(g, z, base, u) for z in t.dirs], (row.x, u)
+                seen["scaled"] += reading.c != 1
+            minty.setdefault(id(t.minty(row).ray), []).append(row)
+        seen["shared"] += any(len(rows) > 1 for rows in minty.values())
+        rows = [r for r in t.rows if r.value != t.v0 and not r.value.is_empty]
+        want = {r.x: _reference_segment_infimum(g, t.x0, r.x) for r in rows}
+        got = {r.x: (seg_inf, exact) for r, seg_inf, exact in t.segment_infima(rows)}
+        assert got == {x: (v, True) for x, v in want.items()}
+        monotone = all(want[r.x].leq(r.value) and want[r.x] != r.value for r in rows)
+        assert t.segment_monotone() == (monotone, True)
+        kinds[kind] += 1
+        seen["criticals"] += any(t.lines.values())
+        seen["not_monotone"] += not monotone
+    assert sum(kinds.values()) >= 60 and min(kinds.values()) >= 1, kinds
+    assert min(seen.values()) >= 4, seen
+
+
+def test_audit_reads_one_ray_per_line_and_stretch(monkeypatch):
+    """On a grown audit, set_derivative runs once per half-line from x0 (the
+    Stampacchia rays), once per linear stretch of a line with points in the
+    domain (the Minty rays), once at x0 and once per point outside the
+    domain; segment_criticals runs once per half-line."""
+    calls = {"set_derivative": 0, "segment_criticals": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(calculus, "set_derivative", counting("set_derivative", set_derivative))
+    monkeypatch.setattr(vi, "segment_criticals", counting("segment_criticals", segment_criticals))
+    ws = orthant_workspace()
+    offsets = [ConcavePWL([((1, 0), 0), ((-1, 1), 1)]), ConcavePWL([((0, 1), 0), ((1, -1), F(1, 2))])]
+    f = ParamPolyFunction(ws, 2, [(-1, 0), (0, -1)], offsets, Polyhedron.box([(-1, 1)] * 2))
+    x0, pts = (F(0), F(0)), [(x, y) for x in (-2, -1, 0, 1, 2) for y in (-1, 0, 1)]
+    audit = implication_audit(f, x0, CandidateSpace.of(pts), ws.directions)
+    assert audit.exact and len(audit.space) > len(pts)
+
+    g = _fresh(f)
+    lines = {}  # primitive u -> [(c, x)] with x - x0 = c u
+    for x in audit.space.points:
+        if x != x0:
+            step = [a - b for a, b in zip(x, x0)]
+            u = _primitive_dir(step)
+            lines.setdefault(u, []).append((next(s / d for s, d in zip(step, u) if d), x))
+    stretches, empty = set(), 0
+    for u, line in lines.items():
+        c_far, far = max(line)
+        crits = [t * c_far for t in segment_criticals(g, x0, far, ws.directions)]
+        for c, x in line:
+            if g.eval(x).is_empty:
+                empty += 1
+            else:
+                stretches.add((u, bisect_left(crits, c)))
+    per_line = [sum(1 for v, _ in stretches if v == u) for u in lines]
+    assert empty > 0 and max(per_line) >= 2
+    assert calls["segment_criticals"] == len(lines)
+    assert calls["set_derivative"] == len(lines) + len(stretches) + 1 + empty
