@@ -10,7 +10,7 @@ from math import lcm
 from operator import le, mul
 from typing import List, Sequence
 
-from .calculus import _ray, scalar_dini, segment_criticals, set_derivative
+from .calculus import _ray, scalar_dini, set_derivative
 from .extres import ExtReal
 from .kernel import (
     LatticeError,
@@ -30,7 +30,7 @@ from .setfun import (  # VectorFunction is re-exported: the interface of psi
     SetFunction,
     VectorFunction,
 )
-from .vi import CandidateSpace, minimal_scan, run_checker
+from .vi import CandidateSpace, _half_line, _line_criticals, _Table, minimal_scan
 
 class EmptyGrid(LatticeError):
     pass
@@ -356,6 +356,16 @@ def vector_minty_check(
          avoids the cone and its directions at infinity;
     (iii) for a pointed cone, agreement of (i) with efficiency on the grid,
          plus the polyhedral finite-direction Minty check.
+
+    An exact psi is read per half-line x0 + s u from the base.  One
+    ``segment_criticals`` call per half-line gives the kinks that close the
+    sample of each segment on it.  One ``mvi_M_finite`` table (``vi._Table``)
+    over the grid and the segment points holds one Minty record (x', -u) per
+    linear stretch of a half-line, and the three verdicts of a differing
+    segment point are those of its stretch's record, decided once: a scale
+    c > 0 moves no Dini sign, no count of vector Dini limits and no
+    membership in C.  An oracle psi reads its own ray (xt, x0 - x) at every
+    segment point, and its table one ray per row.
     """
     ws = psi.workspace
     x0 = as_vec(x0)
@@ -364,17 +374,16 @@ def vector_minty_check(
     base_val = psi.psi_at(p0)
     if base_val is None:
         raise LatticeError("base point is outside the domain")
-    scalar_ok = inner_ok = single_valued = True
-    witnesses, reached = [], [(p0, base_val)]  # (psi's record, psi) of x0 and the segment points
-    zero = ExtReal(0)
-    for x in pts:
+    recs = [psi.point(x) for x in pts]
+    lines = _line_criticals(psi, x0, recs, directions)  # None unless psi is exact
+    segment, reached = [], [(p0, base_val)]  # (psi's record, psi) of x0 and the segment points
+    for x, px in zip(pts, recs):
         ts = list(DEFAULT_T_PARAMS)
-        if psi.is_exact and x != x0:
+        if lines is not None and px != p0:
             # close the sample under the segment's kinks, where off-grid
             # dominators of piecewise-linear data live, and the endpoint
-            crit = segment_criticals(psi, x0, x, directions)
-            ts += [t for t in crit if t not in ts] + [Fraction(1)]
-        px = psi.point(x)
+            u, c = _half_line(p0, px)
+            ts += [t for t in (s / c for s in lines[u] if s < c) if t not in ts] + [Fraction(1)]
         u_x, u_back = _along(px, p0, -1), _along(p0, px, -1)  # x - x0 and x0 - x
         for t in ts:
             p = psi.point(_along(p0, u_x, t))
@@ -382,24 +391,35 @@ def vector_minty_check(
             if vt is None:
                 continue
             reached.append((p, vt))
-            if vt == base_val:
-                continue
-            # exact psi reads mvi_M_finite's ray (xt, x0 - xt) = (xt, t u_back): t > 0 moves
-            # no sign and no membership in C; oracle psi samples other points under u_back
-            u = _along(p0, p, -1) if psi.is_exact else u_back
-            if not any(scalar_dini(psi, z, p, u) < zero for z in directions):
-                scalar_ok = False
-                witnesses.append({"form": "scalar", "x": x, "t": t})
-            dl = vector_dini(psi, p, u)
-            if len(dl.finite_points) + len(dl.infinite_dirs) != 1 or dl.infinite_dirs:
-                single_valued = False
+            if vt != base_val:
+                segment.append((x, t, p, u_back))
+    space = CandidateSpace.of(pts + [p for p, _ in reached], base=x0)
+    table = _Table(psi, x0, space, list(ws.cone.facet_normals), lines=lines)
+    rows = {row.p: row for row in table.rows}
+    scalar_ok = inner_ok = single_valued = True
+    witnesses, verdicts = [], {}  # verdicts: (scalar, single, inner) per ray record
+    zero = ExtReal(0)
+    for x, t, p, u_back in segment:
+        rec = table.minty(rows[p]).ray if lines is not None else _ray(psi, p, u_back)
+        verdict = verdicts.get(rec)
+        if verdict is None:
+            dl = vector_dini(psi, rec.p, rec.u)
             limits = [*dl.finite_points, *(d.vector for d in dl.infinite_dirs)]
-            if any(ws.cone.contains(q) for q in limits):
-                inner_ok = False
-                witnesses.append({"form": "inner", "x": x, "t": t})
-    space = CandidateSpace.of(list(pts) + [p for p, _ in reached], base=x0)
-    mvi = run_checker("mvi_M_finite", psi, x0, space, list(ws.cone.facet_normals))
-    reached += [(p, v) for p in map(psi.point, pts) if (v := psi.psi_at(p)) is not None]
+            verdict = verdicts[rec] = (
+                any(rec.read_dini(psi, z) < zero for z in directions),
+                len(limits) == 1 and not dl.infinite_dirs,
+                not any(ws.cone.contains(q) for q in limits),
+            )
+        scalar, single, inner = verdict
+        single_valued = single_valued and single
+        if not scalar:
+            scalar_ok = False
+            witnesses.append({"form": "scalar", "x": x, "t": t})
+        if not inner:
+            inner_ok = False
+            witnesses.append({"form": "inner", "x": x, "t": t})
+    mvi = table.check("mvi_M_finite")
+    reached += [(p, v) for p in recs if (v := psi.psi_at(p)) is not None]
     is_efficient = p0 in _efficient(ws, reached)
     return {
         "scalar_form": scalar_ok,

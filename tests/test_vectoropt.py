@@ -1,7 +1,9 @@
 import ast
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setlattice import vectoropt, vi
 from setlattice.calculus import scalar_dini, segment_criticals, set_derivative
 from setlattice.extres import ExtReal
 from setlattice.instances import (
@@ -19,6 +22,7 @@ from setlattice.instances import (
     random_grid,
     random_dual_direction,
     random_pwl_vector,
+    random_workspace,
 )
 from setlattice.kernel import Workspace, _int_dir, as_vec, inf_family
 from setlattice.setfun import (
@@ -541,6 +545,100 @@ def test_vector_minty_matches_reference():
         seen["not_single"] += not got["single_valued_quotients"]
     # the cases must reach both kinds of psi and both verdicts
     assert min(seen.values()) > 0 and seen["efficient"] < seen["exact"] + seen["oracle"], seen
+
+
+def _exact_minty_draws(count, seed):
+    """(ws, xdim, components, domain, x0, grid) of seeded exact checks: cones
+    from random_workspace and from the scenarios benchmark, 1-D and 2-D x,
+    the box [-1, 1]^xdim as the domain of 40 % of them (the grid reaches
+    past it; x0 lies inside), and one grid point repeated."""
+    rng = random.Random(seed)
+    cones = _scenario_cones()
+    draws = []
+    while len(draws) < count:
+        if rng.random() < 0.5:
+            ws = random_workspace(rng)
+        else:
+            ws = Workspace(2, rng.choice(cones))
+            extra = [random_dual_direction(rng, ws) for _ in range(2)]
+            gens, normals = ws.cone.generators, list(ws.cone.facet_normals)
+            ws = Workspace(2, gens, normals + [e for e in extra if e])
+        xdim = rng.choice([1, 2])
+        comps = [random_convex_pwl(rng, xdim, max_pieces=3) for _ in range(2)]
+        box = Polyhedron.box([(-1, 1)] * xdim) if rng.random() < 0.4 else None
+        grid = random_grid(rng, xdim, 3)
+        inside = [x for x in grid if box is None or box.contains(as_vec(x))]
+        if inside:
+            draws.append((ws, xdim, comps, box, rng.choice(inside), grid + [rng.choice(grid)]))
+    return draws
+
+
+def test_exact_vector_minty_matches_reference_per_point():
+    """The check reads one criticals call per half-line and one Minty record
+    per linear stretch; the reference reads every segment point on its own
+    ray.  Over 300 seeded exact checks on fresh psi the whole reports agree,
+    witnesses and their order included."""
+    seen = Counter()
+    for ws, xdim, comps, box, x0, grid in _exact_minty_draws(300, 29229):
+        make = lambda: EpiVectorFunction(ws, xdim, comps, box)
+        got = vector_minty_check(make(), x0, grid, ws.directions)
+        assert got == _reference_vector_minty(make(), x0, grid, ws.directions), (x0, grid)
+        seen["2-D x"] += xdim == 2
+        seen["off the box"] += box is not None and not all(box.contains(as_vec(x)) for x in grid)
+        seen["witnesses"] += bool(got["witnesses"])
+        seen["efficient"] += got["efficient"]
+    assert min(seen.values()) >= 60 and seen["efficient"] < 300, seen
+
+
+def _primitive(v):
+    """(u, c) with v = c u, u a primitive integer vector and c > 0."""
+    den = lcm(*(c.denominator for c in v))
+    k = [int(c * den) for c in v]
+    g = gcd(*k)
+    return tuple(a // g for a in k), F(g, den)
+
+
+def test_vector_minty_work_per_half_line_and_stretch(monkeypatch):
+    """segment_criticals runs once per half-line from x0 that holds a grid
+    point, and vector_dini once per linear stretch of such a half-line that
+    holds a differing segment point, where a check per point runs each once
+    per grid point and once per differing segment point."""
+    ws = orthant_workspace()
+    comps = [
+        ConvexPWL([((1, 0), 0), ((-1, 0), 0), ((1, 1), -1)]),
+        ConvexPWL([((0, 1), -1), ((0, -1), 1), ((-1, 0), 0)]),
+    ]
+    x0 = (F(0), F(0))
+    # three points on the diagonal, two on the first axis, one repeated
+    grid = [(F(1, 2), F(1, 2)), (1, 1), (2, 2), (1, 0), (2, 0), (0, -1), (-1, 2), (1, 1), x0]
+    ref = EpiVectorFunction(ws, 2, comps)
+    crits, segment = {}, []  # criticals per half-line, as s in x0 + s u
+    for x in map(as_vec, grid):
+        if x == x0:
+            continue
+        u, c = _primitive(x)
+        cut = segment_criticals(ref, x0, x, ws.directions)
+        crits.setdefault(u, set()).update(c * t for t in cut)
+        for t in [*DEFAULT_T_PARAMS, *(t for t in cut if t not in DEFAULT_T_PARAMS), F(1)]:
+            v = ref.psi(tuple(t * a for a in x))
+            if v is not None and v != ref.psi(x0):
+                segment.append((u, c * t))
+    stretches = {(u, bisect_left(sorted(crits[u]), s)) for u, s in segment}
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(vi, "segment_criticals", counted("criticals", vi.segment_criticals))
+    monkeypatch.setattr(vectoropt, "vector_dini", counted("vector_dini", vectoropt.vector_dini))
+    got = vector_minty_check(EpiVectorFunction(ws, 2, comps), x0, grid, ws.directions)
+    assert calls == {"criticals": len(crits), "vector_dini": len(stretches)}
+    assert len(crits) < len(grid) - 1 and len(stretches) < len(segment), (crits, segment)
+    assert got == _reference_vector_minty(ref, x0, grid, ws.directions)
 
 
 _KEY = st.fractions(min_value=-2, max_value=2, max_denominator=2)
